@@ -18,7 +18,8 @@
 // artifact except none (there is no wall clock in it) is deterministic;
 // `tl_report --check` holds the structural sections exact (see
 // tests/CMakeLists.txt golden.elastic.regen / telemetry.elastic.check).
-// Retry/drop tallies race message delivery and are informational only.
+// Retry/drop tallies depend only on the fault schedule; the check records
+// them without comparing them.
 //
 //   --smoke         CI fast path: smaller heterogeneous mesh, fewer fault
 //                   seeds. The committed artifact is the smoke one.

@@ -78,15 +78,10 @@ struct ScalePoint {
   double compute_s = 0.0;
   double comm_s = 0.0;
   double hidden_s = 0.0;
-  // Allreduce share of the wire time (hidden or not) and the slice of it the
-  // pipelined CG hid behind the q = Aw matvec; classic points have
-  // allred_hidden_s == 0 and the whole allred_s exposed.
-  double allred_s = 0.0;
-  double allred_hidden_s = 0.0;
+  double allred_s = 0.0;  // allreduce share of the wire time (always exposed)
   std::size_t comm_bytes_per_rank = 0;  // wire bytes (sent + received)
 
   double total() const { return compute_s + comm_s; }
-  double allred_exposed_s() const { return allred_s - allred_hidden_s; }
 };
 
 /// One blocking-vs-overlap comparison, fed to the gates and the JSON.
@@ -102,18 +97,6 @@ struct OverlapCell {
   double hidden_fraction() const {
     return blocking_comm_s > 0.0 ? hidden_s / blocking_comm_s : 0.0;
   }
-};
-
-/// One classic-vs-pipelined CG comparison at one strong-scaling rung, fed
-/// to the pipeline gates and BENCH_pipeline.json.
-struct PipelineCell {
-  int ranks = 1;
-  double classic_total_s = 0.0;
-  double classic_allred_exposed_s = 0.0;
-  double pipelined_blocking_s = 0.0;
-  double pipelined_overlap_s = 0.0;
-  double pipelined_allred_exposed_s = 0.0;
-  double pipelined_allred_hidden_s = 0.0;
 };
 
 int neighbour_count(const comm::Tile& t) {
@@ -172,16 +155,12 @@ struct ProbeCounts {
   /// (the depth-1 single-field exchanges feeding the solver kernels),
   /// measured on the real dist code path with tl_overlap_comm on.
   double overlapped_per_iter = 0.0;
-  /// Fused two-double allreduces initiated nonblocking (pipelined CG only;
-  /// zero on every classic probe).
-  double iallred_per_iter = 0.0;
 };
 
-ProbeCounts probe_comm_counts(SolverKind solver, bool pipelined = false) {
+ProbeCounts probe_comm_counts(SolverKind solver) {
   core::Settings s = core::Settings::default_problem();
   s.nx = s.ny = kProbeMesh;
   s.solver = solver;
-  s.use_pipelined = pipelined;
   s.nranks = 4;
   dist::DistributedDriver driver(s, [](const core::Mesh& mesh, int) {
     return std::make_unique<core::ReferenceKernels>(mesh);
@@ -193,7 +172,6 @@ ProbeCounts probe_comm_counts(SolverKind solver, bool pipelined = false) {
       static_cast<double>(stats.halo_exchanges) / iters,
       static_cast<double>(stats.allreduces) / iters,
       static_cast<double>(stats.overlapped_exchanges) / iters,
-      static_cast<double>(stats.iallreduces) / iters,
   };
 }
 
@@ -202,13 +180,11 @@ ProbeCounts probe_comm_counts(SolverKind solver, bool pipelined = false) {
 /// distributed solve's control flow is global — see src/dist).
 double tile_compute_seconds(const bench::Harness& harness, sim::Model model,
                             sim::DeviceId device, SolverKind solver,
-                            int global_nx, int tile_nx, int tile_ny,
-                            bool pipelined = false) {
+                            int global_nx, int tile_nx, int tile_ny) {
   core::Settings s = core::Settings::default_problem();
   s.nx = tile_nx;
   s.ny = tile_ny;
   s.solver = solver;
-  s.use_pipelined = pipelined;
   if (solver == SolverKind::kPpcg) {
     s.ppcg_inner_steps = core::recommended_ppcg_inner_steps(global_nx);
   }
@@ -245,8 +221,7 @@ constexpr double kConsumerComputeShare = 0.25;
 ScalePoint modelled_point(const bench::Harness& harness, sim::Model model,
                           sim::DeviceId device, SolverKind solver,
                           int global_nx, int ranks, const ProbeCounts& probe,
-                          const sim::NetworkSpec& net, bool overlap,
-                          bool pipelined = false) {
+                          const sim::NetworkSpec& net, bool overlap) {
   const comm::BlockDecomposition decomp(global_nx, global_nx, ranks);
   const comm::Tile& crit = critical_tile(decomp);
   const int halo_depth = core::Settings{}.halo_depth;
@@ -259,21 +234,15 @@ ScalePoint modelled_point(const bench::Harness& harness, sim::Model model,
   p.tile_ny = crit.ny();
   p.iterations = harness.predicted_outer(solver, global_nx);
   p.compute_s = tile_compute_seconds(harness, model, device, solver, global_nx,
-                                     crit.nx(), crit.ny(), pipelined);
+                                     crit.nx(), crit.ny());
   if (ranks > 1) {
     const double halo_count = probe.halo_per_iter * p.iterations;
     const double allred_count = probe.allred_per_iter * p.iterations;
-    const double iallred_count = probe.iallred_per_iter * p.iterations;
     const std::size_t onedir = halo_onedir_bytes(crit, halo_depth);
     const double halo_ns =
         sim::halo_exchange_ns(net, onedir, neighbour_count(crit));
     const double allred_ns = sim::allreduce_ns(net, sizeof(double), ranks);
-    // The pipelined CG's fused dots travel as one two-double collective.
-    const double iallred_ns =
-        sim::allreduce_ns(net, 2 * sizeof(double), ranks);
-    p.allred_s = ((allred_count - iallred_count) * allred_ns +
-                  iallred_count * iallred_ns) *
-                 1e-9;
+    p.allred_s = allred_count * allred_ns * 1e-9;
     p.comm_s = halo_count * halo_ns * 1e-9 + p.allred_s;
     p.comm_bytes_per_rank =
         static_cast<std::size_t>(halo_count * 2.0 * static_cast<double>(onedir));
@@ -281,9 +250,7 @@ ScalePoint modelled_point(const bench::Harness& harness, sim::Model model,
       // Mirror of DistributedKernels' accounting: each overlapped exchange
       // hides min(wire time, the consuming kernel's interior compute charge)
       // and exposes the remainder. Only the probe-measured share of the halo
-      // exchanges is eligible; classic allreduces stay fully exposed, while
-      // the pipelined fused allreduce hides behind the q = Aw matvec posted
-      // between dots_begin and dots_complete.
+      // exchanges is eligible; allreduces stay fully exposed.
       const double interior_frac =
           (static_cast<double>(crit.nx() - 2) * (crit.ny() - 2)) /
           (static_cast<double>(crit.nx()) * crit.ny());
@@ -291,10 +258,7 @@ ScalePoint modelled_point(const bench::Harness& harness, sim::Model model,
       const double window_ns =
           interior_frac * compute_per_iter_ns * kConsumerComputeShare;
       const double eligible = probe.overlapped_per_iter * p.iterations;
-      const double halo_hidden = eligible * std::min(halo_ns, window_ns) * 1e-9;
-      p.allred_hidden_s =
-          iallred_count * std::min(iallred_ns, window_ns) * 1e-9;
-      p.hidden_s = halo_hidden + p.allred_hidden_s;
+      p.hidden_s = eligible * std::min(halo_ns, window_ns) * 1e-9;
       p.comm_s -= p.hidden_s;
     }
   }
@@ -309,14 +273,12 @@ ScalePoint measured_point(sim::Model model, sim::DeviceId device,
                           SolverKind solver, int global_nx, int ranks,
                           bool overlap, std::vector<sim::RecordingSink>* sinks,
                           std::vector<dist::RankReport>* rank_reports,
-                          core::RunReport* run_out = nullptr,
-                          bool pipelined = false) {
+                          core::RunReport* run_out = nullptr) {
   core::Settings s = core::Settings::default_problem();
   s.nx = s.ny = global_nx;
   s.solver = solver;
   s.nranks = ranks;
   s.overlap_comm = overlap;
-  s.use_pipelined = pipelined;
   if (solver == SolverKind::kPpcg) {
     s.ppcg_inner_steps = core::recommended_ppcg_inner_steps(global_nx);
   }
@@ -345,10 +307,8 @@ ScalePoint measured_point(sim::Model model, sim::DeviceId device,
   p.tile_ny = slowest->tile.ny();
   p.iterations = rep.run.steps.back().solve.iterations;
   p.comm_s = slowest->comm.comm_ns * 1e-9;  // exposed share under overlap
-  p.hidden_s =
-      (slowest->comm.hidden_ns + slowest->comm.allreduce_hidden_ns) * 1e-9;
+  p.hidden_s = slowest->comm.hidden_ns * 1e-9;
   p.allred_s = slowest->comm.allreduce_ns * 1e-9;
-  p.allred_hidden_s = slowest->comm.allreduce_hidden_ns * 1e-9;
   p.compute_s = rep.run.sim_total_seconds - p.comm_s;
   p.comm_bytes_per_rank = slowest->comm.bytes;
   if (rank_reports != nullptr) *rank_reports = rep.ranks;
@@ -363,9 +323,8 @@ ScalePoint measured_point(sim::Model model, sim::DeviceId device,
 void print_section(const char* scaling, const char* mode, SolverKind solver,
                    const std::vector<ScalePoint>& points,
                    util::CsvWriter& csv, sim::Model model,
-                   sim::DeviceId device, const char* label = nullptr) {
-  const std::string solver_label =
-      label != nullptr ? label : std::string(core::solver_name(solver));
+                   sim::DeviceId device) {
+  const std::string solver_label(core::solver_name(solver));
   std::printf("-- %s scaling (%s): %s --\n", scaling, mode,
               solver_label.c_str());
   util::Table table({"Ranks", "Grid", "Mesh", "Tile", "Iters", "Compute s",
@@ -387,7 +346,6 @@ void print_section(const char* scaling, const char* mode, SolverKind solver,
              util::strf("%d", p.iterations), util::strf("%.6f", p.compute_s),
              util::strf("%.6f", p.comm_s), util::strf("%.6f", p.hidden_s),
              util::strf("%.6f", p.allred_s),
-             util::strf("%.6f", p.allred_hidden_s),
              util::strf("%.6f", p.total()),
              util::strf("%.4f", speedup), util::strf("%.4f", speedup / p.ranks),
              util::strf("%zu", p.comm_bytes_per_rank)});
@@ -404,51 +362,6 @@ void collect_cells(std::vector<OverlapCell>& out, const char* scaling,
                               blocking[i].total(), blocking[i].comm_s,
                               overlap[i].total(), overlap[i].hidden_s});
   }
-}
-
-void collect_pipeline_cells(std::vector<PipelineCell>& out,
-                            const std::vector<ScalePoint>& classic_blocking,
-                            const std::vector<ScalePoint>& pipe_blocking,
-                            const std::vector<ScalePoint>& pipe_overlap) {
-  for (std::size_t i = 0; i < classic_blocking.size(); ++i) {
-    out.push_back(PipelineCell{
-        classic_blocking[i].ranks, classic_blocking[i].total(),
-        classic_blocking[i].allred_exposed_s(), pipe_blocking[i].total(),
-        pipe_overlap[i].total(), pipe_overlap[i].allred_exposed_s(),
-        pipe_overlap[i].allred_hidden_s});
-  }
-}
-
-void write_pipeline_json(const std::vector<PipelineCell>& cells, bool smoke,
-                         const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::printf("FAILED to write %s\n", path.c_str());
-    return;
-  }
-  std::fprintf(f, "{\n  \"bench\": \"pipeline\",\n  \"mode\": \"%s\",\n",
-               smoke ? "smoke" : "full");
-  std::fprintf(f,
-               "  \"gates\": {\"pipelined_overlap_never_slower\": true, "
-               "\"strong8_exposed_allreduce_shrinks\": true},\n");
-  std::fprintf(f, "  \"cells\": [\n");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const PipelineCell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"ranks\": %d, \"classic_total_s\": %.6f, "
-        "\"classic_allred_exposed_s\": %.9f, "
-        "\"pipelined_blocking_s\": %.6f, \"pipelined_overlap_s\": %.6f, "
-        "\"pipelined_allred_exposed_s\": %.9f, "
-        "\"pipelined_allred_hidden_s\": %.9f}%s\n",
-        c.ranks, c.classic_total_s, c.classic_allred_exposed_s,
-        c.pipelined_blocking_s, c.pipelined_overlap_s,
-        c.pipelined_allred_exposed_s, c.pipelined_allred_hidden_s,
-        i + 1 == cells.size() ? "" : ",");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
-  std::printf("JSON written to %s\n", path.c_str());
 }
 
 void write_overlap_json(const std::vector<OverlapCell>& cells, bool smoke,
@@ -514,15 +427,11 @@ int main(int argc, char** argv) {
       "fig13_scaling.csv",
       {"scaling", "mode", "model", "device", "solver", "ranks", "grid",
        "global_nx", "tile_nx", "tile_ny", "iterations", "compute_s", "comm_s",
-       "hidden_s", "allred_s", "allred_hidden_s", "total_s", "speedup",
+       "hidden_s", "allred_s", "total_s", "speedup",
        "efficiency", "comm_bytes_per_rank"});
 
   bool monotone = true;
   std::vector<OverlapCell> overlap_cells;
-  std::vector<PipelineCell> pipeline_cells;
-  // Classic blocking strong-scaling CG (the pipeline gates' baseline) and
-  // the pipelined CG strong ladder, blocking and overlapped.
-  std::vector<ScalePoint> cg_strong_blocking, pipe_strong, pipe_strong_ov;
   std::vector<dist::RankReport> comm_table;  // per-rank bytes (largest R, CG)
   std::vector<sim::RecordingSink> trace_sinks;
   core::RunReport report_run;  // largest overlapped CG run (smoke mode)
@@ -550,7 +459,6 @@ int main(int argc, char** argv) {
       print_section("strong", "overlap", solver, strong_ov, csv, *model,
                     *device);
       collect_cells(overlap_cells, "strong", solver, strong, strong_ov);
-      if (solver == SolverKind::kCg) cg_strong_blocking = strong;
       for (std::size_t i = 1; i < strong.size(); ++i) {
         if (strong[i].total() > strong[i - 1].total()) monotone = false;
       }
@@ -567,22 +475,6 @@ int main(int argc, char** argv) {
       print_section("weak", "overlap", solver, weak_ov, csv, *model, *device);
       collect_cells(overlap_cells, "weak", solver, weak, weak_ov);
     }
-    // Pipelined CG (tl_pipelined_cg): the same strong ladder on the real
-    // dist code path, once blocking (the fused allreduce reduced in place)
-    // and once overlapped (initiated nonblocking, completed after the halo
-    // exchange and the q = Aw matvec).
-    for (const int ranks : kRankLadder) {
-      pipe_strong.push_back(measured_point(
-          *model, *device, SolverKind::kCg, strong_mesh, ranks,
-          /*overlap=*/false, nullptr, nullptr, nullptr, /*pipelined=*/true));
-      pipe_strong_ov.push_back(measured_point(
-          *model, *device, SolverKind::kCg, strong_mesh, ranks,
-          /*overlap=*/true, nullptr, nullptr, nullptr, /*pipelined=*/true));
-    }
-    print_section("strong", "blocking", SolverKind::kCg, pipe_strong, csv,
-                  *model, *device, "cg_pipelined");
-    print_section("strong", "overlap", SolverKind::kCg, pipe_strong_ov, csv,
-                  *model, *device, "cg_pipelined");
   } else {
     bench::Harness harness;
     harness.print_calibration();
@@ -609,7 +501,6 @@ int main(int argc, char** argv) {
       print_section("strong", "overlap", solver, strong_ov, csv, *model,
                     *device);
       collect_cells(overlap_cells, "strong", solver, strong, strong_ov);
-      if (solver == SolverKind::kCg) cg_strong_blocking = strong;
       for (std::size_t i = 1; i < strong.size(); ++i) {
         if (strong[i].total() > strong[i - 1].total()) monotone = false;
       }
@@ -626,30 +517,6 @@ int main(int argc, char** argv) {
       print_section("weak", "overlap", solver, weak_ov, csv, *model, *device);
       collect_cells(overlap_cells, "weak", solver, weak, weak_ov);
     }
-    // Pipelined CG, projected: the probe reruns on the pipelined dist code
-    // path (one fused two-double allreduce per iteration, kMaskW halos on
-    // the blocking path), and the fused allreduce's wire time hides behind
-    // the q = Aw matvec window in the overlapped rows.
-    const ProbeCounts pipe_probe =
-        probe_comm_counts(SolverKind::kCg, /*pipelined=*/true);
-    std::printf("probe [cg_pipelined]: %.2f halo exchanges (%.2f overlapped) "
-                "+ %.2f allreduces (%.2f fused nonblocking) per outer "
-                "iteration (measured at %d^2 x 4 ranks)\n\n",
-                pipe_probe.halo_per_iter, pipe_probe.overlapped_per_iter,
-                pipe_probe.allred_per_iter, pipe_probe.iallred_per_iter,
-                kProbeMesh);
-    for (const int ranks : kRankLadder) {
-      pipe_strong.push_back(modelled_point(
-          harness, *model, *device, SolverKind::kCg, strong_mesh, ranks,
-          pipe_probe, net, /*overlap=*/false, /*pipelined=*/true));
-      pipe_strong_ov.push_back(modelled_point(
-          harness, *model, *device, SolverKind::kCg, strong_mesh, ranks,
-          pipe_probe, net, /*overlap=*/true, /*pipelined=*/true));
-    }
-    print_section("strong", "blocking", SolverKind::kCg, pipe_strong, csv,
-                  *model, *device, "cg_pipelined");
-    print_section("strong", "overlap", SolverKind::kCg, pipe_strong_ov, csv,
-                  *model, *device, "cg_pipelined");
     // Per-rank comm bytes at the largest strong-scaling point (CG): the
     // analytic mirror of the smoke mode's measured table.
     const ProbeCounts probe = probe_comm_counts(SolverKind::kCg);
@@ -761,36 +628,6 @@ int main(int argc, char** argv) {
   }
 
   write_overlap_json(overlap_cells, smoke, "BENCH_overlap.json");
-  collect_pipeline_cells(pipeline_cells, cg_strong_blocking, pipe_strong,
-                         pipe_strong_ov);
-  write_pipeline_json(pipeline_cells, smoke, "BENCH_pipeline.json");
-
-  // Pipeline gates: the nonblocking allreduce must never cost time (overlap
-  // twin never slower than the blocking twin at any rung), and at the widest
-  // strong rung the exposed allreduce time must genuinely shrink against
-  // classic blocking CG — the whole point of the Ghysels-Vanroose variant.
-  bool pipe_overlap_ok = true;
-  bool pipe_allred_ok = true;
-  for (const PipelineCell& c : pipeline_cells) {
-    if (c.pipelined_overlap_s > c.pipelined_blocking_s) {
-      pipe_overlap_ok = false;
-      std::printf("GATE: pipelined overlap slower than its blocking twin at "
-                  "%d ranks (%.6f s vs %.6f s)\n",
-                  c.ranks, c.pipelined_overlap_s, c.pipelined_blocking_s);
-    }
-  }
-  if (!pipeline_cells.empty()) {
-    const PipelineCell& widest = pipeline_cells.back();
-    if (widest.ranks > 1 &&
-        widest.pipelined_allred_exposed_s >= widest.classic_allred_exposed_s) {
-      pipe_allred_ok = false;
-      std::printf("GATE: exposed allreduce time did not shrink at strong/%d "
-                  "ranks (pipelined %.9f s vs classic %.9f s)\n",
-                  widest.ranks, widest.pipelined_allred_exposed_s,
-                  widest.classic_allred_exposed_s);
-    }
-  }
-
   bool overlap_ok = true;
   bool hidden_ok = true;
   for (const OverlapCell& c : overlap_cells) {
@@ -816,16 +653,9 @@ int main(int argc, char** argv) {
               monotone ? "yes" : "NO — REGRESSION");
   std::printf("overlap never slower than blocking: %s\n",
               overlap_ok ? "yes" : "NO — REGRESSION");
-  std::printf("pipelined overlap never slower than blocking twin: %s\n",
-              pipe_overlap_ok ? "yes" : "NO — REGRESSION");
-  std::printf("exposed allreduce shrinks at strong %d ranks: %s\n",
-              kRankLadder.back(), pipe_allred_ok ? "yes" : "NO — REGRESSION");
   if (!smoke) {
     std::printf(">=50%% of comm hidden at strong %d ranks: %s\n",
                 kRankLadder.back(), hidden_ok ? "yes" : "NO — REGRESSION");
   }
-  return (monotone && overlap_ok && hidden_ok && pipe_overlap_ok &&
-          pipe_allred_ok)
-             ? 0
-             : 1;
+  return (monotone && overlap_ok && hidden_ok) ? 0 : 1;
 }

@@ -56,34 +56,6 @@ run_leg() { # run_leg <preset> <cc> <cxx>
   # if overlap is ever slower than blocking. Writes BENCH_overlap.json.
   (cd "bench-smoke-${preset}-${cc}" && "../$build_dir/bench/bench_fig13_scaling" --smoke >/dev/null)
   echo "overlap JSON: bench-smoke-${preset}-${cc}/BENCH_overlap.json"
-  echo "pipeline JSON: bench-smoke-${preset}-${cc}/BENCH_pipeline.json"
-
-  note "per-ISA smokes: tl_verify + fig13 x forced row-kernel ISA (${preset} / ${cc})"
-  # Golden conformance and the fig13 smoke (overlap + pipelined-CG gates)
-  # once per forced ISA; tl_isa --probe exit 3 means the ISA is unavailable
-  # on this host and the leg is skipped, not failed. The fusion measured
-  # gate is deliberately NOT forced per ISA: it compares the fused rows
-  # against the compiler-autovectorized unfused pipeline, so pinning a
-  # narrow ISA would gate vector width against the compiler rather than
-  # against itself — bench_fusion's own measured leg owns the sse2-vs-avx2
-  # gate. (BENCH_pipeline.json itself is regression-gated by ctest's
-  # telemetry.pipeline.check: full-mode regen vs the committed baseline.)
-  for isa in scalar sse2 avx2 avx512; do
-    rc=0
-    "./$build_dir/tools/tl_isa" --probe "$isa" || rc=$?
-    if [ "$rc" -eq 3 ]; then
-      echo "  $isa: unavailable on this host — skipped"
-      continue
-    elif [ "$rc" -ne 0 ]; then
-      echo "tl_isa --probe $isa failed (exit $rc)" >&2
-      exit 1
-    fi
-    TL_FORCE_ISA=$isa "./$build_dir/tools/tl_verify" \
-      --golden verify/golden/reference.csv >/dev/null
-    (cd "bench-smoke-${preset}-${cc}" && \
-      TL_FORCE_ISA=$isa "../$build_dir/bench/bench_fig13_scaling" --smoke >/dev/null)
-    echo "  $isa: golden conformance + fig13 smoke OK"
-  done
 
   note "service soak smoke: bench_service --smoke (${preset} / ${cc})"
   # 1k mixed-tenant jobs through the SolveService; the bench exits nonzero

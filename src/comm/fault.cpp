@@ -1,7 +1,6 @@
 #include "comm/fault.hpp"
 
 #include <algorithm>
-#include <thread>
 
 #include "util/string_util.hpp"
 
@@ -31,7 +30,7 @@ double FaultyComm::uniform(int dest, int tag, int attempt, int salt) const {
 }
 
 void FaultyComm::faulty_send(const WireOut& out, int attempt,
-                             std::uint64_t poll) {
+                             std::vector<const WireOut*>& delayed) {
   ++stats_.data_sends;
   const bool hard_fail = spec_.epoch == 0 &&
                          comm_.rank() == spec_.hard_fail_rank &&
@@ -42,13 +41,7 @@ void FaultyComm::faulty_send(const WireOut& out, int attempt,
   }
   if (uniform(out.dest, out.tag, attempt, 1) < spec_.delay) {
     ++stats_.delayed;
-    Delayed d;
-    d.due_poll = poll + static_cast<std::uint64_t>(
-                            std::max(1, spec_.resend_polls / 2));
-    d.dest = out.dest;
-    d.tag = out.tag;
-    d.payload.assign(out.data.begin(), out.data.end());
-    delayed_.push_back(std::move(d));
+    delayed.push_back(&out);
     return;
   }
   comm_.send(out.data, out.dest, out.tag);
@@ -58,31 +51,11 @@ void FaultyComm::faulty_send(const WireOut& out, int attempt,
   }
 }
 
-bool FaultyComm::flush_due(std::uint64_t poll) {
-  bool any = false;
-  for (std::size_t i = 0; i < delayed_.size();) {
-    if (delayed_[i].due_poll <= poll) {
-      comm_.send(delayed_[i].payload, delayed_[i].dest, delayed_[i].tag);
-      delayed_[i] = std::move(delayed_.back());
-      delayed_.pop_back();
-      any = true;
-    } else {
-      ++i;
-    }
-  }
-  return any;
-}
-
 void FaultyComm::exchange(std::span<const WireOut> outs,
                           std::span<const WireIn> ins) {
-  struct OutState {
-    int attempt = 1;
-    std::uint64_t next_resend = 0;
-    bool acked = false;
-  };
-  std::vector<OutState> ostate(outs.size());
+  std::vector<char> acked(outs.size(), 0);
   std::vector<char> got(ins.size(), 0);
-  delayed_.clear();
+  std::vector<const WireOut*> delayed;
 
   std::size_t scratch_len = 0;
   for (const WireIn& in : ins) scratch_len = std::max(scratch_len, in.data.size());
@@ -90,79 +63,65 @@ void FaultyComm::exchange(std::span<const WireOut> outs,
   const double ack_payload = 1.0;
   double ack_buf = 0.0;
 
-  std::uint64_t poll = 0;
-  for (std::size_t i = 0; i < outs.size(); ++i) {
-    faulty_send(outs[i], 1, poll);
-    ostate[i].next_resend = static_cast<std::uint64_t>(spec_.resend_polls);
-  }
+  for (int round = 1;; ++round) {
+    // Send phase: every unacknowledged payload goes out as attempt `round`;
+    // deferred sends land behind the round's on-time ones.
+    delayed.clear();
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      if (acked[i] != 0) continue;
+      if (round > 1) ++stats_.retries;
+      faulty_send(outs[i], round, delayed);
+    }
+    for (const WireOut* out : delayed) comm_.send(out->data, out->dest, out->tag);
+    comm_.barrier();
 
-  std::size_t remaining = outs.size() + ins.size();
-  while (remaining > 0) {
-    bool progress = flush_due(poll);
-
+    // Receive phase: every copy that arrived is ACKed; the first fills the
+    // destination, later ones (injected duplicates) are absorbed.
     for (std::size_t j = 0; j < ins.size(); ++j) {
       const WireIn& in = ins[j];
-      if (got[j] == 0) {
-        if (comm_.try_recv(in.data, in.source, in.tag)) {
-          got[j] = 1;
-          --remaining;
-          progress = true;
-          ++stats_.acks_sent;
-          comm_.send(std::span<const double>(&ack_payload, 1), in.source,
-                     in.tag + kAckTagOffset);
-        }
-      } else {
-        // Absorb duplicate arrivals, re-ACKing each in case the sender
-        // retransmitted before our first ACK landed.
-        std::span<double> scratch(dup_scratch.data(), in.data.size());
-        while (comm_.try_recv(scratch, in.source, in.tag)) {
-          progress = true;
-          ++stats_.acks_sent;
-          comm_.send(std::span<const double>(&ack_payload, 1), in.source,
-                     in.tag + kAckTagOffset);
-        }
+      const std::span<double> scratch(dup_scratch.data(), in.data.size());
+      while (comm_.try_recv(got[j] != 0 ? scratch : in.data, in.source,
+                            in.tag)) {
+        got[j] = 1;
+        ++stats_.acks_sent;
+        comm_.send(std::span<const double>(&ack_payload, 1), in.source,
+                   in.tag + kAckTagOffset);
       }
     }
+    comm_.barrier();
+
+    // ACK phase: every ACK of this round is queued by now.
+    std::size_t outs_left = 0;
+    std::size_t ins_left = 0;
+    for (std::size_t i = 0; i < outs.size(); ++i) {
+      if (acked[i] == 0 &&
+          comm_.try_recv(std::span<double>(&ack_buf, 1), outs[i].dest,
+                         outs[i].tag + kAckTagOffset)) {
+        acked[i] = 1;
+      }
+      outs_left += acked[i] != 0 ? 0 : 1;
+    }
+    for (char g : got) ins_left += g != 0 ? 0 : 1;
+    const double world_left =
+        comm_.allreduce(static_cast<double>(outs_left + ins_left),
+                        Communicator::ReduceOp::kSum);
+    if (world_left == 0.0) return;
+    if (round < spec_.max_attempts) continue;
 
     for (std::size_t i = 0; i < outs.size(); ++i) {
-      if (ostate[i].acked) continue;
-      if (comm_.try_recv(std::span<double>(&ack_buf, 1), outs[i].dest,
-                         outs[i].tag + kAckTagOffset)) {
-        ostate[i].acked = true;
-        --remaining;
-        progress = true;
-        continue;
-      }
-      if (poll >= ostate[i].next_resend) {
-        if (ostate[i].attempt >= spec_.max_attempts) {
-          throw CommRetryExhausted(util::strf(
-              "reliable exchange: rank %d -> %d tag %d unacked after %d "
-              "attempt(s) (seed %llu, epoch %d)",
-              comm_.rank(), outs[i].dest, outs[i].tag, ostate[i].attempt,
-              static_cast<unsigned long long>(spec_.seed), spec_.epoch));
-        }
-        ++ostate[i].attempt;
-        ++stats_.retries;
-        faulty_send(outs[i], ostate[i].attempt, poll);
-        const int shift = std::min(ostate[i].attempt - 1, 6);
-        ostate[i].next_resend =
-            poll + (static_cast<std::uint64_t>(spec_.resend_polls) << shift);
-      }
-    }
-
-    ++poll;
-    if (poll > static_cast<std::uint64_t>(spec_.poll_limit)) {
-      std::size_t outs_left = 0, ins_left = 0;
-      for (const OutState& s : ostate) outs_left += s.acked ? 0 : 1;
-      for (char g : got) ins_left += g ? 0 : 1;
-      throw ReliableTimeout(util::strf(
-          "reliable exchange: rank %d poll budget %d exhausted with %zu "
-          "send(s) unacked and %zu recv(s) missing (seed %llu, epoch %d) — "
-          "peer dead or schedule unsurvivable",
-          comm_.rank(), spec_.poll_limit, outs_left, ins_left,
+      if (acked[i] != 0) continue;
+      throw CommRetryExhausted(util::strf(
+          "reliable exchange: rank %d -> %d tag %d unacked after %d "
+          "attempt(s) (seed %llu, epoch %d)",
+          comm_.rank(), outs[i].dest, outs[i].tag, round,
           static_cast<unsigned long long>(spec_.seed), spec_.epoch));
     }
-    if (!progress) std::this_thread::yield();
+    throw ReliableTimeout(util::strf(
+        "reliable exchange: rank %d gave up after %d round(s) with %zu "
+        "recv(s) missing here and %.0f payload(s) unfinished world-wide "
+        "(seed %llu, epoch %d) — peer dead or schedule unsurvivable",
+        comm_.rank(), round, ins_left, world_left,
+        static_cast<unsigned long long>(spec_.seed), spec_.epoch));
   }
 }
 

@@ -5,19 +5,25 @@
 // fault schedule: any DATA send may be dropped, duplicated, or delayed,
 // decided by hashing (seed, epoch, src, dst, tag, attempt) — never by wall
 // clock — so a given schedule is reproducible across runs and machines.
-// On top of the lossy sends sits `exchange()`: a poll-based reliable
-// bidirectional exchange in which every payload is acknowledged, unacked
-// sends are retransmitted with exponential backoff, and duplicate arrivals
-// are absorbed (matching is by (source, wire tag), which the halo/reduction
-// layers never reuse within a run). The protocol services incoming DATA,
-// incoming ACKs, and retransmissions from one loop, so two peers exchanging
-// payloads can never deadlock waiting on each other's ACKs.
+// On top of the lossy sends sits `exchange()`: a reliable bidirectional
+// exchange run in logical rounds. In round k every rank sends each payload
+// still unacknowledged as attempt k; a round barrier follows, then every
+// rank receives what arrived and ACKs each copy (duplicates are absorbed
+// and re-ACKed); a second barrier follows, then senders collect their ACKs.
+// The rounds end when a world-wide count of unfinished payloads reaches
+// zero. Matching is by (source, wire tag), which the halo/reduction layers
+// never reuse within a run. Attempts, retries and survival therefore depend
+// only on (seed, epoch, schedule), not on how the OS schedules the rank
+// threads. Every rank of the world must call exchange() the same number of
+// times in the same order (the halo and reduction layers are SPMD), since
+// the rounds synchronise the whole world.
 //
-// Unsurvivable schedules stay diagnosable instead of hanging: a sender that
-// exhausts its retry budget throws CommRetryExhausted, and a receiver whose
-// poll budget expires (its peer died or dropped everything) throws
-// ReliableTimeout. Both derive from CommFaultError, the retryable class the
-// solve service keys re-enqueue-from-checkpoint on.
+// Unsurvivable schedules stay diagnosable instead of hanging: when round
+// max_attempts ends with a payload still unfinished anywhere, every rank
+// throws — CommRetryExhausted on a rank whose own send went unacknowledged,
+// ReliableTimeout on the others (a payload it awaited, or a peer's, never
+// arrived). Both derive from CommFaultError, the retryable class the solve
+// service keys re-enqueue-from-checkpoint on.
 //
 // ACK tags sit one bit above the data wire-tag space: HaloExchanger derives
 // wire tags as tag * 8 + subtag with tag < 2^20, so every data tag is below
@@ -41,11 +47,10 @@ struct FaultSpec {
   std::uint64_t seed = 1;   // schedule seed (mixed with epoch)
   double drop = 0.0;        // P(DATA send vanishes)
   double duplicate = 0.0;   // P(DATA send delivered twice)
-  double delay = 0.0;       // P(DATA send deferred by ~resend_polls/2 polls)
-  int max_attempts = 10;    // sends per payload before CommRetryExhausted
-  int resend_polls = 64;    // polls before the first retransmission; doubles
-                            // per attempt (capped) for exponential backoff
-  int poll_limit = 200'000; // per-exchange poll budget (deadlock guard)
+  double delay = 0.0;       // P(DATA send deferred behind the round's
+                            // on-time sends; still ahead of its timeout)
+  int max_attempts = 10;    // rounds (sends per payload) before the world
+                            // gives up with a CommFaultError
 
   /// Deterministic hard failure for lifecycle tests: while the injected
   /// step equals hard_fail_step and epoch == 0, every DATA send from
@@ -72,7 +77,8 @@ class CommRetryExhausted : public CommFaultError {
   using CommFaultError::CommFaultError;
 };
 
-/// A poll loop ran out of budget — the peer died or dropped everything.
+/// The round budget ran out while a payload this rank awaited, or one a
+/// peer was exchanging, was still undelivered.
 class ReliableTimeout : public CommFaultError {
  public:
   using CommFaultError::CommFaultError;
@@ -108,7 +114,8 @@ class FaultyComm {
 
   /// Completes every out (ACKed by its receiver) and every in (payload
   /// delivered exactly once) under the fault schedule, or throws a
-  /// CommFaultError subclass. Either span may be empty.
+  /// CommFaultError subclass. Either span may be empty. Collective: every
+  /// rank of the world takes part in each call.
   void exchange(std::span<const WireOut> outs, std::span<const WireIn> ins);
 
   /// Step-boundary notification (arms/disarms the hard-fail trigger).
@@ -120,22 +127,14 @@ class FaultyComm {
 
  private:
   double uniform(int dest, int tag, int attempt, int salt) const;
-  /// Sends under the schedule; `poll` anchors injected delays.
-  void faulty_send(const WireOut& out, int attempt, std::uint64_t poll);
-  bool flush_due(std::uint64_t poll);
-
-  struct Delayed {
-    std::uint64_t due_poll = 0;
-    int dest = 0;
-    int tag = 0;
-    std::vector<double> payload;
-  };
+  /// Sends under the schedule; a delayed send is appended to `delayed`.
+  void faulty_send(const WireOut& out, int attempt,
+                   std::vector<const WireOut*>& delayed);
 
   Communicator& comm_;
   FaultSpec spec_;
   FaultStats stats_;
   int step_ = 0;
-  std::vector<Delayed> delayed_;
 };
 
 /// Fault-surviving allreduce(sum): reliable gather-to-0, combine in rank

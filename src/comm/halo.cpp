@@ -215,7 +215,7 @@ void HaloExchanger::exchange_reliable(FaultyComm& fc, Span2D<double> field,
                               static_cast<std::size_t>(field.nx());
 
   // One reliable exchange per phase: both directions' payloads in flight at
-  // once (send/recv completion is handled by the poll loop, so concurrent
+  // once (each exchange round sends before it receives, so concurrent
   // directions cannot deadlock), then the same unpack order as exchange().
   auto phase = [&](int first_dir) {
     std::array<std::vector<double>, 2> sbuf, rbuf;

@@ -95,7 +95,7 @@ class Communicator {
 
   /// Nonblocking probe-and-receive: delivers and returns true iff a
   /// matching (source, tag) message is already queued; never waits. The
-  /// fault-tolerant retry protocol's poll loop is built on this.
+  /// fault-tolerant retry protocol's receive phase is built on this.
   bool try_recv(std::span<double> data, int source, int tag);
 
   /// Completes every request in `reqs` (blocking). Safe to call again on

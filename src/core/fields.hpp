@@ -25,15 +25,12 @@ enum class FieldId {
   kSd,       // PPCG inner smoothing direction
   kKx,       // x-face diffusion coefficient (pre-scaled by rx)
   kKy,       // y-face diffusion coefficient (pre-scaled by ry)
-  kQ,        // pipelined CG: A w (the overlapped matvec's output)
-  kZ,        // pipelined CG: the q-direction recurrence z = q + beta z
 };
 
-inline constexpr std::array<FieldId, 13> kAllFields = {
+inline constexpr std::array<FieldId, 11> kAllFields = {
     FieldId::kDensity, FieldId::kEnergy0, FieldId::kEnergy, FieldId::kU,
     FieldId::kU0,      FieldId::kP,       FieldId::kR,      FieldId::kW,
-    FieldId::kSd,      FieldId::kKx,      FieldId::kKy,     FieldId::kQ,
-    FieldId::kZ};
+    FieldId::kSd,      FieldId::kKx,      FieldId::kKy};
 
 constexpr std::string_view field_name(FieldId f) {
   switch (f) {
@@ -48,8 +45,6 @@ constexpr std::string_view field_name(FieldId f) {
     case FieldId::kSd: return "sd";
     case FieldId::kKx: return "kx";
     case FieldId::kKy: return "ky";
-    case FieldId::kQ: return "q";
-    case FieldId::kZ: return "z";
   }
   return "?";
 }

@@ -14,11 +14,10 @@
 //   * `*_scalar` — portable fallback with the identical chain assignment
 //                  and per-element association.
 //
-// Wider implementations (AVX2: the four chains in one 256-bit accumulator;
-// AVX-512: two 4-element groups per step folded low-then-high into the same
-// four chains) live in fused_rows_avx2.cpp / fused_rows_avx512.cpp, compiled
-// with their own ISA flags, and are reached only through the runtime
-// dispatch table in core/isa.hpp — callers never include ISA-specific code.
+// The wider AVX2 implementation (the four chains in one 256-bit
+// accumulator) lives in fused_rows_avx2.cpp, compiled with its own ISA
+// flags, and is reached only through the runtime dispatch table in
+// core/isa.hpp — callers never include ISA-specific code.
 // tests/test_fusion.cpp asserts scalar and SSE2 agree exactly;
 // tests/test_isa.cpp extends the bit-identity battery to every table entry
 // of every supported ISA. Per-element arithmetic follows each consuming
@@ -26,7 +25,7 @@
 // + kyb) for the matvec rows, the fused iterates' (diag = 1 + kxl + kxr +
 // kyb + kyt) for the cheby/ppcg/jacobi rows — so the fused results track
 // the classic kernels bit-for-bit per path. No FMA contraction happens on
-// any path: SSE2 has no FMA, and the AVX TUs are compiled with -mno-fma
+// any path: SSE2 has no FMA, and the AVX2 TU is compiled with -mno-fma
 // -ffp-contract=off, keeping all builds reproducible across gcc and clang.
 
 #include <cstddef>
@@ -218,95 +217,6 @@ inline void jacobi_row_scalar(const double* __restrict u0,
             kyb * w[i - width]) /
            diag;
   }
-}
-
-/// q = A v over one row (stencil_at's association). The pipelined CG matvec
-/// that overlaps the in-flight allreduce; no reduction rides along.
-inline void stencil_row_scalar(const double* __restrict v,
-                               const double* __restrict kx,
-                               const double* __restrict ky,
-                               double* __restrict q, std::size_t b,
-                               std::size_t e, std::size_t width) {
-  for (std::size_t i = b; i < e; ++i) {
-    q[i] = stencil_at(v, kx, ky, i, width);
-  }
-}
-
-/// Pipelined CG init row: w = A r, returning {r.r, w.r} in RowDots{pw, ww}.
-inline RowDots pipe_init_row_scalar(const double* __restrict r,
-                                    const double* __restrict kx,
-                                    const double* __restrict ky,
-                                    double* __restrict w, std::size_t b,
-                                    std::size_t e, std::size_t width) {
-  double crr[4] = {0.0, 0.0, 0.0, 0.0};
-  double crw[4] = {0.0, 0.0, 0.0, 0.0};
-  std::size_t i = b;
-  for (; i + 4 <= e; i += 4) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      const double ar = stencil_at(r, kx, ky, i + c, width);
-      w[i + c] = ar;
-      crr[c] += r[i + c] * r[i + c];
-      crw[c] += ar * r[i + c];
-    }
-  }
-  for (; i < e; ++i) {
-    const double ar = stencil_at(r, kx, ky, i, width);
-    w[i] = ar;
-    crr[(i - b) & 3] += r[i] * r[i];
-    crw[(i - b) & 3] += ar * r[i];
-  }
-  return RowDots{combine_chains(crr), combine_chains(crw)};
-}
-
-/// Pipelined CG update row (Ghysels–Vanroose recurrences):
-///   z = q + bt z;  s = w + bt s;  p = r + bt p;
-///   u += a p;      r -= a s;      w -= a z;
-/// returning the next iteration's local dots {r.r, w.r} in RowDots{pw, ww}.
-inline RowDots pipe_update_row_scalar(double* __restrict z,
-                                      double* __restrict s,
-                                      double* __restrict p,
-                                      double* __restrict u,
-                                      double* __restrict r,
-                                      double* __restrict w,
-                                      const double* __restrict q,
-                                      std::size_t b, std::size_t e, double a,
-                                      double bt) {
-  double crr[4] = {0.0, 0.0, 0.0, 0.0};
-  double crw[4] = {0.0, 0.0, 0.0, 0.0};
-  std::size_t i = b;
-  for (; i + 4 <= e; i += 4) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      const double zn = q[i + c] + bt * z[i + c];
-      z[i + c] = zn;
-      const double sn = w[i + c] + bt * s[i + c];
-      s[i + c] = sn;
-      const double pn = r[i + c] + bt * p[i + c];
-      p[i + c] = pn;
-      u[i + c] += a * pn;
-      const double rn = r[i + c] - a * sn;
-      r[i + c] = rn;
-      const double wn = w[i + c] - a * zn;
-      w[i + c] = wn;
-      crr[c] += rn * rn;
-      crw[c] += wn * rn;
-    }
-  }
-  for (; i < e; ++i) {
-    const double zn = q[i] + bt * z[i];
-    z[i] = zn;
-    const double sn = w[i] + bt * s[i];
-    s[i] = sn;
-    const double pn = r[i] + bt * p[i];
-    p[i] = pn;
-    u[i] += a * pn;
-    const double rn = r[i] - a * sn;
-    r[i] = rn;
-    const double wn = w[i] - a * zn;
-    w[i] = wn;
-    crr[(i - b) & 3] += rn * rn;
-    crw[(i - b) & 3] += wn * rn;
-  }
-  return RowDots{combine_chains(crr), combine_chains(crw)};
 }
 
 // -- SSE2 -------------------------------------------------------------------
@@ -521,113 +431,6 @@ inline void jacobi_row_sse2(const double* __restrict u0,
   if (i < e) jacobi_row_scalar(u0, w, kx, ky, u, i, e, width);
 }
 
-inline void stencil_row_sse2(const double* __restrict v,
-                             const double* __restrict kx,
-                             const double* __restrict ky,
-                             double* __restrict q, std::size_t b,
-                             std::size_t e, std::size_t width) {
-  std::size_t i = b;
-  for (; i + 2 <= e; i += 2) {
-    _mm_storeu_pd(q + i, stencil2(v, kx, ky, i, width));
-  }
-  if (i < e) stencil_row_scalar(v, kx, ky, q, i, e, width);
-}
-
-inline RowDots pipe_init_row_sse2(const double* __restrict r,
-                                  const double* __restrict kx,
-                                  const double* __restrict ky,
-                                  double* __restrict w, std::size_t b,
-                                  std::size_t e, std::size_t width) {
-  double crr[4], crw[4];
-  __m128d rr01 = _mm_setzero_pd(), rr23 = _mm_setzero_pd();
-  __m128d rw01 = _mm_setzero_pd(), rw23 = _mm_setzero_pd();
-  std::size_t i = b;
-  for (; i + 4 <= e; i += 4) {
-    const __m128d ar01 = stencil2(r, kx, ky, i, width);
-    const __m128d ar23 = stencil2(r, kx, ky, i + 2, width);
-    _mm_storeu_pd(w + i, ar01);
-    _mm_storeu_pd(w + i + 2, ar23);
-    const __m128d r01 = _mm_loadu_pd(r + i);
-    const __m128d r23 = _mm_loadu_pd(r + i + 2);
-    rr01 = _mm_add_pd(rr01, _mm_mul_pd(r01, r01));
-    rr23 = _mm_add_pd(rr23, _mm_mul_pd(r23, r23));
-    rw01 = _mm_add_pd(rw01, _mm_mul_pd(ar01, r01));
-    rw23 = _mm_add_pd(rw23, _mm_mul_pd(ar23, r23));
-  }
-  _mm_storeu_pd(crr, rr01);
-  _mm_storeu_pd(crr + 2, rr23);
-  _mm_storeu_pd(crw, rw01);
-  _mm_storeu_pd(crw + 2, rw23);
-  for (; i < e; ++i) {
-    const double ar = stencil_at(r, kx, ky, i, width);
-    w[i] = ar;
-    crr[(i - b) & 3] += r[i] * r[i];
-    crw[(i - b) & 3] += ar * r[i];
-  }
-  return RowDots{combine_chains(crr), combine_chains(crw)};
-}
-
-inline RowDots pipe_update_row_sse2(double* __restrict z, double* __restrict s,
-                                    double* __restrict p, double* __restrict u,
-                                    double* __restrict r, double* __restrict w,
-                                    const double* __restrict q, std::size_t b,
-                                    std::size_t e, double a, double bt) {
-  double crr[4], crw[4];
-  const __m128d av = _mm_set1_pd(a);
-  const __m128d btv = _mm_set1_pd(bt);
-  __m128d rr01 = _mm_setzero_pd(), rr23 = _mm_setzero_pd();
-  __m128d rw01 = _mm_setzero_pd(), rw23 = _mm_setzero_pd();
-  std::size_t i = b;
-  for (; i + 4 <= e; i += 4) {
-    for (std::size_t o = 0; o < 4; o += 2) {
-      const __m128d rv = _mm_loadu_pd(r + i + o);
-      const __m128d wv = _mm_loadu_pd(w + i + o);
-      const __m128d zn = _mm_add_pd(_mm_loadu_pd(q + i + o),
-                                    _mm_mul_pd(btv, _mm_loadu_pd(z + i + o)));
-      _mm_storeu_pd(z + i + o, zn);
-      const __m128d sn =
-          _mm_add_pd(wv, _mm_mul_pd(btv, _mm_loadu_pd(s + i + o)));
-      _mm_storeu_pd(s + i + o, sn);
-      const __m128d pn =
-          _mm_add_pd(rv, _mm_mul_pd(btv, _mm_loadu_pd(p + i + o)));
-      _mm_storeu_pd(p + i + o, pn);
-      _mm_storeu_pd(u + i + o,
-                    _mm_add_pd(_mm_loadu_pd(u + i + o), _mm_mul_pd(av, pn)));
-      const __m128d rn = _mm_sub_pd(rv, _mm_mul_pd(av, sn));
-      _mm_storeu_pd(r + i + o, rn);
-      const __m128d wn = _mm_sub_pd(wv, _mm_mul_pd(av, zn));
-      _mm_storeu_pd(w + i + o, wn);
-      if (o == 0) {
-        rr01 = _mm_add_pd(rr01, _mm_mul_pd(rn, rn));
-        rw01 = _mm_add_pd(rw01, _mm_mul_pd(wn, rn));
-      } else {
-        rr23 = _mm_add_pd(rr23, _mm_mul_pd(rn, rn));
-        rw23 = _mm_add_pd(rw23, _mm_mul_pd(wn, rn));
-      }
-    }
-  }
-  _mm_storeu_pd(crr, rr01);
-  _mm_storeu_pd(crr + 2, rr23);
-  _mm_storeu_pd(crw, rw01);
-  _mm_storeu_pd(crw + 2, rw23);
-  for (; i < e; ++i) {
-    const double zn = q[i] + bt * z[i];
-    z[i] = zn;
-    const double sn = w[i] + bt * s[i];
-    s[i] = sn;
-    const double pn = r[i] + bt * p[i];
-    p[i] = pn;
-    u[i] += a * pn;
-    const double rn = r[i] - a * sn;
-    r[i] = rn;
-    const double wn = w[i] - a * zn;
-    w[i] = wn;
-    crr[(i - b) & 3] += rn * rn;
-    crw[(i - b) & 3] += wn * rn;
-  }
-  return RowDots{combine_chains(crr), combine_chains(crw)};
-}
-
 /// SSE2 twin of the serial fused_w_row_dots recompute (chains {0,1}/{2,3}
 /// in two 128-bit accumulators, positional tail).
 inline RowDots fused_w_row_dots_sse2(const double* __restrict p,
@@ -661,7 +464,7 @@ inline RowDots fused_w_row_dots_sse2(const double* __restrict p,
 
 // The unsuffixed dispatchers moved to the runtime ISA table: callers fetch
 // the active implementation set once per sweep via isa::active_row_table()
-// (core/isa.hpp), which selects scalar/SSE2/AVX2/AVX-512 by CPUID at first
+// (core/isa.hpp), which selects scalar/SSE2/AVX2 by CPUID at first
 // use, overridable with TL_FORCE_ISA / Settings::force_isa. All entries of
 // every table are bit-identical to the `_scalar` functions above.
 

@@ -1,5 +1,5 @@
-// AVX2 row kernel table. This is one of only two translation units compiled
-// with AVX flags (-mavx2 -mno-fma -ffp-contract=off); everything here lives
+// AVX2 row kernel table. This is the only translation unit compiled with
+// AVX flags (-mavx2 -mno-fma -ffp-contract=off); everything here lives
 // in an anonymous namespace — including private scalar-tail copies of the
 // stencil helpers — so no AVX2-compiled symbol with external (weak) linkage
 // can be selected by the linker into baseline code paths. The table is
@@ -265,96 +265,9 @@ void jacobi_row(const double* __restrict u0, const double* __restrict w,
   }
 }
 
-void stencil_row(const double* __restrict v, const double* __restrict kx,
-                 const double* __restrict ky, double* __restrict q,
-                 std::size_t b, std::size_t e, std::size_t width) {
-  std::size_t i = b;
-  for (; i + 4 <= e; i += 4) {
-    _mm256_storeu_pd(q + i, stencil4(v, kx, ky, i, width));
-  }
-  for (; i < e; ++i) {
-    q[i] = stencil_at_s(v, kx, ky, i, width);
-  }
-}
-
-RowDots pipe_init_row(const double* __restrict r, const double* __restrict kx,
-                      const double* __restrict ky, double* __restrict w,
-                      std::size_t b, std::size_t e, std::size_t width) {
-  double crr[4], crw[4];
-  __m256d rr = _mm256_setzero_pd(), rw = _mm256_setzero_pd();
-  std::size_t i = b;
-  for (; i + 4 <= e; i += 4) {
-    const __m256d ar = stencil4(r, kx, ky, i, width);
-    _mm256_storeu_pd(w + i, ar);
-    const __m256d rv = _mm256_loadu_pd(r + i);
-    rr = _mm256_add_pd(rr, _mm256_mul_pd(rv, rv));
-    rw = _mm256_add_pd(rw, _mm256_mul_pd(ar, rv));
-  }
-  _mm256_storeu_pd(crr, rr);
-  _mm256_storeu_pd(crw, rw);
-  for (; i < e; ++i) {
-    const double ar = stencil_at_s(r, kx, ky, i, width);
-    w[i] = ar;
-    crr[(i - b) & 3] += r[i] * r[i];
-    crw[(i - b) & 3] += ar * r[i];
-  }
-  return RowDots{combine4(crr), combine4(crw)};
-}
-
-RowDots pipe_update_row(double* __restrict z, double* __restrict s,
-                        double* __restrict p, double* __restrict u,
-                        double* __restrict r, double* __restrict w,
-                        const double* __restrict q, std::size_t b,
-                        std::size_t e, double a, double bt) {
-  double crr[4], crw[4];
-  const __m256d av = _mm256_set1_pd(a);
-  const __m256d btv = _mm256_set1_pd(bt);
-  __m256d rr = _mm256_setzero_pd(), rw = _mm256_setzero_pd();
-  std::size_t i = b;
-  for (; i + 4 <= e; i += 4) {
-    const __m256d rv = _mm256_loadu_pd(r + i);
-    const __m256d wv = _mm256_loadu_pd(w + i);
-    const __m256d zn = _mm256_add_pd(
-        _mm256_loadu_pd(q + i), _mm256_mul_pd(btv, _mm256_loadu_pd(z + i)));
-    _mm256_storeu_pd(z + i, zn);
-    const __m256d sn =
-        _mm256_add_pd(wv, _mm256_mul_pd(btv, _mm256_loadu_pd(s + i)));
-    _mm256_storeu_pd(s + i, sn);
-    const __m256d pn =
-        _mm256_add_pd(rv, _mm256_mul_pd(btv, _mm256_loadu_pd(p + i)));
-    _mm256_storeu_pd(p + i, pn);
-    _mm256_storeu_pd(
-        u + i, _mm256_add_pd(_mm256_loadu_pd(u + i), _mm256_mul_pd(av, pn)));
-    const __m256d rn = _mm256_sub_pd(rv, _mm256_mul_pd(av, sn));
-    _mm256_storeu_pd(r + i, rn);
-    const __m256d wn = _mm256_sub_pd(wv, _mm256_mul_pd(av, zn));
-    _mm256_storeu_pd(w + i, wn);
-    rr = _mm256_add_pd(rr, _mm256_mul_pd(rn, rn));
-    rw = _mm256_add_pd(rw, _mm256_mul_pd(wn, rn));
-  }
-  _mm256_storeu_pd(crr, rr);
-  _mm256_storeu_pd(crw, rw);
-  for (; i < e; ++i) {
-    const double zn = q[i] + bt * z[i];
-    z[i] = zn;
-    const double sn = w[i] + bt * s[i];
-    s[i] = sn;
-    const double pn = r[i] + bt * p[i];
-    p[i] = pn;
-    u[i] += a * pn;
-    const double rn = r[i] - a * sn;
-    r[i] = rn;
-    const double wn = w[i] - a * zn;
-    w[i] = wn;
-    crr[(i - b) & 3] += rn * rn;
-    crw[(i - b) & 3] += wn * rn;
-  }
-  return RowDots{combine4(crr), combine4(crw)};
-}
-
 const RowKernelTable kAvx2Table = {
-    &w_row,    &w_row_dots, &urp_row,     &residual_row,  &cheby_row,
-    &ppcg_row, &jacobi_row, &stencil_row, &pipe_init_row, &pipe_update_row,
+    &w_row,     &w_row_dots, &urp_row,    &residual_row,
+    &cheby_row, &ppcg_row,   &jacobi_row,
 };
 
 }  // namespace

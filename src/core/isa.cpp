@@ -16,9 +16,6 @@ const RowKernelTable kScalarTable = {
     &fused::cheby_row_scalar,
     &fused::ppcg_row_scalar,
     &fused::jacobi_row_scalar,
-    &fused::stencil_row_scalar,
-    &fused::pipe_init_row_scalar,
-    &fused::pipe_update_row_scalar,
 };
 
 #if TL_FUSED_SIMD
@@ -30,9 +27,6 @@ const RowKernelTable kSse2Table = {
     &fused::cheby_row_sse2,
     &fused::ppcg_row_sse2,
     &fused::jacobi_row_sse2,
-    &fused::stencil_row_sse2,
-    &fused::pipe_init_row_sse2,
-    &fused::pipe_update_row_sse2,
 };
 #endif
 
@@ -45,12 +39,6 @@ bool cpu_has(Isa isa) {
     case Isa::kAvx2:
 #if defined(__GNUC__) || defined(__clang__)
       return __builtin_cpu_supports("avx2") != 0;
-#else
-      return false;
-#endif
-    case Isa::kAvx512:
-#if defined(__GNUC__) || defined(__clang__)
-      return __builtin_cpu_supports("avx512f") != 0;
 #else
       return false;
 #endif
@@ -90,8 +78,6 @@ const char* isa_name(Isa isa) {
       return "sse2";
     case Isa::kAvx2:
       return "avx2";
-    case Isa::kAvx512:
-      return "avx512";
   }
   return "scalar";
 }
@@ -100,32 +86,12 @@ std::optional<Isa> parse_isa(const std::string& name) {
   if (name == "scalar") return Isa::kScalar;
   if (name == "sse2") return Isa::kSse2;
   if (name == "avx2") return Isa::kAvx2;
-  if (name == "avx512") return Isa::kAvx512;
   return std::nullopt;
-}
-
-std::size_t isa_lanes(Isa isa) {
-  switch (isa) {
-    case Isa::kScalar:
-      return 1;
-    case Isa::kSse2:
-      return 2;
-    case Isa::kAvx2:
-      return 4;
-    case Isa::kAvx512:
-      return 8;
-  }
-  return 1;
-}
-
-std::size_t isa_row_group(Isa isa) {
-  return isa == Isa::kAvx512 ? 8 : 4;
 }
 
 bool isa_available(Isa isa) { return row_table(isa) != nullptr; }
 
 Isa detect_best() {
-  if (isa_available(Isa::kAvx512)) return Isa::kAvx512;
   if (isa_available(Isa::kAvx2)) return Isa::kAvx2;
   if (isa_available(Isa::kSse2)) return Isa::kSse2;
   return Isa::kScalar;
@@ -161,8 +127,6 @@ const RowKernelTable* row_table(Isa isa) {
 #endif
     case Isa::kAvx2:
       return avx2_row_table();
-    case Isa::kAvx512:
-      return avx512_row_table();
   }
   return nullptr;
 }

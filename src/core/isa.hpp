@@ -8,7 +8,7 @@
 //
 //   1. force_isa(...)        — programmatic override (Settings::force_isa,
 //                              threaded from the tl_force_isa deck key);
-//   2. TL_FORCE_ISA          — environment override (scalar|sse2|avx2|avx512;
+//   2. TL_FORCE_ISA          — environment override (scalar|sse2|avx2;
 //                              unparseable values fall back to detection);
 //   3. CPUID auto-detection  — widest ISA the CPU supports.
 //
@@ -17,10 +17,10 @@
 // scalar one (tests/test_isa.cpp enforces this per primitive, per tail
 // residue 0–7, on unaligned row starts), so dispatch is a pure speed choice.
 //
-// The AVX2/AVX-512 tables live in fused_rows_avx2.cpp / fused_rows_avx512.cpp
-// — the only translation units compiled with -mavx2 / -mavx512f. They keep
-// every helper in an anonymous namespace (no header inlines) so no
-// AVX-compiled symbol can leak into baseline code paths via the linker.
+// The AVX2 table lives in fused_rows_avx2.cpp — the only translation unit
+// compiled with -mavx2. It keeps every helper in an anonymous namespace (no
+// header inlines) so no AVX-compiled symbol can leak into baseline code
+// paths via the linker.
 
 #include <cstddef>
 #include <optional>
@@ -31,16 +31,15 @@
 namespace tl::core::isa {
 
 /// Instruction sets the fused row primitives are specialised for, narrowest
-/// first. On x86-64, kScalar and kSse2 are always available; kAvx2/kAvx512
-/// depend on the CPU. On other architectures only kScalar is available.
+/// first. On x86-64, kScalar and kSse2 are always available; kAvx2 depends
+/// on the CPU. On other architectures only kScalar is available.
 enum class Isa {
   kScalar = 0,
   kSse2 = 1,
   kAvx2 = 2,
-  kAvx512 = 3,
 };
 
-inline constexpr int kIsaCount = 4;
+inline constexpr int kIsaCount = 3;
 
 /// One implementation set of every fused row primitive. All entries of all
 /// tables are bit-identical; they differ only in vector width.
@@ -70,32 +69,13 @@ struct RowKernelTable {
   void (*jacobi_row)(const double*, const double*, const double*,
                      const double*, double*, std::size_t, std::size_t,
                      std::size_t);
-  /// q = A v plain stencil row (v, kx, ky, q, b, e, width).
-  void (*stencil_row)(const double*, const double*, const double*, double*,
-                      std::size_t, std::size_t, std::size_t);
-  /// Pipelined CG init row: w = A r, returns {r.r, w.r}.
-  fused::RowDots (*pipe_init_row)(const double*, const double*, const double*,
-                                  double*, std::size_t, std::size_t,
-                                  std::size_t);
-  /// Pipelined CG update row (z, s, p, u, r, w, q, b, e, a, bt): {r.r, w.r}.
-  fused::RowDots (*pipe_update_row)(double*, double*, double*, double*,
-                                    double*, double*, const double*,
-                                    std::size_t, std::size_t, double, double);
 };
 
-/// Canonical lower-case name ("scalar", "sse2", "avx2", "avx512").
+/// Canonical lower-case name ("scalar", "sse2", "avx2").
 const char* isa_name(Isa isa);
 
 /// Parses an ISA name (as accepted by TL_FORCE_ISA / tl_force_isa).
 std::optional<Isa> parse_isa(const std::string& name);
-
-/// Doubles per 128/256/512-bit vector step: 1, 2, 4, 8.
-std::size_t isa_lanes(Isa isa);
-
-/// Elements consumed per unrolled accumulation group: 4 for scalar through
-/// AVX2 (one four-chain group), 8 for AVX-512 (two groups per step). Row
-/// tiling rounds to a multiple of this so rows are never split mid-vector.
-std::size_t isa_row_group(Isa isa);
 
 /// True when this build can execute the given ISA on this CPU.
 bool isa_available(Isa isa);
@@ -121,8 +101,5 @@ const RowKernelTable* active_row_table();
 /// Defined in fused_rows_avx2.cpp; returns nullptr when the translation unit
 /// was built without AVX2 support.
 const RowKernelTable* avx2_row_table();
-
-/// Defined in fused_rows_avx512.cpp; nullptr without AVX-512F support.
-const RowKernelTable* avx512_row_table();
 
 }  // namespace tl::core::isa

@@ -41,16 +41,6 @@ constexpr std::array kCatalog = {
     KernelCost{"cheby_fused_iterate", 5, 3, 18, false, kFusedSensitivity},
     KernelCost{"ppcg_fused_inner", 5, 3, 18, false, 0.25},
     KernelCost{"jacobi_fused_copy_iterate", 4, 1, 12, false, 0.3},
-    // Pipelined CG. Stream accounting:
-    //   cg_pipe_init    r,kx,ky read; w written; two dots    -> 3r,1w
-    //   cg_pipe_calc_q  w,kx,ky read; q written (no dots)    -> 3r,1w
-    //   cg_pipe_update  q,w,r,p,u,s,z read; z,s,p,u,r,w
-    //                   written; two dots                    -> 7r,6w
-    // More streams per iteration than classic CG (the price of hiding the
-    // allreduce) — pipelining only pays off once communication dominates.
-    KernelCost{"cg_pipe_init", 3, 1, 15, true, kCgSensitivity},
-    KernelCost{"cg_pipe_calc_q", 3, 1, 13, false, kCgSensitivity},
-    KernelCost{"cg_pipe_update", 7, 6, 16, true, kCgSensitivity},
 };
 }  // namespace
 
@@ -83,9 +73,6 @@ std::string_view kernel_phase(KernelId id) {
     case KernelId::kChebyFusedIterate: return "cheby";
     case KernelId::kPpcgFusedInner: return "ppcg";
     case KernelId::kJacobiFusedCopyIterate: return "jacobi";
-    case KernelId::kCgPipeInit:
-    case KernelId::kCgPipeCalcQ:
-    case KernelId::kCgPipeUpdate: return "cg";
   }
   return "kernel";
 }

@@ -45,10 +45,6 @@ enum class KernelId {
   kChebyFusedIterate,      // cheby_iterate, single sweep      [vector-critical]
   kPpcgFusedInner,         // ppcg_inner, single sweep         [vector-critical]
   kJacobiFusedCopyIterate, // jacobi copy+iterate without the copy stream
-  // Pipelined CG (kCapPipelined-gated), appended to keep prior ids stable.
-  kCgPipeInit,             // w = A r; rr, w.r                     [reduction]
-  kCgPipeCalcQ,            // q = A w (the allreduce-overlapped matvec)
-  kCgPipeUpdate,           // z/s/p then u/r/w updates; rr, w.r    [reduction]
 };
 
 struct KernelCost {

@@ -39,23 +39,6 @@ void SolverKernels::jacobi_fused_copy_iterate() {
   fused_not_advertised("jacobi_fused_copy_iterate");
 }
 
-CgPipeDots SolverKernels::cg_pipe_init() {
-  fused_not_advertised("cg_pipe_init");
-}
-
-void SolverKernels::cg_pipe_calc_q() { fused_not_advertised("cg_pipe_calc_q"); }
-
-CgPipeDots SolverKernels::cg_pipe_update(double, double) {
-  fused_not_advertised("cg_pipe_update");
-}
-
-void SolverKernels::cg_pipe_dots_begin(const CgPipeDots& local) {
-  // Single-rank identity: the "allreduce" of one rank's dots is the dots.
-  pipe_dots_local_ = local;
-}
-
-CgPipeDots SolverKernels::cg_pipe_dots_complete() { return pipe_dots_local_; }
-
 namespace {
 
 [[noreturn]] void regions_not_advertised(const char* which) {

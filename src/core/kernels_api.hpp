@@ -27,7 +27,6 @@ enum FieldMask : unsigned {
   kMaskR = 1u << 3,
   kMaskDensity = 1u << 4,
   kMaskEnergy0 = 1u << 5,
-  kMaskW = 1u << 6,  // pipelined CG: w's halo feeds the overlapped q = A w
 };
 int mask_field_count(unsigned mask);
 
@@ -53,7 +52,6 @@ enum KernelCaps : unsigned {
   kCapPpcgFused = 1u << 3,      // ppcg_fused_inner
   kCapJacobiFused = 1u << 4,    // jacobi_fused_copy_iterate
   kCapRegions = 1u << 5,        // region-parameterised sweeps (*_region)
-  kCapPipelined = 1u << 6,      // pipelined CG kernels (cg_pipe_*)
 };
 /// Note: kCapRegions is deliberately NOT part of kAllKernelCaps. The fused
 /// bits describe what the solver drivers may call on a single chunk; the
@@ -99,13 +97,6 @@ RegionBounds region_bounds(Region region, int halo_depth, int nx, int ny);
 struct CgFusedW {
   double pw = 0.0;  // p . A p  (equals r . A p by conjugacy)
   double ww = 0.0;  // A p . A p
-};
-
-/// The two local dot products each pipelined-CG iteration contributes to its
-/// single (overlappable) allreduce: gamma = r.r and delta = w.r.
-struct CgPipeDots {
-  double rr = 0.0;  // r . r      (gamma)
-  double rw = 0.0;  // A r . r = w . r  (delta)
 };
 
 class SolverKernels {
@@ -193,36 +184,6 @@ class SolverKernels {
   /// jacobi_copy_u + jacobi_iterate without materialising the copy sweep.
   virtual void jacobi_fused_copy_iterate();
 
-  // -- Pipelined CG (optional; gated by caps() & kCapPipelined) --------------
-  // Ghysels–Vanroose restructuring: each iteration contributes one fused
-  // {r.r, w.r} allreduce that the solver *begins* before the overlappable
-  // matvec q = A w and *completes* after it, hiding the collective's latency
-  // behind compute. The kernels default to throwing (caps-gated) except the
-  // dots pair, whose base implementation is the single-rank identity — the
-  // distributed decorator overrides it with a real nonblocking iallreduce.
-
-  /// w = A r from the freshly initialised residual; returns the local
-  /// {r.r, w.r} the first allreduce will combine.
-  virtual CgPipeDots cg_pipe_init();
-
-  /// q = A w — the matvec the in-flight allreduce hides behind. No
-  /// reduction rides along (its dots involve the *next* iterate).
-  virtual void cg_pipe_calc_q();
-
-  /// The six-field recurrence sweep:
-  ///   z = q + beta z;  s = w + beta s;  p = r + beta p;
-  ///   u += alpha p;    r -= alpha s;    w -= alpha z;
-  /// returning the next iteration's local {r.r, w.r}. (s lives in the kSd
-  /// slot — CG proper never touches it.)
-  virtual CgPipeDots cg_pipe_update(double alpha, double beta);
-
-  /// Initiates the iteration's allreduce of `local`. Base: stash (1-rank
-  /// identity). Must be legal to call with a previous begin still pending.
-  virtual void cg_pipe_dots_begin(const CgPipeDots& local);
-
-  /// Completes the pending allreduce and returns the global dots.
-  virtual CgPipeDots cg_pipe_dots_complete();
-
   // -- Region sweeps (optional; gated by caps() & kCapRegions) ---------------
   // Split forms of the matrix-powers sweeps for comm/compute overlap: the
   // distributed decorator calls the kInterior region while a depth-1 halo
@@ -299,10 +260,6 @@ class SolverKernels {
   /// every port and the analytic replay with no per-port code, because all of
   /// them meter through the one SimClock that clock() exposes.
   void attach_trace_sink(tl::sim::TraceSink* sink);
-
- protected:
-  /// Single-rank stash for the base cg_pipe_dots_begin/complete pair.
-  CgPipeDots pipe_dots_local_;
 };
 
 }  // namespace tl::core

@@ -93,23 +93,6 @@ double PhantomKernels::cg_fused_ur_p(double, double) {
   return 1.0;
 }
 
-CgPipeDots PhantomKernels::cg_pipe_init() {
-  charge(KernelId::kCgPipeInit);
-  return CgPipeDots{1.0, 1.0};  // gamma = 1, delta = 1 -> alpha = 1
-}
-
-void PhantomKernels::cg_pipe_calc_q() { charge(KernelId::kCgPipeCalcQ); }
-
-CgPipeDots PhantomKernels::cg_pipe_update(double, double) {
-  charge(KernelId::kCgPipeUpdate);
-  ++ur_calls_;
-  // rw = 2 keeps the recurrence denominator at 1 once beta = 1 kicks in.
-  if (script_.converge_on_ur && converged()) {
-    return CgPipeDots{script_.eps * 0.25, 2.0};
-  }
-  return CgPipeDots{1.0, 2.0};
-}
-
 double PhantomKernels::fused_residual_norm() {
   charge(KernelId::kFusedResidualNorm);
   return norm_value();

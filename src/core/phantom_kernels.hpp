@@ -71,7 +71,7 @@ class PhantomKernels final : public SolverKernels {
   // phantom advertises every capability and scripts the fused returns to
   // reproduce the classic scripted values (pw=1, rw=0.5, ww=1 keeps the
   // solver's predicted beta at 1, matching the classic alpha/beta=1 replay).
-  unsigned caps() const override { return kAllKernelCaps | kCapPipelined; }
+  unsigned caps() const override { return kAllKernelCaps; }
   CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double, double) override;
   double fused_residual_norm() override;
@@ -80,13 +80,6 @@ class PhantomKernels final : public SolverKernels {
     charge(KernelId::kPpcgFusedInner);
   }
   void jacobi_fused_copy_iterate() override;
-
-  // Pipelined CG replay: with gamma scripted to 1 and the update returning
-  // rw = 2, the solver's denominator stays 1 (2 - beta*gamma/alpha = 1) and
-  // alpha/beta stay 1 — the same Lanczos inputs as the classic replay.
-  CgPipeDots cg_pipe_init() override;
-  void cg_pipe_calc_q() override;
-  CgPipeDots cg_pipe_update(double, double) override;
 
   void read_u(tl::util::Span2D<double>) override;
   void download_energy(Chunk&) override { download_energy(); }

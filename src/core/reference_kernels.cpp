@@ -281,7 +281,6 @@ void ReferenceKernels::halo_update(unsigned fields, int depth) {
   if (fields & kMaskR) reflect(FieldId::kR);
   if (fields & kMaskDensity) reflect(FieldId::kDensity);
   if (fields & kMaskEnergy0) reflect(FieldId::kEnergy0);
-  if (fields & kMaskW) reflect(FieldId::kW);
 }
 
 void ReferenceKernels::calc_residual() {
@@ -503,7 +502,7 @@ void ReferenceKernels::download_energy(Chunk& chunk) {
 // (nfields rows of the padded width) fits in half of an assumed 256 KiB L2;
 // tiles are claimed from the HostPool with the tile height as the grain.
 // The row sweeps themselves come from the runtime ISA dispatch table in
-// core/isa.hpp (scalar / SSE2 / AVX2 / AVX-512, selected by CPUID or
+// core/isa.hpp (scalar / SSE2 / AVX2, selected by CPUID or
 // TL_FORCE_ISA); every table entry accumulates dots in four fixed chains
 // c = (index in row) & 3 combined as (c0 + c2) + (c1 + c3), so all ISAs
 // produce the same bits. Row sums land in per-row slots combined by a
@@ -517,15 +516,7 @@ int ReferenceKernels::tile_rows(int nfields) const {
                                 static_cast<std::size_t>(nfields) *
                                 sizeof(double);
   const std::size_t rows = (kL2Bytes / 2) / std::max<std::size_t>(row_bytes, 1);
-  // Round the tile height to a whole number of unrolled accumulation groups
-  // (2 rows per 8-element AVX-512 group on odd-width meshes never happens —
-  // groups live within a row — but keeping tile heights a multiple of the
-  // group-to-chain ratio keeps tile/steal boundaries identical across ISAs
-  // of different widths, so the schedule is ISA-independent too).
-  const std::size_t align = std::max<std::size_t>(
-      isa::isa_row_group(isa::active_isa()) / 4, 1);
-  const std::size_t aligned = ((rows + align - 1) / align) * align;
-  return static_cast<int>(std::clamp<std::size_t>(aligned, align, 64));
+  return static_cast<int>(std::clamp<std::size_t>(rows, 1, 64));
 }
 
 CgFusedW ReferenceKernels::cg_calc_w_fused() {
@@ -707,106 +698,6 @@ void ReferenceKernels::jacobi_fused_copy_iterate() {
         }
       },
       tile_rows(5));
-}
-
-// ---------------------------------------------------------------------------
-// Pipelined CG (kCapPipelined): same traversal scheme as the fused kernels —
-// HostPool row tiles dispatched through the ISA table, per-row dot slots
-// folded by the pairwise tree — so the recurrences are bit-identical for any
-// thread count and any dispatched ISA.
-// ---------------------------------------------------------------------------
-
-CgPipeDots ReferenceKernels::cg_pipe_init() {
-  const int h = mesh_.halo_depth;
-  const int nx = mesh_.nx;
-  const std::size_t width = static_cast<std::size_t>(mesh_.padded_nx());
-  const double* r_ = data(FieldId::kR);
-  const double* kx_ = data(FieldId::kKx);
-  const double* ky_ = data(FieldId::kKy);
-  double* w_ = data(FieldId::kW);
-  row_a_.assign(static_cast<std::size_t>(mesh_.ny), 0.0);
-  row_b_.assign(static_cast<std::size_t>(mesh_.ny), 0.0);
-  const isa::RowKernelTable& t = *isa::active_row_table();
-
-  pool_.parallel_for(
-      h, h + mesh_.ny,
-      [&](std::int64_t yb, std::int64_t ye) {
-        for (std::int64_t y = yb; y < ye; ++y) {
-          const std::size_t b = static_cast<std::size_t>(y) * width +
-                                static_cast<std::size_t>(h);
-          const fused::RowDots dots = t.pipe_init_row(
-              r_, kx_, ky_, w_, b, b + static_cast<std::size_t>(nx), width);
-          const std::size_t slot = static_cast<std::size_t>(y - h);
-          row_a_[slot] = dots.pw;  // r.r
-          row_b_[slot] = dots.ww;  // w.r
-        }
-      },
-      tile_rows(4));
-
-  CgPipeDots out;
-  out.rr = pairwise_sum(row_a_.data(), mesh_.ny);
-  out.rw = pairwise_sum(row_b_.data(), mesh_.ny);
-  return out;
-}
-
-void ReferenceKernels::cg_pipe_calc_q() {
-  const int h = mesh_.halo_depth;
-  const int nx = mesh_.nx;
-  const std::size_t width = static_cast<std::size_t>(mesh_.padded_nx());
-  const double* w_ = data(FieldId::kW);
-  const double* kx_ = data(FieldId::kKx);
-  const double* ky_ = data(FieldId::kKy);
-  double* q_ = data(FieldId::kQ);
-  const isa::RowKernelTable& t = *isa::active_row_table();
-
-  pool_.parallel_for(
-      h, h + mesh_.ny,
-      [&](std::int64_t yb, std::int64_t ye) {
-        for (std::int64_t y = yb; y < ye; ++y) {
-          const std::size_t b = static_cast<std::size_t>(y) * width +
-                                static_cast<std::size_t>(h);
-          t.stencil_row(w_, kx_, ky_, q_, b, b + static_cast<std::size_t>(nx),
-                        width);
-        }
-      },
-      tile_rows(3));
-}
-
-CgPipeDots ReferenceKernels::cg_pipe_update(double alpha, double beta) {
-  const int h = mesh_.halo_depth;
-  const int nx = mesh_.nx;
-  const std::size_t width = static_cast<std::size_t>(mesh_.padded_nx());
-  double* z_ = data(FieldId::kZ);
-  double* s_ = data(FieldId::kSd);  // s lives in the unused kSd slot
-  double* p_ = data(FieldId::kP);
-  double* u_ = data(FieldId::kU);
-  double* r_ = data(FieldId::kR);
-  double* w_ = data(FieldId::kW);
-  const double* q_ = data(FieldId::kQ);
-  row_a_.assign(static_cast<std::size_t>(mesh_.ny), 0.0);
-  row_b_.assign(static_cast<std::size_t>(mesh_.ny), 0.0);
-  const isa::RowKernelTable& t = *isa::active_row_table();
-
-  pool_.parallel_for(
-      h, h + mesh_.ny,
-      [&](std::int64_t yb, std::int64_t ye) {
-        for (std::int64_t y = yb; y < ye; ++y) {
-          const std::size_t b = static_cast<std::size_t>(y) * width +
-                                static_cast<std::size_t>(h);
-          const fused::RowDots dots = t.pipe_update_row(
-              z_, s_, p_, u_, r_, w_, q_, b, b + static_cast<std::size_t>(nx),
-              alpha, beta);
-          const std::size_t slot = static_cast<std::size_t>(y - h);
-          row_a_[slot] = dots.pw;  // r.r
-          row_b_[slot] = dots.ww;  // w.r
-        }
-      },
-      tile_rows(7));
-
-  CgPipeDots out;
-  out.rr = pairwise_sum(row_a_.data(), mesh_.ny);
-  out.rw = pairwise_sum(row_b_.data(), mesh_.ny);
-  return out;
 }
 
 // ---------------------------------------------------------------------------

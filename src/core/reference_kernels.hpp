@@ -46,7 +46,7 @@ class ReferenceKernels final : public SolverKernels {
   void jacobi_iterate() override;
 
   unsigned caps() const override {
-    return kAllKernelCaps | kCapRegions | kCapPipelined;
+    return kAllKernelCaps | kCapRegions;
   }
   CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
@@ -54,12 +54,6 @@ class ReferenceKernels final : public SolverKernels {
   void cheby_fused_iterate(double alpha, double beta) override;
   void ppcg_fused_inner(double alpha, double beta) override;
   void jacobi_fused_copy_iterate() override;
-
-  // Pipelined CG (kCapPipelined): HostPool row tiles through the ISA
-  // dispatch table, like the fused kernels; the dots fold pairwise per row.
-  CgPipeDots cg_pipe_init() override;
-  void cg_pipe_calc_q() override;
-  CgPipeDots cg_pipe_update(double alpha, double beta) override;
 
   // Region sweeps for the overlapped halo pipeline (kCapRegions). Sweeps run
   // serially (the oracle meters nothing); reductions are recomputed in the

@@ -41,7 +41,6 @@ Settings Settings::from_config(const tl::util::IniConfig& cfg) {
   s.use_fused = cfg.get_bool_or("tl_use_fused", s.use_fused);
   s.overlap_comm = cfg.get_bool_or("tl_overlap_comm", s.overlap_comm);
   s.elastic = cfg.get_bool_or("tl_elastic", s.elastic);
-  s.use_pipelined = cfg.get_bool_or("tl_pipelined_cg", s.use_pipelined);
   s.force_isa = cfg.get_or("tl_force_isa", s.force_isa);
 
   if (cfg.get_bool_or("tl_use_jacobi", false)) s.solver = SolverKind::kJacobi;
@@ -102,14 +101,10 @@ void Settings::validate() const {
   if (cg_prep_iters < 2) {
     throw std::invalid_argument("Settings: need >= 2 CG prep iterations");
   }
-  if (use_pipelined && solver != SolverKind::kCg) {
-    throw std::invalid_argument(
-        "Settings: tl_pipelined_cg applies to the CG solver only");
-  }
   if (!force_isa.empty() && force_isa != "scalar" && force_isa != "sse2" &&
-      force_isa != "avx2" && force_isa != "avx512") {
+      force_isa != "avx2") {
     throw std::invalid_argument(
-        "Settings: tl_force_isa must be scalar|sse2|avx2|avx512");
+        "Settings: tl_force_isa must be scalar|sse2|avx2");
   }
   if (states.empty()) throw std::invalid_argument("Settings: no states");
 }

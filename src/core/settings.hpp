@@ -73,12 +73,8 @@ struct Settings {
                          // decomposition. Forces the classic (non-fused,
                          // non-overlapped) path; needed for checkpoints that
                          // resume into a different rank count bit-for-bit.
-  bool use_pipelined = false;  // pipelined (Ghysels–Vanroose) CG: the fused
-                               // dot-product allreduce is initiated
-                               // nonblocking and overlapped with the next
-                               // matvec. CG only; needs kCapPipelined.
   std::string force_isa;  // "" = auto (TL_FORCE_ISA env, then CPUID);
-                          // "scalar"|"sse2"|"avx2"|"avx512" pins the fused
+                          // "scalar"|"sse2"|"avx2" pins the fused
                           // row-kernel ISA (tl_force_isa deck key). All ISAs
                           // are bit-identical, so this only changes speed.
 

@@ -101,85 +101,9 @@ double residual_norm(SolverKernels& k, const SolveOptions& opt) {
   return k.calc_2norm(NormTarget::kResidual);
 }
 
-/// Pipelined (Ghysels–Vanroose) CG. Algebraically equivalent to classic CG
-/// but restructured so each iteration has exactly one fused {r.r, w.r}
-/// allreduce, *begun* (cg_pipe_dots_begin) before the matvec q = A w and
-/// *completed* (cg_pipe_dots_complete) after it — a distributed layer that
-/// implements the begin/complete pair nonblocking hides the reduction
-/// latency behind the matvec. Single-rank begin/complete is the identity.
-///
-/// Recurrences per iteration (w = A r maintained incrementally):
-///   gamma = r.r, delta = w.r            (the fused dots)
-///   beta  = gamma / gamma_prev          (0 on the first iteration)
-///   alpha = gamma / (delta - beta * gamma / alpha_prev)
-///   z <- q + beta z;  s <- w + beta s;  p <- r + beta p
-///   u += alpha p;  r -= alpha s;  w -= alpha z
-/// The update sweep also produces the *next* iteration's local dots, so
-/// convergence is detected one iteration late (the classic pipelined-CG
-/// cost: the final halo + matvec + allreduce are wasted work). On
-/// non-convergence the history is therefore one entry shorter than classic
-/// CG's at the same max_iters.
-SolveStats solve_cg_pipelined(SolverKernels& k, const SolveOptions& opt) {
-  SolveStats stats;
-  stats.solver = SolverKind::kCg;
-
-  const double rro = k.cg_init();  // w = A u, r = u0 - A u, p = r
-  stats.initial_rr = rro;
-  stats.rr_history.push_back(rro);
-  if (rro < opt.eps) {  // already solved (cold uniform problem)
-    stats.converged = true;
-    stats.final_rr = rro;
-    return stats;
-  }
-
-  k.halo_update(kMaskR, 1);            // w = A r needs r's halo
-  CgPipeDots local = k.cg_pipe_init();  // w = A r, local {r.r, w.r}
-
-  double gamma_prev = 0.0;
-  double alpha_prev = 0.0;
-  double gamma_last = rro;  // final_rr when max_iters runs out
-  for (int it = 0; it < opt.max_iters; ++it) {
-    k.cg_pipe_dots_begin(local);  // allreduce in flight from here...
-    k.halo_update(kMaskW, 1);
-    k.cg_pipe_calc_q();                                // ...behind q = A w
-    const CgPipeDots dots = k.cg_pipe_dots_complete();
-    const double gamma = dots.rr;
-    if (it > 0) {
-      // gamma is the squared residual norm produced by the *previous*
-      // update sweep: record and check it now, exactly where classic CG
-      // records its rrn (so histories align entry-for-entry in order).
-      ++stats.iterations;
-      ++stats.fused_iterations;
-      stats.rr_history.push_back(gamma);
-      gamma_last = gamma;
-      if (gamma < opt.eps) {
-        stats.converged = true;
-        stats.converged_on_ur = true;
-        stats.final_rr = gamma;
-        return stats;
-      }
-    }
-    const double beta = (it == 0) ? 0.0 : gamma / gamma_prev;
-    const double denom =
-        (it == 0) ? dots.rw : dots.rw - beta * gamma / alpha_prev;
-    if (denom == 0.0) {
-      throw std::runtime_error("pipelined CG breakdown: denominator == 0");
-    }
-    const double alpha = gamma / denom;
-    gamma_prev = gamma;
-    alpha_prev = alpha;
-    local = k.cg_pipe_update(alpha, beta);
-  }
-  stats.final_rr = gamma_last;
-  return stats;
-}
-
 }  // namespace
 
 SolveStats solve_cg(SolverKernels& k, const SolveOptions& opt) {
-  if (opt.use_pipelined && (k.caps() & kCapPipelined) != 0) {
-    return solve_cg_pipelined(k, opt);
-  }
   SolveStats stats;
   stats.solver = SolverKind::kCg;
 

@@ -25,11 +25,6 @@ struct SolveOptions {
   /// SolverKernels::caps(). Off forces the classic kernel sequence even on
   /// capable ports (the fused-vs-unfused bench and tests use this).
   bool use_fused = true;
-  /// Pipelined (Ghysels–Vanroose) CG: one fused {r.r, w.r} allreduce per
-  /// iteration, begun before the overlappable matvec q = A w. Takes effect
-  /// only for SolverKind::kCg on ports advertising kCapPipelined; other
-  /// solvers and incapable ports run their usual paths.
-  bool use_pipelined = false;
 
   static SolveOptions from_settings(const Settings& s) {
     return SolveOptions{s.eps,
@@ -38,8 +33,7 @@ struct SolveOptions {
                         s.ppcg_inner_steps,
                         s.check_interval,
                         s.eigen_safety,
-                        s.use_fused,
-                        s.use_pipelined};
+                        s.use_fused};
   }
 };
 

@@ -10,9 +10,9 @@ namespace tl::dist {
 namespace {
 
 constexpr char kMagic[8] = {'T', 'L', 'C', 'K', 'P', 'T', '0', '1'};
-// v2: RankCursor gained the pipelined-CG comm split (iallreduces,
-// allreduce_ns, allreduce_hidden_ns).
-constexpr std::uint32_t kVersion = 2;
+// Bumped on every layout change (v3: two RankCursor comm counters removed);
+// the loader rejects any other version.
+constexpr std::uint32_t kVersion = 3;
 
 // Loader sanity bounds: generous enough for any real configuration, tight
 // enough that a flipped header byte surfaces as a diagnosable error instead
@@ -173,9 +173,7 @@ void put_cursor(std::vector<std::uint8_t>& out, const RankCursor& c) {
   put_f64(out, c.comm.comm_ns);
   put_u64(out, c.comm.overlapped_exchanges);
   put_f64(out, c.comm.hidden_ns);
-  put_u64(out, c.comm.iallreduces);
   put_f64(out, c.comm.allreduce_ns);
-  put_f64(out, c.comm.allreduce_hidden_ns);
   put_u64(out, c.comm.retries);
   put_u64(out, c.comm.dropped);
   put_u64(out, c.comm.duplicated);
@@ -195,9 +193,7 @@ RankCursor get_cursor(Reader& r) {
   c.comm.comm_ns = r.f64("cursor comm ns");
   c.comm.overlapped_exchanges = r.u64("cursor overlapped exchanges");
   c.comm.hidden_ns = r.f64("cursor hidden ns");
-  c.comm.iallreduces = r.u64("cursor iallreduces");
   c.comm.allreduce_ns = r.f64("cursor allreduce ns");
-  c.comm.allreduce_hidden_ns = r.f64("cursor allreduce hidden ns");
   c.comm.retries = r.u64("cursor retries");
   c.comm.dropped = r.u64("cursor dropped");
   c.comm.duplicated = r.u64("cursor duplicated");

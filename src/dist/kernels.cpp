@@ -13,14 +13,13 @@ using comm::Face;
 
 // Exchange order is fixed (bit order) so every rank issues the same tagged
 // exchanges in the same sequence.
-constexpr std::array<std::pair<unsigned, core::FieldId>, 7> kMaskFields = {{
+constexpr std::array<std::pair<unsigned, core::FieldId>, 6> kMaskFields = {{
     {core::kMaskU, core::FieldId::kU},
     {core::kMaskP, core::FieldId::kP},
     {core::kMaskSd, core::FieldId::kSd},
     {core::kMaskR, core::FieldId::kR},
     {core::kMaskDensity, core::FieldId::kDensity},
     {core::kMaskEnergy0, core::FieldId::kEnergy0},
-    {core::kMaskW, core::FieldId::kW},
 }};
 
 // Tag scheme: exchange_field/try_post consume one rolling tag per field
@@ -43,11 +42,6 @@ static_assert(static_cast<long long>(kTagModulus) * 8 <=
 // every wire message in a run still has a unique tag.
 constexpr int kSubtagGather = 4;
 constexpr int kSubtagBcast = 5;
-// Subtags 6 and 7 carry the pipelined-CG nonblocking allreduce (gather leg
-// and broadcast leg), keeping its wires distinct from the w-halo exchange
-// that flies between the same begin/complete pair.
-constexpr int kSubtagIGather = 6;
-constexpr int kSubtagIBcast = 7;
 
 // In-flight corruption model: scale-plus-offset, applied to one payload
 // value per comm phase. The offset matters — early in a solve, rank 1's
@@ -576,125 +570,6 @@ double DistributedKernels::fused_residual_norm() {
   return allreduce_sum(inner_->fused_residual_norm());
 }
 
-// -- Pipelined CG -----------------------------------------------------------
-// init/update return *local* dots: the solver hands them straight to
-// cg_pipe_dots_begin, which owns the (possibly nonblocking) reduction.
-
-core::CgPipeDots DistributedKernels::cg_pipe_init() {
-  complete_pending();
-  return inner_->cg_pipe_init();
-}
-
-void DistributedKernels::cg_pipe_calc_q() {
-  complete_pending();
-  inner_->cg_pipe_calc_q();
-}
-
-core::CgPipeDots DistributedKernels::cg_pipe_update(double alpha, double beta) {
-  complete_pending();
-  return inner_->cg_pipe_update(alpha, beta);
-}
-
-void DistributedKernels::cg_pipe_dots_begin(const core::CgPipeDots& local) {
-  complete_pending();
-  core::CgPipeDots v = local;
-  if (perturb_allreduce_ && comm_->rank() == 1) v.rr = perturb(v.rr);
-  pipe_allreduce_.values = {v.rr, v.rw};
-  pipe_allreduce_.active = true;
-  if (nranks_ == 1) return;  // complete() is an identity read
-
-  std::span<double> vals(pipe_allreduce_.values.data(), 2);
-  if (!overlap_) {
-    // Blocking twin: reduce now; the full wire time is exposed. The
-    // accumulation order (root folds rank 0, then 1..P-1) matches the
-    // nonblocking path exactly, so the dots are bit-identical.
-    comm_->allreduce(vals, comm::Communicator::ReduceOp::kSum);
-    ++stats_.allreduces;
-    const std::size_t payload = vals.size() * sizeof(double);
-    stats_.allreduce_ns += sim::allreduce_ns(*net_, payload, nranks_);
-    meter_comm("allreduce", payload, payload,
-               sim::allreduce_ns(*net_, payload, nranks_));
-    return;
-  }
-
-  // Nonblocking: isend the local dots toward root (buffered, never blocks)
-  // and register the receives; the wire time starts hiding behind whatever
-  // compute the port charges before dots_complete waits.
-  const int tag = next_tag_;
-  next_tag_ = (next_tag_ + 1) % kTagModulus;
-  const int gather_tag = tag * 8 + kSubtagIGather;
-  pipe_allreduce_.bcast_tag = tag * 8 + kSubtagIBcast;
-  pipe_allreduce_.reqs.clear();
-  if (comm_->rank() == 0) {
-    pipe_allreduce_.incoming.assign(
-        static_cast<std::size_t>(nranks_ - 1) * vals.size(), 0.0);
-    for (int r = 1; r < nranks_; ++r) {
-      pipe_allreduce_.reqs.push_back(comm_->irecv(
-          std::span<double>(pipe_allreduce_.incoming.data() +
-                                static_cast<std::size_t>(r - 1) * vals.size(),
-                            vals.size()),
-          r, gather_tag));
-    }
-  } else {
-    comm_->isend(vals, 0, gather_tag);
-    pipe_allreduce_.reqs.push_back(
-        comm_->irecv(vals, 0, pipe_allreduce_.bcast_tag));
-  }
-  pipe_allreduce_.posted_elapsed_ns = inner_->clock().elapsed_ns();
-  pipe_allreduce_.comm_ns =
-      sim::allreduce_ns(*net_, vals.size() * sizeof(double), nranks_);
-}
-
-core::CgPipeDots DistributedKernels::cg_pipe_dots_complete() {
-  if (!pipe_allreduce_.active) {
-    throw std::logic_error(
-        "DistributedKernels: cg_pipe_dots_complete without a pending begin");
-  }
-  pipe_allreduce_.active = false;
-  std::span<double> vals(pipe_allreduce_.values.data(), 2);
-  if (nranks_ == 1 || !overlap_) {
-    return core::CgPipeDots{vals[0], vals[1]};
-  }
-
-  comm::Communicator::wait_all(pipe_allreduce_.reqs);
-  if (comm_->rank() == 0) {
-    // Fold in rank order 1..P-1 — byte-for-byte the blocking allreduce's
-    // accumulation — then broadcast the result.
-    for (int r = 1; r < nranks_; ++r) {
-      const double* in = pipe_allreduce_.incoming.data() +
-                         static_cast<std::size_t>(r - 1) * vals.size();
-      for (std::size_t i = 0; i < vals.size(); ++i) vals[i] += in[i];
-    }
-    for (int r = 1; r < nranks_; ++r) {
-      comm_->send(vals, r, pipe_allreduce_.bcast_tag);
-    }
-  }
-
-  // Compute charged since the begin covers that much of the wire time; only
-  // the exposed remainder advances the clock, and the hidden share becomes a
-  // trace-only "overlap" event (the halo pipeline's accounting, reused).
-  const double elapsed =
-      inner_->clock().elapsed_ns() - pipe_allreduce_.posted_elapsed_ns;
-  const double exposed = std::max(0.0, pipe_allreduce_.comm_ns - elapsed);
-  const double hidden = pipe_allreduce_.comm_ns - exposed;
-  ++stats_.allreduces;
-  ++stats_.iallreduces;
-  stats_.allreduce_ns += pipe_allreduce_.comm_ns;
-  const std::size_t payload = vals.size() * sizeof(double);
-  meter_comm("allreduce", payload, payload, exposed);
-  if (hidden > 0.0) {
-    sim::LaunchInfo info;
-    info.name = "allreduce_overlap";  // literal: static storage
-    info.kernel_id = -1;
-    info.phase = "overlap";
-    info.bytes_read = payload;
-    info.bytes_written = payload;
-    const_cast<sim::SimClock&>(inner_->clock()).record_overlap(info, hidden);
-  }
-  stats_.allreduce_hidden_ns += hidden;
-  return core::CgPipeDots{vals[0], vals[1]};
-}
-
 void DistributedKernels::cheby_fused_iterate(double alpha, double beta) {
   if (pending_is(core::FieldId::kU)) {
     inner_->cheby_fused_region(alpha, beta, core::Region::kInterior);
@@ -802,7 +677,6 @@ const tl::sim::SimClock& DistributedKernels::clock() const {
 }
 void DistributedKernels::begin_run(std::uint64_t run_seed) {
   complete_pending();  // drain in-flight wires before the clock resets
-  if (pipe_allreduce_.active) cg_pipe_dots_complete();  // ditto (tags reset)
   inner_->begin_run(run_seed);
   stats_ = CommStats{};
   next_tag_ = 0;

@@ -10,7 +10,6 @@
 // (sim/network.hpp) as "comm"-phase trace events carrying the wire bytes, so
 // `--profile`/`--trace` and the scaling bench see comm time per rank.
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -34,19 +33,12 @@ struct CommStats {
   // accumulates the exposed remainder for those exchanges).
   std::uint64_t overlapped_exchanges = 0;
   double hidden_ns = 0.0;
-  // Pipelined-CG split: allreduces initiated nonblocking (these also count
-  // in `allreduces`), and the simulated wire time they hid behind the matvec
-  // posted between begin and complete. allreduce_ns is the total modelled
-  // wire time of all scalar/vector allreduces, hidden or not, so the exposed
-  // allreduce share is allreduce_ns - allreduce_hidden_ns (the quantity the
-  // fig13 pipeline gate compares against classic CG).
-  std::uint64_t iallreduces = 0;
+  // Total modelled wire time of all scalar/vector allreduces.
   double allreduce_ns = 0.0;
-  double allreduce_hidden_ns = 0.0;
   // Fault-injected runs (FaultyComm active): totals mirrored from the
-  // injector after every reliable operation. The values are timing-dependent
-  // (a retry races the first copy's delivery), so they are informational —
-  // asserted > 0 or == 0, never exact-checked.
+  // injector after every reliable operation. The injector retries in logical
+  // rounds, so the values depend only on the fault schedule (seed, epoch,
+  // rates), never on how the rank threads were scheduled.
   std::uint64_t retries = 0;
   std::uint64_t dropped = 0;
   std::uint64_t duplicated = 0;
@@ -82,31 +74,8 @@ class DistributedKernels final : public core::SolverKernels {
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;
 
-  // -- Pipelined CG ----------------------------------------------------------
-  // init/update forward verbatim (their returned dots are *local*; the
-  // reduction happens in the begin/complete pair). dots_begin initiates the
-  // iteration's single allreduce nonblocking when overlap is on — MiniComm
-  // isend/irecv under dedicated subtags — so the wire time hides behind the
-  // w-halo exchange and the q = A w matvec posted before dots_complete
-  // waits. With overlap off, begin reduces immediately (blocking); both
-  // paths accumulate in MiniComm's fixed rank order, so the solver sees
-  // bit-identical dots either way.
-  core::CgPipeDots cg_pipe_init() override;
-  void cg_pipe_calc_q() override;
-  core::CgPipeDots cg_pipe_update(double alpha, double beta) override;
-  void cg_pipe_dots_begin(const core::CgPipeDots& local) override;
-  core::CgPipeDots cg_pipe_dots_complete() override;
-
   // -- Forwarded, consuming a pending overlapped exchange when one matches --
-  /// Fault-mode and elastic runs mask kCapPipelined: the reliable-protocol
-  /// and row-partial reductions are blocking by construction, so the solver
-  /// falls back to classic CG rather than pipelining a collective those
-  /// paths cannot overlap.
-  unsigned caps() const override {
-    unsigned c = inner_->caps();
-    if (fc_ || elastic_) c &= ~core::kCapPipelined;
-    return c;
-  }
+  unsigned caps() const override { return inner_->caps(); }
   void cheby_fused_iterate(double alpha, double beta) override;
   void ppcg_fused_inner(double alpha, double beta) override;
   void jacobi_fused_copy_iterate() override;
@@ -192,21 +161,6 @@ class DistributedKernels final : public core::SolverKernels {
     int messages = 0;
   };
 
-  // -- Nonblocking allreduce (pipelined CG) ---------------------------------
-  /// One in-flight iallreduce at most (the solver's begin/complete pairs
-  /// strictly alternate). Root accumulates over `values` in rank order —
-  /// the same order as MiniComm's blocking allreduce — after its gather
-  /// irecvs complete; non-roots irecv the broadcast result into `values`.
-  struct PendingAllreduce {
-    bool active = false;
-    std::array<double, 2> values{};       // local dots; becomes the result
-    std::vector<double> incoming;         // root: (P-1) x 2 staging
-    std::vector<comm::CommRequest> reqs;  // root: gathers; others: one bcast
-    int bcast_tag = 0;                    // root sends the result under this
-    double posted_elapsed_ns = 0.0;       // inner clock at begin
-    double comm_ns = 0.0;                 // full modelled wire time
-  };
-
   /// Posts `fields` nonblocking if eligible (overlap on, regions-capable
   /// inner, depth 1, exactly one of the solver iteration fields). Returns
   /// false to fall through to the blocking exchange.
@@ -230,7 +184,6 @@ class DistributedKernels final : public core::SolverKernels {
   int next_tag_ = 0;
   bool overlap_;
   PendingExchange pending_;
-  PendingAllreduce pipe_allreduce_;
   bool elastic_ = false;
   std::unique_ptr<comm::FaultyComm> fc_;
   bool perturb_halo_ = false;

@@ -47,28 +47,22 @@ class HostPool {
   /// grain > 0 is honoured exactly; grain == 0 picks a default aiming at
   /// kDefaultChunksPerRange chunks, a function of the range extent only
   /// (never the thread count), so default-grain reductions stay
-  /// thread-count-invariant too. `align > 1` rounds the default grain up to
-  /// a multiple of align — callers iterating vector-unrolled spans pass the
-  /// active ISA's group width (core/isa.hpp isa_row_group) so chunk
-  /// boundaries never split an accumulation group mid-vector; the historic
-  /// default heuristic implicitly assumed SSE2's narrow step and could.
+  /// thread-count-invariant too.
   static constexpr std::int64_t kDefaultChunksPerRange = 64;
-  static std::int64_t effective_grain(std::int64_t total, std::int64_t grain,
-                                      std::int64_t align = 1) noexcept {
+  static std::int64_t effective_grain(std::int64_t total,
+                                      std::int64_t grain) noexcept {
     if (grain > 0) return grain;
-    std::int64_t g = total / kDefaultChunksPerRange;
-    if (g < 1) g = 1;
-    if (align > 1) g = ((g + align - 1) / align) * align;
-    return g;
+    const std::int64_t g = total / kDefaultChunksPerRange;
+    return g < 1 ? 1 : g;
   }
 
   /// Splits [begin, end) into grain-sized chunks and runs
   /// `body(chunk_begin, chunk_end)` on each. Blocks until all complete.
   template <typename Body>
   void parallel_for(std::int64_t begin, std::int64_t end, Body&& body,
-                    std::int64_t grain = 0, std::int64_t align = 1) {
+                    std::int64_t grain = 0) {
     if (begin >= end) return;
-    run_chunks(begin, end, effective_grain(end - begin, grain, align),
+    run_chunks(begin, end, effective_grain(end - begin, grain),
                &invoke_for<std::remove_reference_t<Body>>,
                std::addressof(body));
   }
@@ -77,9 +71,9 @@ class HostPool {
   /// one per chunk, combined pairwise in chunk order.
   template <typename Body>
   double parallel_reduce_sum(std::int64_t begin, std::int64_t end, Body&& body,
-                             std::int64_t grain = 0, std::int64_t align = 1) {
+                             std::int64_t grain = 0) {
     if (begin >= end) return 0.0;
-    const std::int64_t g = effective_grain(end - begin, grain, align);
+    const std::int64_t g = effective_grain(end - begin, grain);
     const std::int64_t nchunks = (end - begin + g - 1) / g;
     partials_.assign(static_cast<std::size_t>(nchunks), 0.0);
     ReduceCtx<std::remove_reference_t<Body>> ctx{std::addressof(body),

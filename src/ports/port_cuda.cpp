@@ -116,7 +116,6 @@ void CudaPort::halo_update(unsigned fields, int depth) {
     if (fields & core::kMaskP) reflect(FieldId::kP);
     if (fields & core::kMaskSd) reflect(FieldId::kSd);
     if (fields & core::kMaskR) reflect(FieldId::kR);
-    if (fields & core::kMaskW) reflect(FieldId::kW);
     if (fields & core::kMaskDensity) reflect(FieldId::kDensity);
     if (fields & core::kMaskEnergy0) reflect(FieldId::kEnergy0);
   });
@@ -598,101 +597,6 @@ void CudaPort::jacobi_fused_copy_iterate() {
              diag;
     }
   }
-}
-
-core::CgPipeDots CudaPort::cg_pipe_init() {
-  const double* r = buf(FieldId::kR).data();
-  const double* kx = buf(FieldId::kKx).data();
-  const double* ky = buf(FieldId::kKy).data();
-  double* w = buf(FieldId::kW).data();
-  double* partials = partials_->data();
-  const std::size_t n = mesh_.interior_cells();
-  const int width = width_, h = h_, nx = nx_;
-  const unsigned blocks = interior_blocks();
-  for (unsigned i = 0; i < 2 * blocks; ++i) partials[i] = 0.0;
-  rt_.launch(info(KernelId::kCgPipeInit), Dim3(blocks), Dim3(kBlockSize),
-             kBlockSize, [=](const ThreadCtx& ctx) {
-               const std::size_t t = ctx.global_thread();
-               double rrv = 0.0, rwv = 0.0;
-               if (t < n) {
-                 const std::size_t i =
-                     (h + t / nx) * static_cast<std::size_t>(width) + h + t % nx;
-                 const double ar = stencil(r, kx, ky, i, width);
-                 w[i] = ar;
-                 rrv = r[i] * r[i];
-                 rwv = ar * r[i];
-               }
-               block_reduce(ctx, rrv, partials);
-               partials[blocks + ctx.block_idx] += rwv;
-             });
-  core::CgPipeDots out;
-  out.rr = sum_partials(blocks);
-  for (unsigned b = 0; b < blocks; ++b) {
-    out.rw += partials[blocks + b];
-  }
-  return out;
-}
-
-void CudaPort::cg_pipe_calc_q() {
-  const double* w = buf(FieldId::kW).data();
-  const double* kx = buf(FieldId::kKx).data();
-  const double* ky = buf(FieldId::kKy).data();
-  double* q = buf(FieldId::kQ).data();
-  const std::size_t n = mesh_.interior_cells();
-  const int width = width_, h = h_, nx = nx_;
-  rt_.launch(info(KernelId::kCgPipeCalcQ), Dim3(interior_blocks()),
-             Dim3(kBlockSize), 0, [=](const ThreadCtx& ctx) {
-               const std::size_t t = ctx.global_thread();
-               if (t >= n) return;
-               const std::size_t i =
-                   (h + t / nx) * static_cast<std::size_t>(width) + h + t % nx;
-               q[i] = stencil(w, kx, ky, i, width);
-             });
-}
-
-core::CgPipeDots CudaPort::cg_pipe_update(double alpha, double beta) {
-  double* z = buf(FieldId::kZ).data();
-  double* sd = buf(FieldId::kSd).data();
-  double* p = buf(FieldId::kP).data();
-  double* u = buf(FieldId::kU).data();
-  double* r = buf(FieldId::kR).data();
-  double* w = buf(FieldId::kW).data();
-  const double* q = buf(FieldId::kQ).data();
-  double* partials = partials_->data();
-  const std::size_t n = mesh_.interior_cells();
-  const int width = width_, h = h_, nx = nx_;
-  const unsigned blocks = interior_blocks();
-  for (unsigned i = 0; i < 2 * blocks; ++i) partials[i] = 0.0;
-  rt_.launch(info(KernelId::kCgPipeUpdate), Dim3(blocks), Dim3(kBlockSize),
-             kBlockSize, [=](const ThreadCtx& ctx) {
-               const std::size_t t = ctx.global_thread();
-               double rrv = 0.0, rwv = 0.0;
-               if (t < n) {
-                 const std::size_t i =
-                     (h + t / nx) * static_cast<std::size_t>(width) + h + t % nx;
-                 const double zn = q[i] + beta * z[i];
-                 z[i] = zn;
-                 const double sn = w[i] + beta * sd[i];
-                 sd[i] = sn;
-                 const double pn = r[i] + beta * p[i];
-                 p[i] = pn;
-                 u[i] += alpha * pn;
-                 const double rn = r[i] - alpha * sn;
-                 r[i] = rn;
-                 const double wn = w[i] - alpha * zn;
-                 w[i] = wn;
-                 rrv = rn * rn;
-                 rwv = wn * rn;
-               }
-               block_reduce(ctx, rrv, partials);
-               partials[blocks + ctx.block_idx] += rwv;
-             });
-  core::CgPipeDots out;
-  out.rr = sum_partials(blocks);
-  for (unsigned b = 0; b < blocks; ++b) {
-    out.rw += partials[blocks + b];
-  }
-  return out;
 }
 
 void CudaPort::read_u(util::Span2D<double> out) {

@@ -85,59 +85,6 @@ struct CgWFusedFunctor {
   }
 };
 
-/// Pipelined CG dots {r.r, w.r} (same custom init/join machinery).
-struct PipeDotsValue {
-  double rr = 0.0, rw = 0.0;
-};
-
-struct CgPipeInitFunctor {
-  View r, kx, ky, w;
-  Geom g;
-
-  void init(PipeDotsValue& v) const { v = PipeDotsValue{}; }
-  void join(PipeDotsValue& dst, const PipeDotsValue& src) const {
-    dst.rr += src.rr;
-    dst.rw += src.rw;
-  }
-  void operator()(std::int64_t i, PipeDotsValue& v) const {
-    int x, y;
-    if (!g.interior(i, x, y)) return;
-    const double ar = stencil(r, kx, ky, x, y);
-    w(x, y) = ar;
-    v.rr += r(x, y) * r(x, y);
-    v.rw += ar * r(x, y);
-  }
-};
-
-struct CgPipeUpdateFunctor {
-  View z, sd, p, u, r, w, q;
-  Geom g;
-  double alpha, beta;
-
-  void init(PipeDotsValue& v) const { v = PipeDotsValue{}; }
-  void join(PipeDotsValue& dst, const PipeDotsValue& src) const {
-    dst.rr += src.rr;
-    dst.rw += src.rw;
-  }
-  void operator()(std::int64_t i, PipeDotsValue& v) const {
-    int x, y;
-    if (!g.interior(i, x, y)) return;
-    const double zn = q(x, y) + beta * z(x, y);
-    z(x, y) = zn;
-    const double sn = w(x, y) + beta * sd(x, y);
-    sd(x, y) = sn;
-    const double pn = r(x, y) + beta * p(x, y);
-    p(x, y) = pn;
-    u(x, y) += alpha * pn;
-    const double rn = r(x, y) - alpha * sn;
-    r(x, y) = rn;
-    const double wn = w(x, y) - alpha * zn;
-    w(x, y) = wn;
-    v.rr += rn * rn;
-    v.rw += wn * rn;
-  }
-};
-
 }  // namespace
 
 KokkosPort::KokkosPort(sim::Model model, sim::DeviceId device,
@@ -199,7 +146,6 @@ void KokkosPort::halo_update(unsigned fields, int depth) {
     if (fields & core::kMaskP) reflect(FieldId::kP);
     if (fields & core::kMaskSd) reflect(FieldId::kSd);
     if (fields & core::kMaskR) reflect(FieldId::kR);
-    if (fields & core::kMaskW) reflect(FieldId::kW);
     if (fields & core::kMaskDensity) reflect(FieldId::kDensity);
     if (fields & core::kMaskEnergy0) reflect(FieldId::kEnergy0);
   });
@@ -512,40 +458,6 @@ void KokkosPort::jacobi_fused_copy_iterate() {
                 diag;
     }
   }
-}
-
-core::CgPipeDots KokkosPort::cg_pipe_init() {
-  CgPipeInitFunctor functor{view(FieldId::kR), view(FieldId::kKx),
-                            view(FieldId::kKy), view(FieldId::kW),
-                            Geom{width_, h_, nx_, ny_}};
-  PipeDotsValue value;
-  ctx_.parallel_reduce(info(KernelId::kCgPipeInit), flat_policy(), functor,
-                       value);
-  return core::CgPipeDots{value.rr, value.rw};
-}
-
-void KokkosPort::cg_pipe_calc_q() {
-  View w = view(FieldId::kW), kx = view(FieldId::kKx), ky = view(FieldId::kKy);
-  View q = view(FieldId::kQ);
-  const Geom g{width_, h_, nx_, ny_};
-  ctx_.parallel_for(
-      info(KernelId::kCgPipeCalcQ), flat_policy(), [=](std::int64_t i) {
-        int x, y;
-        if (!g.interior(i, x, y)) return;
-        q(x, y) = stencil(w, kx, ky, x, y);
-      });
-}
-
-core::CgPipeDots KokkosPort::cg_pipe_update(double alpha, double beta) {
-  CgPipeUpdateFunctor functor{view(FieldId::kZ),  view(FieldId::kSd),
-                              view(FieldId::kP),  view(FieldId::kU),
-                              view(FieldId::kR),  view(FieldId::kW),
-                              view(FieldId::kQ),  Geom{width_, h_, nx_, ny_},
-                              alpha,              beta};
-  PipeDotsValue value;
-  ctx_.parallel_reduce(info(KernelId::kCgPipeUpdate), flat_policy(), functor,
-                       value);
-  return core::CgPipeDots{value.rr, value.rw};
 }
 
 void KokkosPort::read_u(util::Span2D<double> out) {

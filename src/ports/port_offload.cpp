@@ -63,9 +63,7 @@ void OffloadPort::upload_state(const core::Chunk& chunk) {
                offload::map(fspan(FieldId::kW), offload::MapDir::kAlloc),
                offload::map(fspan(FieldId::kSd), offload::MapDir::kAlloc),
                offload::map(fspan(FieldId::kKx), offload::MapDir::kAlloc),
-               offload::map(fspan(FieldId::kKy), offload::MapDir::kAlloc),
-               offload::map(fspan(FieldId::kQ), offload::MapDir::kAlloc),
-               offload::map(fspan(FieldId::kZ), offload::MapDir::kAlloc)});
+               offload::map(fspan(FieldId::kKy), offload::MapDir::kAlloc)});
 }
 
 void OffloadPort::init_u() {
@@ -116,7 +114,6 @@ void OffloadPort::halo_update(unsigned fields, int depth) {
     if (fields & core::kMaskP) reflect(FieldId::kP);
     if (fields & core::kMaskSd) reflect(FieldId::kSd);
     if (fields & core::kMaskR) reflect(FieldId::kR);
-    if (fields & core::kMaskW) reflect(FieldId::kW);
     if (fields & core::kMaskDensity) reflect(FieldId::kDensity);
     if (fields & core::kMaskEnergy0) reflect(FieldId::kEnergy0);
   });
@@ -363,69 +360,6 @@ double OffloadPort::cg_fused_ur_p(double alpha, double beta_prev) {
                    p[i] = res + beta_prev * p[i];
                    acc += res * res;
                  });
-}
-
-core::CgPipeDots OffloadPort::cg_pipe_init() {
-  const double* r = fp(FieldId::kR);
-  const double* kx = fp(FieldId::kKx);
-  const double* ky = fp(FieldId::kKy);
-  double* w = fp(FieldId::kW);
-  const int width = width_;
-  core::CgPipeDots out;
-  double rw = 0.0;
-  out.rr = preduce(info(KernelId::kCgPipeInit),
-                   [&, r, kx, ky, w](std::int64_t idx, double& acc) {
-                     const std::int64_t i = pad_index(idx);
-                     const double ar = stencil(r, kx, ky, i, width);
-                     w[i] = ar;
-                     acc += r[i] * r[i];
-                     rw += ar * r[i];
-                   });
-  out.rw = rw;
-  return out;
-}
-
-void OffloadPort::cg_pipe_calc_q() {
-  const double* w = fp(FieldId::kW);
-  const double* kx = fp(FieldId::kKx);
-  const double* ky = fp(FieldId::kKy);
-  double* q = fp(FieldId::kQ);
-  const int width = width_;
-  pfor(info(KernelId::kCgPipeCalcQ), [=, this](std::int64_t idx) {
-    const std::int64_t i = pad_index(idx);
-    q[i] = stencil(w, kx, ky, i, width);
-  });
-}
-
-core::CgPipeDots OffloadPort::cg_pipe_update(double alpha, double beta) {
-  double* z = fp(FieldId::kZ);
-  double* sd = fp(FieldId::kSd);
-  double* p = fp(FieldId::kP);
-  double* u = fp(FieldId::kU);
-  double* r = fp(FieldId::kR);
-  double* w = fp(FieldId::kW);
-  const double* q = fp(FieldId::kQ);
-  core::CgPipeDots out;
-  double rw = 0.0;
-  out.rr = preduce(info(KernelId::kCgPipeUpdate),
-                   [&, z, sd, p, u, r, w, q](std::int64_t idx, double& acc) {
-                     const std::int64_t i = pad_index(idx);
-                     const double zn = q[i] + beta * z[i];
-                     z[i] = zn;
-                     const double sn = w[i] + beta * sd[i];
-                     sd[i] = sn;
-                     const double pn = r[i] + beta * p[i];
-                     p[i] = pn;
-                     u[i] += alpha * pn;
-                     const double rn = r[i] - alpha * sn;
-                     r[i] = rn;
-                     const double wn = w[i] - alpha * zn;
-                     w[i] = wn;
-                     acc += rn * rn;
-                     rw += wn * rn;
-                   });
-  out.rw = rw;
-  return out;
 }
 
 double OffloadPort::fused_residual_norm() {

@@ -48,21 +48,13 @@ class OffloadPort final : public PortBase {
   // region, reduction clause on the primary sum, extra scalars riding along.
   // No kCapRegions: the distributed overlap pipeline falls back to full
   // sweeps behind a blocking halo exchange (see core/kernels_api.hpp).
-  unsigned caps() const override {
-    return core::kAllKernelCaps | core::kCapPipelined;
-  }
+  unsigned caps() const override { return core::kAllKernelCaps; }
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;
   void cheby_fused_iterate(double alpha, double beta) override;
   void ppcg_fused_inner(double alpha, double beta) override;
   void jacobi_fused_copy_iterate() override;
-
-  // Pipelined CG: reduction clause on r.r, w.r rides along as a mapped
-  // scalar (the cg_calc_w_fused shape).
-  core::CgPipeDots cg_pipe_init() override;
-  void cg_pipe_calc_q() override;
-  core::CgPipeDots cg_pipe_update(double alpha, double beta) override;
 
   void read_u(util::Span2D<double> out) override;
   void download_energy(core::Chunk& chunk) override;

@@ -74,7 +74,6 @@ void Omp3Port::halo_update(unsigned fields, int depth) {
     if (fields & core::kMaskP) reflect(FieldId::kP);
     if (fields & core::kMaskSd) reflect(FieldId::kSd);
     if (fields & core::kMaskR) reflect(FieldId::kR);
-    if (fields & core::kMaskW) reflect(FieldId::kW);
     if (fields & core::kMaskDensity) reflect(FieldId::kDensity);
     if (fields & core::kMaskEnergy0) reflect(FieldId::kEnergy0);
   });
@@ -400,92 +399,6 @@ double Omp3Port::fused_residual_norm() {
           acc += res * res;
         }
       });
-}
-
-core::CgPipeDots Omp3Port::cg_pipe_init() {
-  auto r = f(FieldId::kR);
-  auto kx = f(FieldId::kKx);
-  auto ky = f(FieldId::kKy);
-  auto w = f(FieldId::kW);
-  core::CgPipeDots out;
-  // w = A r with both pipelined dots in one sweep: the reduce clause carries
-  // r.r; w.r rides in per-row slots combined in row order.
-  std::vector<double> row_rw(static_cast<std::size_t>(ny_), 0.0);
-  out.rr = rt_.parallel_reduce(
-      info(KernelId::kCgPipeInit), h_, h_ + ny_,
-      [&](std::int64_t y, double& acc) {
-        double srw = 0.0;
-        for (int x = h_; x < h_ + nx_; ++x) {
-          const double diag =
-              1.0 + kx(x + 1, y) + kx(x, y) + ky(x, y + 1) + ky(x, y);
-          const double ar = diag * r(x, y) - kx(x + 1, y) * r(x + 1, y) -
-                            kx(x, y) * r(x - 1, y) - ky(x, y + 1) * r(x, y + 1) -
-                            ky(x, y) * r(x, y - 1);
-          w(x, y) = ar;
-          acc += r(x, y) * r(x, y);
-          srw += ar * r(x, y);
-        }
-        row_rw[static_cast<std::size_t>(y - h_)] = srw;
-      });
-  for (std::size_t row = 0; row < static_cast<std::size_t>(ny_); ++row) {
-    out.rw += row_rw[row];
-  }
-  return out;
-}
-
-void Omp3Port::cg_pipe_calc_q() {
-  auto w = f(FieldId::kW);
-  auto kx = f(FieldId::kKx);
-  auto ky = f(FieldId::kKy);
-  auto q = f(FieldId::kQ);
-  // q = A w — the matvec the in-flight allreduce hides behind.
-  rt_.parallel_for(
-      info(KernelId::kCgPipeCalcQ), h_, h_ + ny_, [&](std::int64_t y) {
-        for (int x = h_; x < h_ + nx_; ++x) {
-          const double diag =
-              1.0 + kx(x + 1, y) + kx(x, y) + ky(x, y + 1) + ky(x, y);
-          q(x, y) = diag * w(x, y) - kx(x + 1, y) * w(x + 1, y) -
-                    kx(x, y) * w(x - 1, y) - ky(x, y + 1) * w(x, y + 1) -
-                    ky(x, y) * w(x, y - 1);
-        }
-      });
-}
-
-core::CgPipeDots Omp3Port::cg_pipe_update(double alpha, double beta) {
-  auto z = f(FieldId::kZ);
-  auto sd = f(FieldId::kSd);
-  auto p = f(FieldId::kP);
-  auto u = f(FieldId::kU);
-  auto r = f(FieldId::kR);
-  auto w = f(FieldId::kW);
-  auto q = f(FieldId::kQ);
-  core::CgPipeDots out;
-  std::vector<double> row_rw(static_cast<std::size_t>(ny_), 0.0);
-  out.rr = rt_.parallel_reduce(
-      info(KernelId::kCgPipeUpdate), h_, h_ + ny_,
-      [&](std::int64_t y, double& acc) {
-        double srw = 0.0;
-        for (int x = h_; x < h_ + nx_; ++x) {
-          const double zn = q(x, y) + beta * z(x, y);
-          z(x, y) = zn;
-          const double sn = w(x, y) + beta * sd(x, y);
-          sd(x, y) = sn;
-          const double pn = r(x, y) + beta * p(x, y);
-          p(x, y) = pn;
-          u(x, y) += alpha * pn;
-          const double rn = r(x, y) - alpha * sn;
-          r(x, y) = rn;
-          const double wn = w(x, y) - alpha * zn;
-          w(x, y) = wn;
-          acc += rn * rn;
-          srw += wn * rn;
-        }
-        row_rw[static_cast<std::size_t>(y - h_)] = srw;
-      });
-  for (std::size_t row = 0; row < static_cast<std::size_t>(ny_); ++row) {
-    out.rw += row_rw[row];
-  }
-  return out;
 }
 
 void Omp3Port::cheby_fused_iterate(double alpha, double beta) {

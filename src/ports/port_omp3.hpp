@@ -42,7 +42,7 @@ class Omp3Port final : public PortBase {
   // solver step (the paper's ports fuse at source level; here the fusion is
   // visible to the cost model through the fused catalogue entries).
   unsigned caps() const override {
-    return core::kAllKernelCaps | core::kCapRegions | core::kCapPipelined;
+    return core::kAllKernelCaps | core::kCapRegions;
   }
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
@@ -50,12 +50,6 @@ class Omp3Port final : public PortBase {
   void cheby_fused_iterate(double alpha, double beta) override;
   void ppcg_fused_inner(double alpha, double beta) override;
   void jacobi_fused_copy_iterate() override;
-
-  // Pipelined CG (kCapPipelined): one metered launch per kernel; the second
-  // dot rides in per-row slots combined in row order (field_summary idiom).
-  core::CgPipeDots cg_pipe_init() override;
-  void cg_pipe_calc_q() override;
-  core::CgPipeDots cg_pipe_update(double alpha, double beta) override;
 
   // Region sweeps (kCapRegions). Metering: the kInterior call prices the
   // whole kernel once (one PerfModel draw — the same scheduler luck the

@@ -406,79 +406,6 @@ std::map<std::string, ocllike::KernelFn> program_source() {
     wg_reduce(item, value, a.b(9));
   };
 
-  // Pipelined CG: both dots per sweep — r.r through the work-group
-  // reduction, w.r into a companion partial section (field_summary layout).
-  src["cg_pipe_init"] = [](const NDItem& item,
-                           const std::vector<KernelArg>& args) {
-    const Unpack a{args};
-    const std::size_t groups = item.global_size / item.local_size;
-    double rr = 0.0, rw = 0.0;
-    if (item.global_id < static_cast<std::size_t>(a.n(0))) {
-      const std::size_t i = static_cast<std::size_t>(pad_index(
-          static_cast<std::int64_t>(item.global_id), a.n(1), a.n(2), a.n(3)));
-      Buffer& r = a.b(4);
-      Buffer& kx = a.b(5);
-      Buffer& ky = a.b(6);
-      Buffer& w = a.b(7);
-      const double ar = stencil(r, kx, ky, i, static_cast<std::size_t>(a.n(1)));
-      w[i] = ar;
-      rr = r[i] * r[i];
-      rw = ar * r[i];
-    }
-    Buffer& partials = a.b(8);
-    wg_reduce(item, rr, partials);
-    partials[groups + item.group_id] += rw;
-  };
-
-  src["cg_pipe_calc_q"] = [](const NDItem& item,
-                             const std::vector<KernelArg>& args) {
-    const Unpack a{args};
-    if (item.global_id >= static_cast<std::size_t>(a.n(0))) return;
-    const std::size_t i = static_cast<std::size_t>(pad_index(
-        static_cast<std::int64_t>(item.global_id), a.n(1), a.n(2), a.n(3)));
-    Buffer& w = a.b(4);
-    Buffer& kx = a.b(5);
-    Buffer& ky = a.b(6);
-    Buffer& q = a.b(7);
-    q[i] = stencil(w, kx, ky, i, static_cast<std::size_t>(a.n(1)));
-  };
-
-  src["cg_pipe_update"] = [](const NDItem& item,
-                             const std::vector<KernelArg>& args) {
-    const Unpack a{args};
-    const std::size_t groups = item.global_size / item.local_size;
-    double rr = 0.0, rw = 0.0;
-    if (item.global_id < static_cast<std::size_t>(a.n(0))) {
-      const std::size_t i = static_cast<std::size_t>(pad_index(
-          static_cast<std::int64_t>(item.global_id), a.n(1), a.n(2), a.n(3)));
-      Buffer& z = a.b(4);
-      Buffer& sd = a.b(5);
-      Buffer& p = a.b(6);
-      Buffer& u = a.b(7);
-      Buffer& r = a.b(8);
-      Buffer& w = a.b(9);
-      Buffer& q = a.b(10);
-      const double alpha = a.d(11);
-      const double beta = a.d(12);
-      const double zn = q[i] + beta * z[i];
-      z[i] = zn;
-      const double sn = w[i] + beta * sd[i];
-      sd[i] = sn;
-      const double pn = r[i] + beta * p[i];
-      p[i] = pn;
-      u[i] += alpha * pn;
-      const double rn = r[i] - alpha * sn;
-      r[i] = rn;
-      const double wn = w[i] - alpha * zn;
-      w[i] = wn;
-      rr = rn * rn;
-      rw = wn * rn;
-    }
-    Buffer& partials = a.b(13);
-    wg_reduce(item, rr, partials);
-    partials[groups + item.group_id] += rw;
-  };
-
   src["ppcg_inner_sd"] = [](const NDItem& item,
                             const std::vector<KernelArg>& args) {
     const Unpack a{args};
@@ -524,8 +451,7 @@ OpenClPort::OpenClPort(sim::DeviceId device, const core::Mesh& mesh,
         "field_summary", "cg_init", "cg_calc_w", "cg_calc_ur", "cg_calc_p",
         "cheby_init", "cheby_calc_p", "cheby_calc_u", "ppcg_init_sd",
         "ppcg_inner_ru", "ppcg_inner_sd", "jacobi_copy_u", "jacobi_iterate",
-        "cg_calc_w_fused", "cg_fused_ur_p", "fused_residual_norm",
-        "cg_pipe_init", "cg_pipe_calc_q", "cg_pipe_update"}) {
+        "cg_calc_w_fused", "cg_fused_ur_p", "fused_residual_norm"}) {
     kernels_.emplace(name, ocllike::Kernel(program_, name));
   }
 }
@@ -608,7 +534,6 @@ void OpenClPort::halo_update(unsigned fields, int depth) {
     if (fields & core::kMaskP) reflect(FieldId::kP);
     if (fields & core::kMaskSd) reflect(FieldId::kSd);
     if (fields & core::kMaskR) reflect(FieldId::kR);
-    if (fields & core::kMaskW) reflect(FieldId::kW);
     if (fields & core::kMaskDensity) reflect(FieldId::kDensity);
     if (fields & core::kMaskEnergy0) reflect(FieldId::kEnergy0);
   });
@@ -923,58 +848,6 @@ void OpenClPort::jacobi_fused_copy_iterate() {
              diag;
     }
   }
-}
-
-core::CgPipeDots OpenClPort::cg_pipe_init() {
-  // Zero the companion section (rw accumulates in place).
-  const std::size_t groups = group_count();
-  for (std::size_t i = 0; i < 2 * groups; ++i) (*partials_)[i] = 0.0;
-  ocllike::Kernel& k = kernels_.at("cg_pipe_init");
-  set_geometry_args(k, mesh_.interior_cells(), width_, h_, nx_);
-  k.set_arg(4, &buf(FieldId::kR));
-  k.set_arg(5, &buf(FieldId::kKx));
-  k.set_arg(6, &buf(FieldId::kKy));
-  k.set_arg(7, &buf(FieldId::kW));
-  k.set_arg(8, partials_.get());
-  core::CgPipeDots out;
-  out.rr = run_reduction("cg_pipe_init", info(KernelId::kCgPipeInit));
-  for (std::size_t g = 0; g < groups; ++g) {
-    out.rw += (*partials_)[groups + g];
-  }
-  return out;
-}
-
-void OpenClPort::cg_pipe_calc_q() {
-  ocllike::Kernel& k = kernels_.at("cg_pipe_calc_q");
-  set_geometry_args(k, mesh_.interior_cells(), width_, h_, nx_);
-  k.set_arg(4, &buf(FieldId::kW));
-  k.set_arg(5, &buf(FieldId::kKx));
-  k.set_arg(6, &buf(FieldId::kKy));
-  k.set_arg(7, &buf(FieldId::kQ));
-  run_kernel("cg_pipe_calc_q", info(KernelId::kCgPipeCalcQ));
-}
-
-core::CgPipeDots OpenClPort::cg_pipe_update(double alpha, double beta) {
-  const std::size_t groups = group_count();
-  for (std::size_t i = 0; i < 2 * groups; ++i) (*partials_)[i] = 0.0;
-  ocllike::Kernel& k = kernels_.at("cg_pipe_update");
-  set_geometry_args(k, mesh_.interior_cells(), width_, h_, nx_);
-  k.set_arg(4, &buf(FieldId::kZ));
-  k.set_arg(5, &buf(FieldId::kSd));
-  k.set_arg(6, &buf(FieldId::kP));
-  k.set_arg(7, &buf(FieldId::kU));
-  k.set_arg(8, &buf(FieldId::kR));
-  k.set_arg(9, &buf(FieldId::kW));
-  k.set_arg(10, &buf(FieldId::kQ));
-  k.set_arg(11, alpha);
-  k.set_arg(12, beta);
-  k.set_arg(13, partials_.get());
-  core::CgPipeDots out;
-  out.rr = run_reduction("cg_pipe_update", info(KernelId::kCgPipeUpdate));
-  for (std::size_t g = 0; g < groups; ++g) {
-    out.rw += (*partials_)[groups + g];
-  }
-  return out;
 }
 
 void OpenClPort::read_u(util::Span2D<double> out) {

@@ -45,21 +45,13 @@ class OpenClPort final : public PortBase {
   // steps reuse their kernels under the fused launch charge. No kCapRegions:
   // the distributed overlap pipeline falls back to full sweeps behind a
   // blocking halo exchange (see core/kernels_api.hpp).
-  unsigned caps() const override {
-    return core::kAllKernelCaps | core::kCapPipelined;
-  }
+  unsigned caps() const override { return core::kAllKernelCaps; }
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;
   void cheby_fused_iterate(double alpha, double beta) override;
   void ppcg_fused_inner(double alpha, double beta) override;
   void jacobi_fused_copy_iterate() override;
-
-  // Pipelined CG: r.r through the work-group reduction, w.r in a companion
-  // partial section (cg_calc_w_fused's layout).
-  core::CgPipeDots cg_pipe_init() override;
-  void cg_pipe_calc_q() override;
-  core::CgPipeDots cg_pipe_update(double alpha, double beta) override;
 
   void read_u(util::Span2D<double> out) override;
   void download_energy(core::Chunk& chunk) override;

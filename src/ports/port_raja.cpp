@@ -85,7 +85,6 @@ void RajaPort::halo_update(unsigned fields, int depth) {
     if (fields & core::kMaskP) reflect(FieldId::kP);
     if (fields & core::kMaskSd) reflect(FieldId::kSd);
     if (fields & core::kMaskR) reflect(FieldId::kR);
-    if (fields & core::kMaskW) reflect(FieldId::kW);
     if (fields & core::kMaskDensity) reflect(FieldId::kDensity);
     if (fields & core::kMaskEnergy0) reflect(FieldId::kEnergy0);
   });
@@ -402,62 +401,6 @@ void RajaPort::jacobi_fused_copy_iterate() {
              diag;
     }
   }
-}
-
-core::CgPipeDots RajaPort::cg_pipe_init() {
-  const double* r = fp(FieldId::kR);
-  const double* kx = fp(FieldId::kKx);
-  const double* ky = fp(FieldId::kKy);
-  double* w = fp(FieldId::kW);
-  const int width = width_;
-  ReduceSum rr, rw;
-  ctx_.forall<Policy>(info(KernelId::kCgPipeInit), interior_,
-                      [&, r, kx, ky, w](std::int64_t i) {
-                        const double ar = stencil(r, kx, ky, i, width);
-                        w[i] = ar;
-                        rr += r[i] * r[i];
-                        rw += ar * r[i];
-                      });
-  return core::CgPipeDots{rr.get(), rw.get()};
-}
-
-void RajaPort::cg_pipe_calc_q() {
-  const double* w = fp(FieldId::kW);
-  const double* kx = fp(FieldId::kKx);
-  const double* ky = fp(FieldId::kKy);
-  double* q = fp(FieldId::kQ);
-  const int width = width_;
-  ctx_.forall<Policy>(
-      info(KernelId::kCgPipeCalcQ), interior_,
-      [=](std::int64_t i) { q[i] = stencil(w, kx, ky, i, width); });
-}
-
-core::CgPipeDots RajaPort::cg_pipe_update(double alpha, double beta) {
-  double* z = fp(FieldId::kZ);
-  double* sd = fp(FieldId::kSd);
-  double* p = fp(FieldId::kP);
-  double* u = fp(FieldId::kU);
-  double* r = fp(FieldId::kR);
-  double* w = fp(FieldId::kW);
-  const double* q = fp(FieldId::kQ);
-  ReduceSum rr, rw;
-  ctx_.forall<Policy>(info(KernelId::kCgPipeUpdate), interior_,
-                      [&, z, sd, p, u, r, w, q](std::int64_t i) {
-                        const double zn = q[i] + beta * z[i];
-                        z[i] = zn;
-                        const double sn = w[i] + beta * sd[i];
-                        sd[i] = sn;
-                        const double pn = r[i] + beta * p[i];
-                        p[i] = pn;
-                        u[i] += alpha * pn;
-                        const double rn = r[i] - alpha * sn;
-                        r[i] = rn;
-                        const double wn = w[i] - alpha * zn;
-                        w[i] = wn;
-                        rr += rn * rn;
-                        rw += wn * rn;
-                      });
-  return core::CgPipeDots{rr.get(), rw.get()};
 }
 
 void RajaPort::read_u(util::Span2D<double> out) {

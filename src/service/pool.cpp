@@ -164,7 +164,6 @@ bool SolveService::plan_and_route(Job& job) {
     query.rank_choices = {s.settings.nranks};
     query.overlap_comm = s.settings.overlap_comm;
     query.use_fused = s.settings.use_fused;
-    query.use_pipelined = s.settings.use_pipelined;
     const tune::PlanResult plan = tune::choose_config(catalog, query);
     bool applied = false;
     if (plan.ok) {
@@ -190,7 +189,6 @@ bool SolveService::plan_and_route(Job& job) {
   query.ranks = s.settings.nranks;
   query.use_fused = s.settings.use_fused;
   query.overlap_comm = s.settings.overlap_comm;
-  query.use_pipelined = s.settings.use_pipelined;
   const tune::Prediction pred = tune::predict(catalog, query);
   if (!pred.ok) {
     planner_metrics_.add_counter("tl_planner_route_fallback", 1.0);

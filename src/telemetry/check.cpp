@@ -19,7 +19,6 @@ ArtifactKind classify(const util::JsonValue& doc) {
   const std::string bench = doc.get_string_or("bench", "");
   if (bench == "fusion") return ArtifactKind::kBenchFusion;
   if (bench == "fig13_overlap") return ArtifactKind::kBenchOverlap;
-  if (bench == "pipeline") return ArtifactKind::kBenchPipeline;
   if (bench == "service") return ArtifactKind::kBenchService;
   if (bench == "elastic") return ArtifactKind::kBenchElastic;
   if (bench == "plan") return ArtifactKind::kBenchPlan;
@@ -31,7 +30,6 @@ std::string_view artifact_kind_name(ArtifactKind kind) {
     case ArtifactKind::kRunReport: return "tl-report-1";
     case ArtifactKind::kBenchFusion: return "bench/fusion";
     case ArtifactKind::kBenchOverlap: return "bench/fig13_overlap";
-    case ArtifactKind::kBenchPipeline: return "bench/pipeline";
     case ArtifactKind::kBenchService: return "bench/service";
     case ArtifactKind::kBenchElastic: return "bench/elastic";
     case ArtifactKind::kBenchPlan: return "bench/plan";
@@ -284,39 +282,6 @@ void check_bench_overlap(Checker& c, const util::JsonValue& base,
       });
 }
 
-// Classic-vs-pipelined CG artifact (bench_fig13_scaling). Every number runs
-// on the simulated clock; in the committed full-mode artifact all of them
-// are deterministic projections, so drift means a behaviour change. Times
-// are regression-checked in the slower direction and the hidden allreduce
-// share in the lower direction.
-void check_bench_pipeline(Checker& c, const util::JsonValue& base,
-                          const util::JsonValue& cur) {
-  const std::string base_mode = base.get_string_or("mode", "");
-  const std::string cur_mode = cur.get_string_or("mode", "");
-  if (base_mode != cur_mode) {
-    c.note_regression("mode", 0.0, 0.0,
-                      "baseline mode '" + base_mode + "' vs current '" +
-                          cur_mode + "' — not comparable");
-    return;
-  }
-  check_indexed(
-      c, "cells", index_by(base, "cells", {"ranks"}),
-      index_by(cur, "cells", {"ranks"}),
-      [&](const std::string& key, const util::JsonValue& b,
-          const util::JsonValue& n) {
-        const std::string prefix = "cells[" + key + "].";
-        for (const char* field :
-             {"classic_total_s", "pipelined_blocking_s", "pipelined_overlap_s",
-              "classic_allred_exposed_s", "pipelined_allred_exposed_s"}) {
-          c.slower_is_regression(prefix + field, b.get_number_or(field, 0.0),
-                                 n.get_number_or(field, 0.0));
-        }
-        c.lower_is_regression(prefix + "pipelined_allred_hidden_s",
-                              b.get_number_or("pipelined_allred_hidden_s", 0.0),
-                              n.get_number_or("pipelined_allred_hidden_s", 0.0));
-      });
-}
-
 // Service soak artifact. The job mix and the simulated timeline of every
 // job are deterministic, so totals and per-tenant counts are exact; wall
 // clock (wall_seconds, jobs_per_s) depends on the machine and is tolerance
@@ -374,8 +339,8 @@ void check_bench_service(Checker& c, const util::JsonValue& base,
 // Elastic bench artifact. Everything in it runs on the simulated clock
 // (there is no wall clock in this artifact), so the decomposition timings
 // and the survive/bit-identical flags are deterministic. Retry/drop tallies
-// race message delivery inside the injector and are informational only —
-// recorded but never compared.
+// depend only on the fault schedule (the injector retries in logical
+// rounds) but are recorded, not compared.
 void check_bench_elastic(Checker& c, const util::JsonValue& base,
                          const util::JsonValue& cur) {
   const std::string base_mode = base.get_string_or("mode", "");
@@ -509,9 +474,6 @@ CheckResult check(const util::JsonValue& baseline,
       break;
     case ArtifactKind::kBenchOverlap:
       check_bench_overlap(c, baseline, current);
-      break;
-    case ArtifactKind::kBenchPipeline:
-      check_bench_pipeline(c, baseline, current);
       break;
     case ArtifactKind::kBenchService:
       check_bench_service(c, baseline, current);
@@ -669,19 +631,6 @@ void analyze_bench(std::ostringstream& os, const util::JsonValue& doc) {
     os << util::strf("fusion speedup: min %.3fx, mean %.3fx, max %.3fx\n",
                      worst, sum / static_cast<double>(n), best);
   }
-  if (classify(doc) == ArtifactKind::kBenchPipeline && n > 0) {
-    double best_saved = 0.0;
-    for (const util::JsonValue& cell : cells->as_array()) {
-      const double classic =
-          cell.get_number_or("classic_allred_exposed_s", 0.0);
-      const double piped =
-          cell.get_number_or("pipelined_allred_exposed_s", 0.0);
-      best_saved = std::max(best_saved, classic - piped);
-    }
-    os << util::strf(
-        "pipelined CG: up to %.6f s of exposed allreduce removed (mode %s)\n",
-        best_saved, doc.get_string_or("mode", "?").c_str());
-  }
   if (classify(doc) == ArtifactKind::kBenchOverlap && n > 0) {
     double best_hidden = 0.0;
     for (const util::JsonValue& cell : cells->as_array()) {
@@ -820,7 +769,6 @@ std::string analyze(const util::JsonValue& doc, const AnalyzeOptions& opt) {
       break;
     case ArtifactKind::kBenchFusion:
     case ArtifactKind::kBenchOverlap:
-    case ArtifactKind::kBenchPipeline:
       analyze_bench(os, doc);
       break;
     case ArtifactKind::kBenchService:

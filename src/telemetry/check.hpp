@@ -22,7 +22,6 @@ enum class ArtifactKind {
   kRunReport,      // "schema": "tl-report-1"
   kBenchFusion,    // "bench": "fusion"
   kBenchOverlap,   // "bench": "fig13_overlap"
-  kBenchPipeline,  // "bench": "pipeline" (classic vs pipelined CG)
   kBenchService,   // "bench": "service"
   kBenchElastic,   // "bench": "elastic"
   kBenchPlan,      // "bench": "plan" (planner pick/regret grid)

@@ -61,7 +61,7 @@ struct SeriesKey {
                         // "fusion_ratio" | "hidden_fraction" | "comm_s"
   std::string model;    // sim model id ("omp3", "cuda", ...)
   std::string device;   // sim device short name ("cpu", "gpu", "knc")
-  std::string solver;   // "CG", "Chebyshev", "PPCG", "cg_pipelined", "all"
+  std::string solver;   // "CG", "Chebyshev", "PPCG", "all"
   std::string variant;  // "" | "strong-blocking-4096" | "weak-overlap-4096"
   std::string x = "cells";
 

@@ -66,7 +66,6 @@ PlanResult choose_config(const ModelCatalog& catalog, const PlanQuery& query) {
           pq.ranks = ranks;
           pq.use_fused = query.use_fused;
           pq.overlap_comm = overlap;
-          pq.use_pipelined = query.use_pipelined;
           Prediction predicted = predict(catalog, pq);
           if (!predicted.ok) continue;  // no basis — not scorable
           PlanChoice choice;

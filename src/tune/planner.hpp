@@ -31,7 +31,6 @@ struct PlanQuery {
   std::optional<bool> overlap_comm;     // nullopt = free (multi-rank only)
 
   bool use_fused = true;
-  bool use_pipelined = false;
   /// Skip (model, device) pairs outside the Table 1 support matrix. Off only
   /// for tests that probe the raw catalog space.
   bool require_supported = true;

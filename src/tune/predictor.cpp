@@ -30,15 +30,12 @@ bool outside(const FittedSeries& s, double x) {
 /// The analytic per-iteration comm price from the network model: one
 /// halo exchange of the search direction (two row-strip neighbours, one
 /// depth row each) plus the solver's two scalar allreduces (2 doubles).
-double comm_ns_per_iteration(int nx, int ranks, bool pipelined) {
+double comm_ns_per_iteration(int nx, int ranks) {
   const sim::NetworkSpec& net = sim::node_interconnect();
   const std::size_t halo_bytes =
       2 * static_cast<std::size_t>(nx) * sizeof(double);
-  double ns = sim::halo_exchange_ns(net, halo_bytes, 2);
-  // The pipelined CG initiates the fused allreduce nonblocking and hides it
-  // behind the next matvec — its latency leaves the critical path.
-  if (!pipelined) ns += 2.0 * sim::allreduce_ns(net, 2 * sizeof(double), ranks);
-  return ns;
+  return sim::halo_exchange_ns(net, halo_bytes, 2) +
+         2.0 * sim::allreduce_ns(net, 2 * sizeof(double), ranks);
 }
 
 }  // namespace
@@ -52,24 +49,15 @@ Prediction predict(const ModelCatalog& catalog, const PredictQuery& query) {
   const int ny = query.ny > 0 ? query.ny : query.nx;
   const double cells = static_cast<double>(query.nx) * ny;
 
-  // The pipelined CG is catalogued as its own solver series when measured.
-  std::vector<std::string> solver_names;
-  if (query.use_pipelined && query.solver == "CG") {
-    solver_names.push_back("cg_pipelined");
-  }
-  solver_names.push_back(query.solver);
-
   // 1. Direct rank-sweep series for this exact mesh and comm mode.
   if (query.ranks >= 1 && query.nx == ny) {
     const std::string variant =
         std::string("strong-") +
         (query.overlap_comm ? "overlap" : "blocking") + "-" +
         util::strf("%d", query.nx);
-    for (const std::string& solver : solver_names) {
-      SeriesKey key{"total_s", query.model, query.device, solver, variant,
-                    "ranks"};
-      const FittedSeries* total = use_series(catalog, key, &p.basis);
-      if (total == nullptr) continue;
+    SeriesKey key{"total_s", query.model, query.device, query.solver, variant,
+                  "ranks"};
+    if (const FittedSeries* total = use_series(catalog, key, &p.basis)) {
       const double ranks = static_cast<double>(query.ranks);
       p.seconds = total->fit.eval(ranks);
       key.metric = "comm_s";
@@ -87,15 +75,12 @@ Prediction predict(const ModelCatalog& catalog, const PredictQuery& query) {
   // 2. Per-cell total series, else 3. the per-kernel composition.
   double base = 0.0;
   bool have_base = false;
-  for (const std::string& solver : solver_names) {
-    const SeriesKey key{"total_s", query.model, query.device, solver, "",
-                        "cells"};
-    if (const FittedSeries* total = use_series(catalog, key, &p.basis)) {
-      base = total->fit.eval(cells);
-      p.extrapolated = outside(*total, cells);
-      have_base = true;
-      break;
-    }
+  const SeriesKey total_key{"total_s", query.model, query.device, query.solver,
+                            "", "cells"};
+  if (const FittedSeries* total = use_series(catalog, total_key, &p.basis)) {
+    base = total->fit.eval(cells);
+    p.extrapolated = outside(*total, cells);
+    have_base = true;
   }
   if (!have_base) {
     // Compositional fallback: sum the fitted per-kernel curves.
@@ -136,9 +121,7 @@ Prediction predict(const ModelCatalog& catalog, const PredictQuery& query) {
                         "cells"};
     if (const FittedSeries* iters = use_series(catalog, key, &p.basis)) {
       double comm = iters->fit.eval(cells) *
-                    comm_ns_per_iteration(query.nx, query.ranks,
-                                          query.use_pipelined) *
-                    1e-9;
+                    comm_ns_per_iteration(query.nx, query.ranks) * 1e-9;
       if (query.overlap_comm) {
         const SeriesKey hidden_key{"hidden_fraction", query.model,
                                    query.device, query.solver, "strong",

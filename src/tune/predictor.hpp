@@ -1,6 +1,6 @@
 #pragma once
 // Predictor: composes fitted series into an end-to-end runtime estimate for
-// any (mesh, ranks, solver, model, device, fusion/overlap/pipelined) point.
+// any (mesh, ranks, solver, model, device, fusion/overlap) point.
 //
 // Resolution order, most-specific first:
 //   1. A direct rank-sweep series for the exact (mesh, mode) — the fitted
@@ -29,7 +29,6 @@ struct PredictQuery {
   int ranks = 1;
   bool use_fused = true;
   bool overlap_comm = true;
-  bool use_pipelined = false;
 };
 
 struct Prediction {

@@ -24,22 +24,7 @@ core::Settings make_settings(const VerifyOptions& opt, SolverKind solver) {
   s.nx = s.ny = opt.nx;
   s.solver = solver;
   s.end_step = opt.steps;
-  // Settings rejects tl_pipelined_cg on non-CG solvers, so only the CG
-  // cells carry the flag; the other solvers run their classic paths.
-  s.use_pipelined = opt.pipelined && solver == SolverKind::kCg;
   return s;
-}
-
-/// Per-cell tolerance selection: pipelined CG gets its own (slightly wider)
-/// bounds; everything else keeps the classic single-rank or distributed
-/// tables. The cheby/ppcg/jacobi cells never carry use_pipelined.
-ToleranceSpec spec_for(const VerifyOptions& opt, SolverKind solver, double eps,
-                       bool distributed) {
-  if (opt.pipelined && solver == SolverKind::kCg) {
-    return ToleranceSpec::pipelined(solver, eps, distributed);
-  }
-  return distributed ? ToleranceSpec::distributed(solver, eps)
-                     : ToleranceSpec::defaults(solver, eps);
 }
 
 MetricResult check_scalar(Metric metric, double port, double ref,
@@ -317,13 +302,7 @@ ConformanceReport run_conformance(const VerifyOptions& options) {
     ref.record = condense_run(driver, run);
     ref.rr_history = run.steps.back().solve.rr_history;
 
-    if (!options.golden_path.empty() && options.pipelined &&
-        solver == SolverKind::kCg) {
-      // The golden store records classic-CG baselines; the pipelined solve
-      // follows a different arithmetic path, so the comparison would be
-      // meaningless rather than strict.
-      ref.golden_note = "golden skipped: pipelined CG has no baseline record";
-    } else if (!options.golden_path.empty()) {
+    if (!options.golden_path.empty()) {
       ref.golden_checked = true;
       const ToleranceSpec spec = ToleranceSpec::defaults(solver, s.eps);
       if (!golden_loaded) {
@@ -358,7 +337,8 @@ ConformanceReport run_conformance(const VerifyOptions& options) {
         const bool distributed = options.ranks > 1;
         core::Settings s = make_settings(options, solver);
         const ToleranceSpec spec =
-            spec_for(options, solver, s.eps, distributed);
+            distributed ? ToleranceSpec::distributed(solver, s.eps)
+                        : ToleranceSpec::defaults(solver, s.eps);
 
         CellResult cell;
         cell.model = model;

@@ -45,14 +45,6 @@ struct VerifyOptions {
   /// (DESIGN.md §10). Ignored for ranks == 1.
   bool overlap = true;
 
-  /// Pipelined CG (tl_pipelined_cg) for every solve in the sweep. Only the
-  /// CG cells change behaviour (Chebyshev/PPCG bootstrap with classic CG
-  /// iterations); they run under ToleranceSpec::pipelined and, since both
-  /// the reference and the ports take the pipelined path, still agree on
-  /// control flow exactly. With ranks > 1 the overlap twin additionally
-  /// proves the nonblocking allreduce bit-identical to the blocking one.
-  bool pipelined = false;
-
   /// Assert the live port's simulated clock against the analytic replay
   /// (only meaningful for steps == 1; skipped otherwise).
   bool check_replay = true;

@@ -51,10 +51,6 @@ std::string format_matrix(const ConformanceReport& report) {
        << "-rank decomposed solves vs the 1-rank reference "
           "(ToleranceSpec::distributed)\n\n";
   }
-  if (report.options.pipelined) {
-    os << "pipelined: CG solves use the allreduce-hiding variant "
-          "(ToleranceSpec::pipelined)\n\n";
-  }
   for (const sim::DeviceId device : sim::kAllDevices) {
     if (report.options.only_device && *report.options.only_device != device) {
       continue;
@@ -109,8 +105,7 @@ std::string to_json(const ConformanceReport& report) {
   os << ",\"options\":{\"nx\":" << report.options.nx
      << ",\"steps\":" << report.options.steps
      << ",\"ranks\":" << report.options.ranks
-     << ",\"seed\":" << report.options.seed << ",\"pipelined\":"
-     << (report.options.pipelined ? "true" : "false") << ",\"check_replay\":"
+     << ",\"seed\":" << report.options.seed << ",\"check_replay\":"
      << (report.options.check_replay ? "true" : "false")
      << ",\"golden_path\":\"" << json_escape(report.options.golden_path)
      << "\",\"perturb_kernel\":\""

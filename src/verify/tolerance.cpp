@@ -138,24 +138,6 @@ ToleranceSpec ToleranceSpec::distributed(core::SolverKind solver, double eps) {
   return spec;
 }
 
-ToleranceSpec ToleranceSpec::pipelined(core::SolverKind solver, double eps,
-                                       bool distributed_run) {
-  ToleranceSpec spec =
-      distributed_run ? distributed(solver, eps) : defaults(solver, eps);
-  // The recurrence-maintained w (and the derived z/q chain) re-folds every
-  // implementation's association differences into the next iterate, so the
-  // drift grows a little faster than classic CG's recomputed residual.
-  // One order of magnitude of extra slack keeps the perturbation tests
-  // (1e-6 kernel corruption, 1e-3 comm corruption) cleanly detectable.
-  spec[Metric::kFinalResidual].rel = 1e-5;
-  spec[Metric::kResidualHistory].rel = distributed_run ? 1e-6 : 1e-7;
-  spec[Metric::kSolutionChecksum].rel = distributed_run ? 1e-7 : 1e-8;
-  spec[Metric::kEnergyChecksum].rel = distributed_run ? 1e-7 : 1e-8;
-  spec[Metric::kInternalEnergy].rel = 1e-9;
-  spec[Metric::kTemperature].rel = 1e-9;
-  return spec;
-}
-
 const Tolerance& ToleranceSpec::operator[](Metric m) const {
   return table_[static_cast<std::size_t>(m)];
 }

@@ -89,15 +89,6 @@ class ToleranceSpec {
   /// side of the rounding), hence small absolute slack on the counts.
   static ToleranceSpec distributed(core::SolverKind solver, double eps = 1e-15);
 
-  /// Pipelined-CG bounds: both comparands run the Ghysels-Vanroose
-  /// recurrences, which maintain w = A r by update rather than
-  /// recomputation, so association differences between implementations feed
-  /// back through the iteration and the histories drift further apart than
-  /// classic CG's. Applies on top of `defaults` (single-rank) or
-  /// `distributed` (R-rank) per `distributed_run`.
-  static ToleranceSpec pipelined(core::SolverKind solver, double eps = 1e-15,
-                                 bool distributed_run = false);
-
   const Tolerance& operator[](Metric m) const;
   Tolerance& operator[](Metric m);
 

@@ -1,10 +1,10 @@
 // Runtime ISA dispatch: the contract that vector width is a pure speed
-// choice. Every available row-kernel table (sse2/avx2/avx512) must be
+// choice. Every available row-kernel table (sse2/avx2) must be
 // bit-identical to the scalar one for every primitive, every tail residue,
 // and unaligned row starts; TL_FORCE_ISA / force_isa must select the table
 // they name (degrading to scalar, never faulting, when the CPU or build
-// lacks it); and a whole CG solve — classic and pipelined — must produce
-// bit-identical results under every forced ISA.
+// lacks it); and a whole CG solve must produce bit-identical results under
+// every forced ISA.
 
 #include <gtest/gtest.h>
 
@@ -54,15 +54,15 @@ struct RowArrays {
 /// Every non-scalar table that exists in this build on this CPU.
 std::vector<Isa> available_wide_isas() {
   std::vector<Isa> out;
-  for (const Isa isa : {Isa::kSse2, Isa::kAvx2, Isa::kAvx512}) {
+  for (const Isa isa : {Isa::kSse2, Isa::kAvx2}) {
     if (core::isa::row_table(isa) != nullptr) out.push_back(isa);
   }
   return out;
 }
 
 /// Runs every primitive of `table` against the scalar table over rows at
-/// `base..base+len` (len sweeps every tail residue past a full AVX-512
-/// step) and asserts outputs and mutated arrays bit-identical.
+/// `base..base+len` (len sweeps every tail residue past several full vector
+/// steps) and asserts outputs and mutated arrays bit-identical.
 void expect_table_matches_scalar(const core::isa::RowKernelTable& table,
                                  const std::string& tag, std::size_t width,
                                  std::size_t base, std::size_t len) {
@@ -141,46 +141,6 @@ void expect_table_matches_scalar(const core::isa::RowKernelTable& table,
                    base, e, width);
     EXPECT_EQ(u1, u2) << what << " jacobi_row u";
   }
-  {  // stencil_row: q = A v
-    std::vector<double> q1 = m.e, q2 = m.e;
-    table.stencil_row(m.a.data(), m.b.data(), m.c.data(), q1.data(), base, e,
-                      width);
-    ref.stencil_row(m.a.data(), m.b.data(), m.c.data(), q2.data(), base, e,
-                    width);
-    EXPECT_EQ(q1, q2) << what << " stencil_row q";
-  }
-  {  // pipe_init_row: w = A r plus {r.r, w.r}
-    std::vector<double> w1 = m.e, w2 = m.e;
-    const auto d1 = table.pipe_init_row(m.a.data(), m.b.data(), m.c.data(),
-                                        w1.data(), base, e, width);
-    const auto d2 = ref.pipe_init_row(m.a.data(), m.b.data(), m.c.data(),
-                                      w2.data(), base, e, width);
-    EXPECT_EQ(d1.pw, d2.pw) << what << " pipe_init_row rr";
-    EXPECT_EQ(d1.ww, d2.ww) << what << " pipe_init_row rw";
-    EXPECT_EQ(w1, w2) << what << " pipe_init_row w";
-  }
-  {  // pipe_update_row: the six-field recurrence plus {r.r, w.r}
-    std::vector<double> z1 = m.a, s1 = m.b, p1 = m.c, u1 = m.d, r1 = m.e,
-                        w1 = m.f;
-    std::vector<double> z2 = m.a, s2 = m.b, p2 = m.c, u2 = m.d, r2 = m.e,
-                        w2 = m.f;
-    const auto d1 =
-        table.pipe_update_row(z1.data(), s1.data(), p1.data(), u1.data(),
-                              r1.data(), w1.data(), m.g.data(), base, e, 0.37,
-                              0.61);
-    const auto d2 =
-        ref.pipe_update_row(z2.data(), s2.data(), p2.data(), u2.data(),
-                            r2.data(), w2.data(), m.g.data(), base, e, 0.37,
-                            0.61);
-    EXPECT_EQ(d1.pw, d2.pw) << what << " pipe_update_row rr";
-    EXPECT_EQ(d1.ww, d2.ww) << what << " pipe_update_row rw";
-    EXPECT_EQ(z1, z2) << what << " pipe_update_row z";
-    EXPECT_EQ(s1, s2) << what << " pipe_update_row s";
-    EXPECT_EQ(p1, p2) << what << " pipe_update_row p";
-    EXPECT_EQ(u1, u2) << what << " pipe_update_row u";
-    EXPECT_EQ(r1, r2) << what << " pipe_update_row r";
-    EXPECT_EQ(w1, w2) << what << " pipe_update_row w";
-  }
 }
 
 TEST(IsaTables, EveryAvailableTableMatchesScalarBitwise) {
@@ -191,7 +151,7 @@ TEST(IsaTables, EveryAvailableTableMatchesScalarBitwise) {
     ASSERT_NE(table, nullptr);
     for (const std::size_t width : {std::size_t{37}, std::size_t{41}}) {
       // Unaligned starts (offset sweeps the vector-lane phase) x every tail
-      // residue through one full AVX-512 step plus change.
+      // residue through several full vector steps.
       for (const std::size_t offset : {std::size_t{0}, std::size_t{1},
                                        std::size_t{2}, std::size_t{3}}) {
         for (std::size_t len = 0; len <= 19; ++len) {
@@ -266,59 +226,45 @@ TEST_F(IsaDispatchTest, ActiveTableIsNeverNull) {
 }
 
 // ---------------------------------------------------------------------------
-// Grain heuristic: ISA-width-aware alignment
+// Grain heuristic: the default grain depends on the range extent only
 // ---------------------------------------------------------------------------
 
 TEST(IsaGrain, DefaultGrainRoundsUpToTheIsaGroup) {
   using models::HostPool;
-  // Explicit grains are honoured exactly, aligned or not.
-  EXPECT_EQ(HostPool::effective_grain(1000, 7, 8), 7);
-  // Default grains round up to the requested alignment so chunk boundaries
-  // never split an accumulation group mid-vector.
-  for (const std::int64_t align : {1, 4, 8}) {
-    const std::int64_t g = HostPool::effective_grain(1000, 0, align);
-    EXPECT_GT(g, 0);
-    EXPECT_EQ(g % align, 0) << "align=" << align;
-  }
+  // Explicit grains are honoured exactly.
+  EXPECT_EQ(HostPool::effective_grain(1000, 7), 7);
   // Tiny ranges still get a positive grain.
-  EXPECT_EQ(HostPool::effective_grain(3, 0, 8), 8);
-  // The row groups the reference kernels actually pass are 4 and 8.
-  EXPECT_EQ(core::isa::isa_row_group(Isa::kScalar), 4u);
-  EXPECT_EQ(core::isa::isa_row_group(Isa::kAvx512), 8u);
+  EXPECT_EQ(HostPool::effective_grain(3, 0), 1);
 }
 
 // ---------------------------------------------------------------------------
-// Whole-solve invariance: classic and pipelined CG bit-identical under every
-// forced ISA (histories and residuals, not just per-row outputs).
+// Whole-solve invariance: CG bit-identical under every forced ISA (histories
+// and residuals, not just per-row outputs).
 // ---------------------------------------------------------------------------
 
-core::StepReport run_cg(bool pipelined) {
+core::StepReport run_cg() {
   core::Settings s = core::Settings::default_problem();
   s.nx = s.ny = 40;
   s.solver = core::SolverKind::kCg;
-  s.use_pipelined = pipelined;
   core::Driver driver(s, std::make_unique<core::ReferenceKernels>(
                              core::Mesh(s.nx, s.ny, s.halo_depth)));
   return driver.run_step();
 }
 
 TEST_F(IsaDispatchTest, CgSolveBitIdenticalUnderEveryForcedIsa) {
-  for (const bool pipelined : {false, true}) {
-    core::isa::force_isa(Isa::kScalar);
-    const core::StepReport base = run_cg(pipelined);
-    EXPECT_TRUE(base.solve.converged);
-    for (const Isa isa : available_wide_isas()) {
-      core::isa::force_isa(isa);
-      const core::StepReport got = run_cg(pipelined);
-      const std::string tag = std::string(core::isa::isa_name(isa)) +
-                              (pipelined ? " pipelined" : " classic");
-      EXPECT_EQ(got.solve.iterations, base.solve.iterations) << tag;
-      EXPECT_EQ(got.solve.final_rr, base.solve.final_rr) << tag;
-      EXPECT_EQ(got.solve.rr_history, base.solve.rr_history) << tag;
-      EXPECT_EQ(got.summary.internal_energy, base.summary.internal_energy)
-          << tag;
-      EXPECT_EQ(got.summary.temperature, base.summary.temperature) << tag;
-    }
+  core::isa::force_isa(Isa::kScalar);
+  const core::StepReport base = run_cg();
+  EXPECT_TRUE(base.solve.converged);
+  for (const Isa isa : available_wide_isas()) {
+    core::isa::force_isa(isa);
+    const core::StepReport got = run_cg();
+    const std::string tag = core::isa::isa_name(isa);
+    EXPECT_EQ(got.solve.iterations, base.solve.iterations) << tag;
+    EXPECT_EQ(got.solve.final_rr, base.solve.final_rr) << tag;
+    EXPECT_EQ(got.solve.rr_history, base.solve.rr_history) << tag;
+    EXPECT_EQ(got.summary.internal_energy, base.summary.internal_energy)
+        << tag;
+    EXPECT_EQ(got.summary.temperature, base.summary.temperature) << tag;
   }
 }
 

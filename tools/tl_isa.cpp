@@ -3,13 +3,14 @@
 //   tl_isa                 prints the CPU's detected best ISA, the resolved
 //                          active ISA (after TL_FORCE_ISA), and per-ISA
 //                          availability of the fused row-kernel tables.
-//   tl_isa --probe NAME    exit 0 if NAME (scalar|sse2|avx2|avx512) is
+//   tl_isa --probe NAME    exit 0 if NAME (scalar|sse2|avx2) is
 //                          executable in this build on this CPU, 3 if not,
 //                          2 on an unknown name.
 //
-// The --probe form is the CI gate: scripts force each ISA in turn through
-// TL_FORCE_ISA and use the exit code to skip (not fail) legs the host cannot
-// run — an AVX-512 smoke on an AVX2-only box must be a skip, never a crash.
+// The --probe form is the CI gate: the per-ISA ctest entries (label `isa`)
+// force each ISA in turn through TL_FORCE_ISA and use the exit code to skip
+// (not fail) legs the host cannot run — an AVX2 smoke on a box without AVX2
+// must be a skip, never a crash.
 
 #include <cstdio>
 #include <cstring>
@@ -39,7 +40,7 @@ int main(int argc, char** argv) {
   }
   if (argc != 1) {
     std::fprintf(stderr,
-                 "usage: tl_isa [--probe scalar|sse2|avx2|avx512]\n");
+                 "usage: tl_isa [--probe scalar|sse2|avx2]\n");
     return 2;
   }
 
@@ -48,9 +49,8 @@ int main(int argc, char** argv) {
   std::printf("tables:\n");
   for (int i = 0; i < isa::kIsaCount; ++i) {
     const Isa which = static_cast<Isa>(i);
-    std::printf("  %-7s %s (lanes=%zu, row_group=%zu)\n", isa::isa_name(which),
-                isa::row_table(which) ? "available  " : "unavailable",
-                isa::isa_lanes(which), isa::isa_row_group(which));
+    std::printf("  %-7s %s\n", isa::isa_name(which),
+                isa::row_table(which) ? "available" : "unavailable");
   }
   return 0;
 }

@@ -10,12 +10,11 @@
 //
 //   tl_plan predict --models=FILE --model=M --device=D --nx=N
 //           [--solver=S] [--ny=N] [--ranks=R] [--fused=0|1] [--overlap=0|1]
-//           [--pipelined]
 //       Print the composed runtime estimate for one configuration point.
 //
 //   tl_plan plan --models=FILE --nx=N [--ny=N] [--solver=S] [--model=M]
 //           [--device=D] [--ranks=R1,R2,...] [--fused=0|1] [--overlap=0|1]
-//           [--pipelined] [--top=N]
+//           [--top=N]
 //       Enumerate the feasible config space (unpinned fields free), score
 //       with the predictor, and print the ranked table.
 //
@@ -41,8 +40,7 @@ int usage(const char* program) {
                "usage: %s fit INPUT... --out=FILE [--min-points=N] "
                "[--check=GOLDEN] [--rel-tol=T]\n"
                "       %s predict --models=FILE --model=M --device=D --nx=N "
-               "[--solver=S] [--ranks=R] [--fused=0|1] [--overlap=0|1] "
-               "[--pipelined]\n"
+               "[--solver=S] [--ranks=R] [--fused=0|1] [--overlap=0|1]\n"
                "       %s plan --models=FILE --nx=N [--solver=S] [--model=M] "
                "[--device=D] [--ranks=R1,R2,...] [--top=N]\n",
                program, program, program);
@@ -162,7 +160,6 @@ tune::PredictQuery predict_query_from(const util::Cli& cli) {
   q.ranks = static_cast<int>(cli.get_long_or("ranks", 1));
   q.use_fused = cli.get_long_or("fused", 1) != 0;
   q.overlap_comm = cli.get_long_or("overlap", 1) != 0;
-  q.use_pipelined = cli.has("pipelined");
   return q;
 }
 
@@ -179,10 +176,10 @@ int run_predict(const util::Cli& cli) {
     std::fprintf(stderr, "tl_plan: no estimate: %s\n", p.error.c_str());
     return 2;
   }
-  std::printf("%s/%s/%s %dx%d ranks=%d fused=%d overlap=%d pipelined=%d\n",
+  std::printf("%s/%s/%s %dx%d ranks=%d fused=%d overlap=%d\n",
               q.model.c_str(), q.device.c_str(), q.solver.c_str(), q.nx,
               q.ny > 0 ? q.ny : q.nx, q.ranks, q.use_fused ? 1 : 0,
-              q.overlap_comm ? 1 : 0, q.use_pipelined ? 1 : 0);
+              q.overlap_comm ? 1 : 0);
   std::printf("predicted: %.6f s (compute %.6f s + comm %.6f s)%s\n",
               p.seconds, p.compute_s, p.comm_s,
               p.extrapolated ? "  [extrapolated]" : "");
@@ -199,7 +196,6 @@ int run_plan(const util::Cli& cli) {
   q.model = cli.get_or("model", "");
   q.device = cli.get_or("device", "");
   q.use_fused = cli.get_long_or("fused", 1) != 0;
-  q.use_pipelined = cli.has("pipelined");
   if (cli.has("overlap")) q.overlap_comm = cli.get_long_or("overlap", 1) != 0;
   if (const auto ranks = cli.get("ranks")) {
     q.rank_choices.clear();

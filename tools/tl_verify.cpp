@@ -1,7 +1,7 @@
 // tl_verify: the cross-model conformance checker CLI.
 //
 //   tl_verify [--nx 40] [--steps 1] [--seed 7] [--ranks R]
-//             [--overlap on|off] [--pipelined]
+//             [--overlap on|off]
 //             [--solver cg|cheby|ppcg|jacobi|all]
 //             [--model ID] [--device cpu|gpu|knc]
 //             [--golden FILE] [--regen-golden FILE]
@@ -22,10 +22,6 @@
 // (DESIGN.md §8). `--overlap on|off` (default on) controls the overlapped
 // halo pipeline for those decomposed cells; with it on, each cell also runs
 // a blocking twin and asserts bit-identical results (DESIGN.md §10).
-// `--pipelined` switches every CG solve to the pipelined (allreduce-hiding)
-// variant under ToleranceSpec::pipelined; with --ranks > 1 and overlap on,
-// the blocking twin additionally proves the nonblocking allreduce
-// bit-identical to the blocking one (DESIGN.md §14).
 
 #include <cstdio>
 #include <fstream>
@@ -82,7 +78,6 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "tl_verify: --overlap must be 'on' or 'off'\n");
     return 2;
   }
-  opt.pipelined = cli.has("pipelined");
   opt.check_replay = !cli.has("no-replay");
   opt.golden_path = cli.get_or("golden", "");
   // --perturb names either a reference kernel (PerturbingKernels) or one of
@@ -150,11 +145,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  std::printf("tl_verify: %dx%d mesh, %d step(s), %d rank(s)%s%s, seed %llu%s\n\n",
+  std::printf("tl_verify: %dx%d mesh, %d step(s), %d rank(s)%s, seed %llu%s\n\n",
               opt.nx, opt.nx, opt.steps, opt.ranks,
               opt.ranks > 1 ? (opt.overlap ? " (overlap on)" : " (overlap off)")
                             : "",
-              opt.pipelined ? " (pipelined CG)" : "",
               static_cast<unsigned long long>(opt.seed),
               !opt.perturb_kernel.empty()
                   ? (" — PERTURBED reference kernel: " + opt.perturb_kernel)
