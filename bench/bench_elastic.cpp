@@ -14,12 +14,11 @@
 //                  different rank count (snapshot passed through the TLCKPT01
 //                  codec) must finish bit-identical to the uninterrupted run.
 //
-// Everything here runs on the simulated clock, so every number in the
-// artifact except none (there is no wall clock in it) is deterministic;
-// `tl_report --check` holds the structural sections exact (see
-// tests/CMakeLists.txt golden.elastic.regen / telemetry.elastic.check).
-// Retry/drop tallies depend only on the fault schedule; the check records
-// them without comparing them.
+// Everything here runs on the simulated clock (there is no wall clock in the
+// artifact), so every number in it is deterministic, the retry/drop tallies
+// included: they depend only on the fault schedule. The artifact declares
+// its checks for `tl_report --check` (see tests/CMakeLists.txt
+// golden.elastic.regen / telemetry.elastic.check).
 //
 //   --smoke         CI fast path: smaller heterogeneous mesh, fewer fault
 //                   seeds. The committed artifact is the smoke one.
@@ -41,6 +40,7 @@
 #include "ports/registry.hpp"
 #include "sim/device.hpp"
 #include "sim/model_id.hpp"
+#include "telemetry/check.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 #include "util/string_util.hpp"
@@ -244,6 +244,20 @@ std::string artifact_json(const std::string& mode, int hetero_mesh,
                           const std::vector<ResumeCell>& resumes) {
   std::string os;
   os += "{\n";
+  os += util::strf("  \"schema\": \"%s\",\n", telemetry::kBenchSchema);
+  // The fault tallies are exact: the injector retries in logical rounds, so
+  // they depend only on the fault schedule.
+  os += telemetry::checks_member(
+      {{".", {}, {"mode"}, {}, {}},
+       {"heterogeneous.cells", {"solver"},
+        {"equal_iterations", "weighted_iterations"},
+        {"equal_seconds", "weighted_seconds"}, {"speedup"}},
+       {"faults.cells", {"seed"},
+        {"survived", "identical", "retries", "dropped", "duplicated",
+         "delayed"},
+        {}, {}},
+       {"resume.cells", {"solver", "from_ranks", "to_ranks"}, {"identical"},
+        {}, {}}});
   os += "  \"bench\": \"elastic\",\n";
   os += "  \"source\": \"bench_elastic\",\n";
   os += util::strf("  \"mode\": \"%s\",\n", mode.c_str());

@@ -48,6 +48,7 @@
 #include "dist/driver.hpp"
 #include "ports/registry.hpp"
 #include "sim/network.hpp"
+#include "telemetry/check.hpp"
 #include "telemetry/collectors.hpp"
 #include "telemetry/report.hpp"
 #include "util/cli.hpp"
@@ -371,7 +372,13 @@ void write_overlap_json(const std::vector<OverlapCell>& cells, bool smoke,
     std::printf("FAILED to write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"fig13_overlap\",\n  \"mode\": \"%s\",\n",
+  const std::string checks = telemetry::checks_member(
+      {{".", {}, {"mode"}, {}, {}},
+       {"cells", {"scaling", "solver", "ranks"}, {},
+        {"blocking_s", "overlap_s"}, {"hidden_fraction"}}});
+  std::fprintf(f, "{\n  \"schema\": \"%s\",\n%s", telemetry::kBenchSchema,
+               checks.c_str());
+  std::fprintf(f, "  \"bench\": \"fig13_overlap\",\n  \"mode\": \"%s\",\n",
                smoke ? "smoke" : "full");
   std::fprintf(f, "  \"gates\": {\"overlap_never_slower\": true, "
                   "\"min_hidden_fraction_strong_8\": %s},\n",

@@ -43,6 +43,7 @@
 #include "core/reference_kernels.hpp"
 #include "ports/registry.hpp"
 #include "sim/device.hpp"
+#include "telemetry/check.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
 #include "util/string_util.hpp"
@@ -164,7 +165,13 @@ void write_json(const std::vector<FusionCell>& cells, int mesh,
     std::printf("FAILED to write %s\n", path.c_str());
     return;
   }
-  std::fprintf(f, "{\n  \"bench\": \"fusion\",\n  \"mesh\": %d,\n", mesh);
+  const std::string checks = telemetry::checks_member(
+      {{"cells", {"device", "model", "solver"},
+        {"unfused_launches", "fused_launches"},
+        {"unfused_seconds", "fused_seconds"}, {"speedup"}}});
+  std::fprintf(f, "{\n  \"schema\": \"%s\",\n%s", telemetry::kBenchSchema,
+               checks.c_str());
+  std::fprintf(f, "  \"bench\": \"fusion\",\n  \"mesh\": %d,\n", mesh);
   std::fprintf(f, "  \"isa\": \"%s\",\n", isa.c_str());
   std::fprintf(f, "  \"gates\": {\"sim_fused_never_slower\": true, "
                   "\"measured_cg_min_speedup\": 1.2, "

@@ -35,6 +35,7 @@
 #include <string>
 #include <vector>
 
+#include "telemetry/check.hpp"
 #include "tune/ingest.hpp"
 #include "tune/planner.hpp"
 #include "util/cli.hpp"
@@ -234,7 +235,16 @@ void write_artifact(const std::vector<EvalCell>& cells, double tie_tol,
   const double n = static_cast<double>(cells.size());
   const double cv_mean =
       cv.series > 0 ? cv.sum / static_cast<double>(cv.series) : 0.0;
-  std::fprintf(f, "{\n  \"bench\": \"plan\",\n");
+  // Picks are exact: the grids are committed and the planner is a pure
+  // function of them, so a different pick is a behaviour change.
+  const std::string checks = telemetry::checks_member(
+      {{"summary", {}, {"cells", "exact", "picked_best"},
+        {"regret_pct", "cv_mean_pct", "cv_max_pct"}, {"picked_best_pct"}},
+       {"cells", {"grid", "device", "solver", "mesh"},
+        {"chosen", "picked_best"}, {}, {}}});
+  std::fprintf(f, "{\n  \"schema\": \"%s\",\n%s", telemetry::kBenchSchema,
+               checks.c_str());
+  std::fprintf(f, "  \"bench\": \"plan\",\n");
   std::fprintf(f, "  \"source\": \"bench_plan\",\n");
   std::fprintf(f, "  \"tie_tol\": %.17g,\n", tie_tol);
   std::fprintf(f,

@@ -1,9 +1,9 @@
 #include "service/report.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 
+#include "telemetry/check.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/string_util.hpp"
@@ -12,25 +12,9 @@ namespace tl::service {
 
 namespace {
 
-std::string jnum(double v) {
-  if (!std::isfinite(v)) {
-    return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
-  }
-  return util::strf("%.17g", v);
-}
-
-std::string jstr(std::string_view s) {
-  // Built by append rather than operator+ chaining: GCC 12's -Wrestrict
-  // emits a false positive on the char* + string + char* concatenation
-  // once inlined into the larger artifact-emission body at -O3.
-  std::string out;
-  std::string escaped = util::json_escape(s);
-  out.reserve(escaped.size() + 2);
-  out += '"';
-  out += escaped;
-  out += '"';
-  return out;
-}
+// Short names for the shared JSON scalar writers.
+constexpr auto& jnum = util::json_number;
+constexpr auto& jstr = util::json_quote;
 
 }  // namespace
 
@@ -53,6 +37,17 @@ std::string service_artifact_json(const ServiceConfig& config,
 
   std::ostringstream os;
   os << "{\n";
+  os << "  \"schema\": " << jstr(telemetry::kBenchSchema) << ",\n";
+  os << telemetry::checks_member(
+      {{"totals", {},
+        {"jobs", "failures", "iterations", "kernel_launches", "comm_bytes",
+         "scenarios", "verified", "bit_identical"},
+        {"sim_seconds"}, {}},
+       {"schedule", {}, {"fairness_bound"}, {"wall_seconds"}, {"jobs_per_s"}},
+       {"tenants", {"tenant"},
+        {"jobs", "failures", "converged", "iterations", "inner_iterations",
+         "kernel_launches", "comm_bytes"},
+        {"sim_seconds"}, {}}});
   os << "  \"bench\": \"service\",\n";
   os << "  \"source\": " << jstr(info.source) << ",\n";
   os << "  \"config\": {\"small_workers\": " << config.small_workers

@@ -1,35 +1,74 @@
 #pragma once
-// Report analysis and regression checking — the logic behind tl_report.
+// Artifact analysis and regression checking — the logic behind tl_report.
 //
-// Works over parsed JSON documents so one code path handles every committed
-// artifact: tl-report-1 run reports, BENCH_fusion.json, BENCH_overlap.json,
-// BENCH_service.json, BENCH_elastic.json.
-// The regression policy is deliberately asymmetric: time-like metrics fail
-// only when the fresh value is *slower* than baseline by more than the
-// relative tolerance (improvements never fail, they are reported as such);
-// structural quantities — launch counts, iteration counts, kernel and cell
-// sets — are exact, because the simulated timeline is deterministic and any
-// drift there is a behaviour change, not noise.
+// Every checked artifact declares its own checks. The tl-report-1 run
+// reports (ReportBuilder) and the tl-bench-1 bench artifacts
+// (BENCH_fusion/overlap/service/elastic/plan.json) carry a "checks" member
+// that names, per section, the row key fields and the class of each checked
+// field. A section is the document root ("."), an object member ("totals")
+// or an array of rows ("cells", "heterogeneous.cells"). The classes:
+//
+//   exact   numbers or strings must be equal. The simulated timeline is
+//           deterministic, so any drift is a behaviour change, not noise;
+//   slower  a regression when larger than baseline by more than the
+//           relative tolerance (time-like metrics; improvements never fail,
+//           they are reported as such);
+//   higher  a regression when smaller than baseline by more than the
+//           relative tolerance (speedups, hidden fractions, rates).
+//
+// Fields not declared are informational. check() walks the baseline's
+// declaration: rows are matched by their key, and a row present on one side
+// only, a declared field missing on either side, and a current declaration
+// that differs from the baseline's are all regressions.
 
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/json.hpp"
 
 namespace tl::telemetry {
 
+/// Schema tag of the bench artifacts (run reports carry kReportSchema).
+inline constexpr const char* kBenchSchema = "tl-bench-1";
+
 enum class ArtifactKind {
-  kRunReport,      // "schema": "tl-report-1"
-  kBenchFusion,    // "bench": "fusion"
-  kBenchOverlap,   // "bench": "fig13_overlap"
-  kBenchService,   // "bench": "service"
-  kBenchElastic,   // "bench": "elastic"
-  kBenchPlan,      // "bench": "plan" (planner pick/regret grid)
+  kRunReport,  // "schema": "tl-report-1"
+  kBench,      // "schema": "tl-bench-1"
   kUnknown,
 };
 
 ArtifactKind classify(const util::JsonValue& doc);
-std::string_view artifact_kind_name(ArtifactKind kind);
+
+/// "tl-report-1", "bench/<bench tag>" or "unknown".
+std::string artifact_name(const util::JsonValue& doc);
+
+// -- Check declarations -----------------------------------------------------
+
+/// One section of an artifact's "checks" member. The writers list-initialise
+/// it in member order: section, row key, exact, slower, higher.
+struct SectionChecks {
+  std::string section;            // "." for the root, else a dotted path
+  std::vector<std::string> key;   // row key fields (array sections only)
+  std::vector<std::string> exact;
+  std::vector<std::string> slower;
+  std::vector<std::string> higher;
+
+  bool operator==(const SectionChecks&) const = default;
+};
+using CheckDecl = std::vector<SectionChecks>;
+
+/// The "checks" member as a writer emits it: two-space indent, one section
+/// per line and a trailing comma, so it sits on lines of its own.
+std::string checks_member(const CheckDecl& decl);
+
+/// Reads a document's "checks" member; throws std::runtime_error when it is
+/// absent or malformed.
+CheckDecl parse_checks(const util::JsonValue& doc);
+
+/// The value a section path names in `doc`; nullptr when absent.
+const util::JsonValue* find_section(const util::JsonValue& doc,
+                                    std::string_view section);
 
 // -- Analysis ---------------------------------------------------------------
 
@@ -37,14 +76,15 @@ struct AnalyzeOptions {
   int top_n = 8;  // kernels shown in the hot-kernel table
 };
 
-/// Human-readable analysis of one artifact: top-N kernels with roofline
-/// ratios, per-rank comm exposure, fusion/overlap effectiveness.
+/// Human-readable analysis of one artifact. Run reports get the top-N
+/// kernels with roofline ratios, per-rank comm exposure and fusion/overlap
+/// effectiveness; every other declared section is printed as a table.
 std::string analyze(const util::JsonValue& doc, const AnalyzeOptions& opt = {});
 
 // -- Regression checking ----------------------------------------------------
 
 struct CheckOptions {
-  /// Relative tolerance for time-like metrics (seconds, ns, fractions).
+  /// Relative tolerance of the slower and higher classes.
   double rel_tol = 0.10;
 };
 
@@ -64,8 +104,8 @@ struct CheckResult {
   bool pass() const noexcept { return regressions == 0; }
 };
 
-/// Compares `current` against `baseline` (same artifact kind required; a
-/// kind mismatch or an unknown kind is itself a regression finding).
+/// Compares `current` against `baseline` by walking the baseline's check
+/// declaration (see the header comment for the rules).
 CheckResult check(const util::JsonValue& baseline,
                   const util::JsonValue& current,
                   const CheckOptions& opt = {});

@@ -1,11 +1,11 @@
 #include "telemetry/report.hpp"
 
-#include <cmath>
 #include <fstream>
 #include <sstream>
 
 #include "core/isa.hpp"
 #include "sim/device.hpp"
+#include "telemetry/check.hpp"
 #include "telemetry/collectors.hpp"
 #include "util/json.hpp"
 #include "util/log.hpp"
@@ -15,27 +15,9 @@ namespace tl::telemetry {
 
 namespace {
 
-/// JSON number formatting: full double precision; non-finite values (not
-/// representable in JSON) become strings, like the tl-verify reports.
-std::string jnum(double v) {
-  if (!std::isfinite(v)) {
-    return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
-  }
-  return util::strf("%.17g", v);
-}
-
-std::string jstr(std::string_view s) {
-  // Built by append rather than operator+ chaining: GCC 12's -Wrestrict
-  // emits a false positive on the char* + string + char* concatenation
-  // once inlined into the larger to_json body at -O3.
-  std::string out;
-  std::string escaped = util::json_escape(s);
-  out.reserve(escaped.size() + 2);
-  out += '"';
-  out += escaped;
-  out += '"';
-  return out;
-}
+// Short names for the shared JSON scalar writers.
+constexpr auto& jnum = util::json_number;
+constexpr auto& jstr = util::json_quote;
 
 const char* jbool(bool b) { return b ? "true" : "false"; }
 
@@ -104,6 +86,19 @@ std::string ReportBuilder::to_json() const {
   std::ostringstream os;
   os << "{\n";
   os << "  \"schema\": " << jstr(kReportSchema) << ",\n";
+  CheckDecl checks = {
+      {"totals", {}, {"kernel_launches", "total_iterations"},
+       {"sim_seconds"}, {}},
+      {"kernels", {"name"}, {"count"}, {"total_ns"}, {}},
+      {"ranks", {"rank"}, {"halo_exchanges", "allreduces", "comm_bytes"},
+       {"exposed_ns"}, {"hidden_fraction"}},
+  };
+  if (!tenants_.empty()) {
+    checks.push_back({"tenants", {"tenant"},
+                      {"jobs", "failures", "iterations", "kernel_launches"},
+                      {"sim_seconds"}, {}});
+  }
+  os << checks_member(checks);
   os << "  \"source\": " << jstr(context_.source) << ",\n";
 
   os << "  \"context\": {\"model\": " << jstr(context_.model)

@@ -2,7 +2,9 @@
 // Measurement ingestion: turns the repo's committed measurement artifacts
 // into (SeriesKey -> sample points) sets the fitter consumes.
 //
-// Recognized inputs (auto-detected by CSV header or JSON schema/bench tag):
+// Recognized inputs (auto-detected by CSV header, by the tl-report-1
+// schema, or by the bench tag of a tl-bench-1 artifact; the artifacts'
+// "checks" declarations are ignored here):
 //   fig11_meshsweep.csv    model,device,nx,cells,seconds        (CG sweep)
 //   fig8/9/10 CSVs         model,solver,seconds,...             (4096^2 cells;
 //                          device inferred from the file name)

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -27,6 +28,22 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::string json_quote(std::string_view s) {
+  // Appended rather than built with operator+: GCC 12's -Wrestrict reports
+  // a false positive on char* + string + char* once it is inlined.
+  std::string out = "\"";
+  out += json_escape(s);
+  out += '"';
+  return out;
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) {
+    return v > 0 ? "\"inf\"" : (v < 0 ? "\"-inf\"" : "\"nan\"");
+  }
+  return strf("%.17g", v);
 }
 
 namespace {

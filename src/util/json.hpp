@@ -2,8 +2,9 @@
 // Minimal JSON document model + recursive-descent parser.
 //
 // The repo emits several machine-readable JSON artifacts (tl-verify reports,
-// BENCH_fusion.json, BENCH_overlap.json, tl-report-1 run reports) and the
-// tl_report CLI must read them back for analysis and regression checking.
+// tl-report-1 run reports, the tl-bench-1 BENCH_*.json artifacts,
+// tl-models-1 catalogs) and its tools read them back: tl_report for analysis
+// and regression checking, tl_plan for model fitting.
 // This is a deliberately small, strict parser: UTF-8 pass-through, doubles
 // for all numbers, objects keep their key order (so a parse -> serialize
 // roundtrip of our own deterministic writers is stable). It rejects
@@ -22,6 +23,13 @@ namespace tl::util {
 /// Escapes `s` for inclusion inside a JSON string literal (quotes not
 /// included). Shared by every JSON writer in the repo.
 std::string json_escape(std::string_view s);
+
+/// `s` as a JSON string literal, quotes included.
+std::string json_quote(std::string_view s);
+
+/// `v` at full double precision; non-finite values, which JSON cannot
+/// represent, become the strings "inf", "-inf" and "nan".
+std::string json_number(double v);
 
 class JsonValue {
  public:
@@ -51,6 +59,19 @@ class JsonValue {
   std::string get_string_or(std::string_view key,
                             std::string_view fallback) const;
   bool get_bool_or(std::string_view key, bool fallback) const;
+
+  /// Mutable counterparts, for doctoring a parsed document (negative-control
+  /// tests); same absence and kind rules as the const versions.
+  JsonValue* find(std::string_view key) {
+    return const_cast<JsonValue*>(std::as_const(*this).find(key));
+  }
+  std::vector<JsonValue>& as_array() {
+    return const_cast<std::vector<JsonValue>&>(std::as_const(*this).as_array());
+  }
+  std::vector<std::pair<std::string, JsonValue>>& as_object() {
+    return const_cast<std::vector<std::pair<std::string, JsonValue>>&>(
+        std::as_const(*this).as_object());
+  }
 
   // -- Construction (used by tests and doctoring helpers) -------------------
   static JsonValue make_null();

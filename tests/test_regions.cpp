@@ -30,6 +30,11 @@ struct RegionImpl {
   std::function<std::unique_ptr<core::SolverKernels>(const core::Mesh&)> make;
 };
 
+/// gtest prints the parameter into each test's listed name; without this it
+/// dumps the object's raw bytes, heap pointers included, so ctest entry names
+/// would change from build to build.
+void PrintTo(const RegionImpl& impl, std::ostream* os) { *os << impl.name; }
+
 std::vector<RegionImpl> region_impls() {
   std::vector<RegionImpl> out;
   out.push_back({"reference", [](const core::Mesh& m) {

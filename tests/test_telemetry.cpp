@@ -1,10 +1,14 @@
 // Telemetry battery: registry semantics (bucket boundaries, pooled
 // bit-identity), trace-event classification, report schema/determinism,
-// OpenMetrics rendering, and the tl_report regression-check policy.
+// OpenMetrics rendering, the tl_report regression-check policy, and the
+// negative controls of every check the committed artifacts declare.
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -26,6 +30,7 @@ namespace {
 using namespace tl;
 using telemetry::Histogram;
 using telemetry::MetricsRegistry;
+using telemetry::SectionChecks;
 using util::JsonValue;
 
 // -- Histogram ---------------------------------------------------------------
@@ -247,8 +252,13 @@ TEST(Report, JsonIsSchemaValidAndDeterministic) {
   const double peak = kernels->as_array()[0].get_number_or("peak_gbs", 0.0);
   const double ratio = kernels->as_array()[0].get_number_or("peak_ratio", -1);
   EXPECT_NEAR(ratio, gbs / peak, 1e-12);
-  // The document classifies as a run report for tl_report.
+  // The document classifies as a run report for tl_report and declares its
+  // checks; the tenants section is declared only when a service wrote one.
   EXPECT_EQ(telemetry::classify(parsed), telemetry::ArtifactKind::kRunReport);
+  const telemetry::CheckDecl decl = telemetry::parse_checks(parsed);
+  ASSERT_EQ(decl.size(), 3u);
+  EXPECT_EQ(decl[1].section, "kernels");
+  EXPECT_EQ(decl[1].key, std::vector<std::string>{"name"});
 }
 
 TEST(Report, OpenMetricsRenderingLints) {
@@ -318,15 +328,22 @@ TEST(Check, StructuralDriftIsExact) {
 
 TEST(Check, ArtifactKindMismatchIsARegression) {
   const JsonValue report = util::parse_json(small_report(1000.0).to_json());
-  const JsonValue fusion =
-      util::parse_json("{\"bench\": \"fusion\", \"cells\": []}");
-  EXPECT_EQ(telemetry::classify(fusion), telemetry::ArtifactKind::kBenchFusion);
+  const JsonValue fusion = util::parse_json(
+      "{\"schema\": \"tl-bench-1\", \"checks\": {\"cells\": {\"key\": "
+      "[\"model\"], \"slower\": [\"fused_seconds\"]}}, \"bench\": "
+      "\"fusion\", \"cells\": []}");
+  EXPECT_EQ(telemetry::classify(fusion), telemetry::ArtifactKind::kBench);
+  EXPECT_EQ(telemetry::artifact_name(fusion), "bench/fusion");
   EXPECT_FALSE(telemetry::check(report, fusion).pass());
+  EXPECT_TRUE(telemetry::check(fusion, fusion).pass());
 }
 
 TEST(Check, BenchOverlapHiddenFractionIsHigherIsBetter) {
   const char* base =
-      "{\"bench\": \"fig13_overlap\", \"mode\": \"full\", \"cells\": ["
+      "{\"schema\": \"tl-bench-1\", \"checks\": {\"cells\": {\"key\": "
+      "[\"scaling\", \"solver\", \"ranks\"], \"slower\": [\"blocking_s\", "
+      "\"overlap_s\"], \"higher\": [\"hidden_fraction\"]}}, "
+      "\"bench\": \"fig13_overlap\", \"mode\": \"full\", \"cells\": ["
       "{\"scaling\": \"strong\", \"solver\": \"CG\", \"ranks\": 8, "
       "\"blocking_s\": 10.0, \"blocking_comm_s\": 2.0, \"overlap_s\": 8.5, "
       "\"hidden_s\": 1.5, \"hidden_fraction\": 0.75}]}";
@@ -338,6 +355,156 @@ TEST(Check, BenchOverlapHiddenFractionIsHigherIsBetter) {
       telemetry::check(util::parse_json(base), util::parse_json(base)).pass());
   EXPECT_FALSE(
       telemetry::check(util::parse_json(base), util::parse_json(worse)).pass());
+}
+
+TEST(Check, MissingDeclaredFieldIsARegression) {
+  // A dropped metric must not read as zero: a deleted kernel total_ns would
+  // otherwise compare as "0 ns, improved".
+  const JsonValue baseline = util::parse_json(small_report(1000.0).to_json());
+  JsonValue dropped = baseline;
+  auto& row = dropped.find("kernels")->as_array()[0].as_object();
+  std::erase_if(row, [](const auto& m) { return m.first == "total_ns"; });
+  EXPECT_FALSE(telemetry::check(baseline, dropped).pass());
+  EXPECT_FALSE(telemetry::check(dropped, baseline).pass());
+}
+
+TEST(Check, DeclarationRoundTripsAndDriftIsARegression) {
+  const telemetry::CheckDecl decl = {
+      {".", {}, {"mode"}, {}, {}},
+      {"a.rows", {"k1", "k2"}, {"n"}, {"t"}, {"r"}}};
+  const JsonValue doc = util::parse_json(
+      "{\n  \"schema\": \"tl-bench-1\",\n" + telemetry::checks_member(decl) +
+      "  \"bench\": \"x\", \"mode\": \"m\", \"a\": {\"rows\": [{\"k1\": "
+      "\"p\", \"k2\": 2, \"n\": 1, \"t\": 1.0, \"r\": 1.0}]}\n}\n");
+  EXPECT_EQ(telemetry::parse_checks(doc), decl);
+  const telemetry::CheckResult self = telemetry::check(doc, doc);
+  EXPECT_TRUE(self.pass());
+  EXPECT_EQ(self.checked, 4);
+
+  JsonValue drifted = doc;
+  drifted.find("checks")->find("a.rows")->find("slower")->as_array().clear();
+  EXPECT_FALSE(telemetry::check(doc, drifted).pass());
+  JsonValue undeclared = doc;
+  undeclared.as_object().erase(undeclared.as_object().begin() + 1);
+  EXPECT_FALSE(telemetry::check(doc, undeclared).pass());
+  EXPECT_FALSE(telemetry::check(undeclared, doc).pass());
+}
+
+// -- Negative controls over the committed artifacts --------------------------
+
+JsonValue load_committed(const std::string& name) {
+  std::ifstream in(std::string(TLM_SOURCE_DIR) + "/" + name);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  return util::parse_json(buffer.str());
+}
+
+/// The row of a section that a negative control edits: the first whose
+/// `field` is a nonzero number, so both directions of a tolerance class are
+/// observable, else the first row.
+JsonValue& pick_row(JsonValue& doc, const SectionChecks& s,
+                    const std::string& field) {
+  auto* v = const_cast<JsonValue*>(telemetry::find_section(doc, s.section));
+  if (v->is_object()) return *v;
+  for (JsonValue& row : v->as_array()) {
+    const JsonValue* f = row.find(field);
+    if (f != nullptr && f->is_number() && f->as_number() != 0.0) return row;
+  }
+  return v->as_array().front();
+}
+
+/// `value` moved away from itself: numbers scaled by `factor` (or shifted
+/// when zero), strings and booleans changed.
+JsonValue moved(const JsonValue& value, double factor) {
+  if (value.is_string()) return JsonValue::make_string(value.as_string() + "~");
+  if (value.is_bool()) return JsonValue::make_bool(!value.as_bool());
+  const double v = value.as_number();
+  return JsonValue::make_number(v != 0.0 ? v * factor : factor - 1.0);
+}
+
+TEST(CommittedArtifacts, EveryDeclaredCheckFailsItsNegativeControl) {
+  // Lower bounds on each artifact's self-check count: a declaration that
+  // drops a field these artifacts are known to check falls below them.
+  const std::vector<std::pair<std::string, int>> artifacts = {
+      {"BENCH_fusion.json", 220},  {"BENCH_overlap.json", 72},
+      {"BENCH_service.json", 60},  {"BENCH_elastic.json", 26},
+      {"BENCH_plan.json", 46},     {"BENCH_report.json", 51}};
+  for (const auto& [name, parent_checked] : artifacts) {
+    SCOPED_TRACE(name);
+    const JsonValue committed = load_committed(name);
+    const telemetry::CheckDecl decl = telemetry::parse_checks(committed);
+    ASSERT_FALSE(decl.empty());
+    const telemetry::CheckResult self = telemetry::check(committed, committed);
+    EXPECT_TRUE(self.pass()) << telemetry::format_check(self);
+    EXPECT_GE(self.checked, parent_checked);
+    const std::string analysis = telemetry::analyze(committed);
+
+    for (const SectionChecks& s : decl) {
+      if (s.section == ".") {
+        for (const std::string& f : s.exact) {
+          EXPECT_NE(analysis.find(f + "="), std::string::npos) << f;
+        }
+      } else {
+        EXPECT_NE(analysis.find(s.section), std::string::npos) << s.section;
+      }
+      // The baseline is the committed artifact; `edit` perturbs one row of
+      // a copy, which is checked as the current artifact (or, swapped, as
+      // the baseline).
+      const auto passes = [&](const std::string& field, auto&& edit,
+                              bool as_baseline = false) {
+        JsonValue doc = committed;
+        edit(pick_row(doc, s, field));
+        return as_baseline ? telemetry::check(doc, committed).pass()
+                           : telemetry::check(committed, doc).pass();
+      };
+      const auto scale = [](const std::string& f, double factor) {
+        return [&f, factor](JsonValue& row) {
+          *row.find(f) = moved(*row.find(f), factor);
+        };
+      };
+      const auto erase = [](const std::string& f) {
+        return [&f](JsonValue& row) {
+          std::erase_if(row.as_object(),
+                        [&f](const auto& m) { return m.first == f; });
+        };
+      };
+      const std::vector<std::pair<std::string, std::vector<std::string>>>
+          classes = {{"key", s.key},
+                     {"exact", s.exact},
+                     {"slower", s.slower},
+                     {"higher", s.higher}};
+      std::set<std::string> declared;
+      for (const auto& [cls, fields] : classes) {
+        declared.insert(fields.begin(), fields.end());
+        for (const std::string& f : fields) {
+          SCOPED_TRACE(s.section + " " + f + " (" + cls + ")");
+          // Failing direction: a larger slower value, a smaller higher
+          // one, any change of an exact field or of a row key.
+          EXPECT_FALSE(passes(f, scale(f, cls == "higher" ? 0.5 : 2.0)));
+          if (cls == "slower" || cls == "higher") {
+            EXPECT_TRUE(passes(f, scale(f, cls == "higher" ? 2.0 : 0.5)));
+          }
+          EXPECT_FALSE(passes(f, erase(f)));
+          EXPECT_FALSE(passes(f, erase(f), /*as_baseline=*/true));
+        }
+      }
+      // Undeclared scalars are informational, and so is an added member.
+      JsonValue probe = committed;
+      for (const auto& [field, value] : pick_row(probe, s, "").as_object()) {
+        const bool tag = s.section == "." &&
+                         (field == "schema" || field == "bench");
+        if (declared.contains(field) || tag || value.is_object() ||
+            value.is_array() || value.is_null()) {
+          continue;
+        }
+        SCOPED_TRACE(s.section + " " + field + " (undeclared)");
+        EXPECT_TRUE(passes(field, scale(field, 2.0)));
+      }
+      EXPECT_TRUE(passes("", [](JsonValue& row) {
+        row.as_object().emplace_back("undeclared", JsonValue::make_number(1));
+      }));
+    }
+  }
 }
 
 TEST(Analyze, RunReportMentionsKernelsAndComm) {

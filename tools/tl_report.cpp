@@ -1,17 +1,19 @@
-// tl_report: run-report analysis and regression checking.
+// tl_report: analysis and regression checking of the repo's artifacts.
 //
 //   tl_report [--top=N] FILE...
-//       Analyze each artifact: top-N kernels with roofline ratios, per-rank
-//       comm exposure, fusion/overlap effectiveness. Accepts tl-report-1 run
-//       reports and the committed bench artifacts (BENCH_fusion.json,
-//       BENCH_overlap.json).
+//       Analyze each artifact. tl-report-1 run reports get the top-N kernels
+//       with roofline ratios, per-rank comm exposure and fusion/overlap
+//       effectiveness; every other section an artifact declares in its
+//       "checks" member (all the tl-bench-1 BENCH_*.json artifacts) is
+//       printed as a table.
 //
 //   tl_report --check --baseline=BASE [--rel-tol=0.10] CURRENT
-//       Regression gate: compare CURRENT against BASE (same artifact kind).
-//       Time-like metrics fail only when slower than baseline by more than
-//       the relative tolerance; launch/iteration counts and kernel/cell sets
-//       are exact (the simulated timeline is deterministic). Exits 0 on
-//       pass, 1 on regression, 2 on usage or parse errors.
+//       Regression gate: compare CURRENT against BASE by walking BASE's
+//       check declaration. Exact fields must match; slower fields fail only
+//       when larger than baseline by more than the relative tolerance,
+//       higher fields only when smaller; a row, field or declaration
+//       missing or changed on either side fails. Exits 0 on pass, 1 on
+//       regression, 2 on usage or parse errors.
 
 #include <cstdio>
 #include <fstream>
@@ -84,9 +86,7 @@ int main(int argc, char** argv) {
     const telemetry::CheckResult result =
         telemetry::check(baseline, current, opt);
     std::printf("check %s (%s) vs baseline %s\n", files[0].c_str(),
-                std::string(telemetry::artifact_kind_name(
-                                telemetry::classify(current)))
-                    .c_str(),
+                telemetry::artifact_name(current).c_str(),
                 baseline_path.c_str());
     std::fputs(telemetry::format_check(result).c_str(), stdout);
     return result.pass() ? 0 : 1;
