@@ -152,7 +152,7 @@ std::size_t halo_onedir_bytes(const comm::Tile& t, int halo_depth) {
 struct ProbeCounts {
   double halo_per_iter = 0.0;
   double allred_per_iter = 0.0;
-  /// Share of halo exchanges that ride the overlapped post/complete path
+  /// Share of halo exchanges whose charge the overlap metering defers
   /// (the depth-1 single-field exchanges feeding the solver kernels),
   /// measured on the real dist code path with tl_overlap_comm on.
   double overlapped_per_iter = 0.0;

@@ -4,7 +4,7 @@
 //   1. Simulated: every figure model on the paper's CPU (fig8) and GPU
 //      (fig9) devices runs each solver twice through the phantom metering
 //      pipeline — once with the classic kernel sequence (use_fused off) and
-//      once with the caps()-dispatched fused pipeline — and the per-cell
+//      once with the fused pipeline (use_fused on) — and the per-cell
 //      runtime/bandwidth pairs land in fig_fusion.csv plus the
 //      machine-readable BENCH_fusion.json (both golden-diffed in CI; only
 //      deterministic simulated numbers are written). Exits nonzero if ANY
@@ -382,7 +382,7 @@ int main(int argc, char** argv) {
   const int mesh = smoke ? bench::kSmokeMesh : bench::Harness::kConvergenceMesh;
   std::printf("== Fusion: fused vs unfused kernel pipelines ==\n"
               "(%dx%d simulated mesh%s; fused pipelines dispatched via "
-              "KernelCaps, identical solver logic)\n\n",
+              "use_fused, identical solver logic)\n\n",
               mesh, mesh, smoke ? " — SMOKE MODE" : "");
 
   bench::Harness harness(smoke ? bench::smoke_ladder() : std::vector<int>{});

@@ -1,6 +1,6 @@
 #include "comm/halo.hpp"
 
-#include <cassert>
+#include <array>
 #include <stdexcept>
 
 namespace tl::comm {
@@ -69,13 +69,12 @@ HaloExchanger::HaloExchanger(const BlockDecomposition& decomp, int rank,
           std::max(tile_.ny(), tile_.nx() + 2 * halo_depth));
   send_buf_.resize(max_strip);
   recv_buf_.resize(max_strip);
-  for (auto& buf : post_recv_bufs_) buf.resize(max_strip);
 }
 
 namespace {
-// Shared by exchange() and post(): a tag whose derived sub-tags would reach
-// the reserved collective range silently aliases collective traffic — turn
-// that into a diagnosable error up front.
+// Shared by both exchange entry points: a tag whose derived sub-tags would
+// reach the reserved collective range silently aliases collective traffic —
+// turn that into a diagnosable error up front.
 void check_tag_range(int tag) {
   if (tag < 0 || tag * 8 + 7 >= kCollectiveTagBase) {
     throw std::invalid_argument(
@@ -253,70 +252,6 @@ void HaloExchanger::exchange_reliable(FaultyComm& fc, Span2D<double> field,
   reflect_x_if_physical(field);
   phase(2);
   reflect_y_if_physical(field);
-}
-
-void HaloExchanger::post(Communicator& comm, Span2D<const double> field,
-                         int tag) {
-  if (pending_) {
-    throw std::logic_error(
-        "HaloExchanger::post: previous overlapped exchange not completed");
-  }
-  check_tag_range(tag);
-  constexpr int depth = 1;  // see header: corner staleness bounds us to 1
-  const std::size_t x_count = static_cast<std::size_t>(tile_.ny());
-  const std::size_t y_count = static_cast<std::size_t>(field.nx());
-  for (const Direction& d : kDirections) {
-    const std::size_t count = d.subtag < 2 ? x_count : y_count;
-    const int dest = tile_.neighbour_of(d.send_face);
-    const int source = tile_.neighbour_of(d.recv_face);
-    if (dest >= 0) {
-      // Sends are buffered, so one scratch buffer serves all four packs.
-      pack(field, d.send_face, depth, send_buf_);
-      comm.isend(std::span<const double>(send_buf_.data(), count), dest,
-                 tag * 8 + d.subtag);
-    }
-    auto& req = post_reqs_[static_cast<std::size_t>(d.subtag)];
-    if (source >= 0) {
-      auto& buf = post_recv_bufs_[static_cast<std::size_t>(d.subtag)];
-      req = comm.irecv(std::span<double>(buf.data(), count), source,
-                       tag * 8 + d.subtag);
-    } else {
-      req = CommRequest{};  // nothing to wait for on this side
-    }
-  }
-  pending_ = true;
-}
-
-void HaloExchanger::complete(Communicator& comm, Span2D<double> field) {
-  (void)comm;  // requests carry their own world handle
-  if (!pending_) {
-    throw std::logic_error(
-        "HaloExchanger::complete: no overlapped exchange pending");
-  }
-  constexpr int depth = 1;
-  // Receiver-side order matches exchange(): x faces, physical-x reflect,
-  // y faces, physical-y reflect (corner fill relies on it).
-  for (int i = 0; i < 2; ++i) {
-    const Direction& d = kDirections[i];
-    if (tile_.neighbour_of(d.recv_face) >= 0) {
-      auto& req = post_reqs_[static_cast<std::size_t>(d.subtag)];
-      req.wait();
-      unpack(field, d.recv_face, depth,
-             post_recv_bufs_[static_cast<std::size_t>(d.subtag)]);
-    }
-  }
-  reflect_x_if_physical(field);
-  for (int i = 2; i < 4; ++i) {
-    const Direction& d = kDirections[i];
-    if (tile_.neighbour_of(d.recv_face) >= 0) {
-      auto& req = post_reqs_[static_cast<std::size_t>(d.subtag)];
-      req.wait();
-      unpack(field, d.recv_face, depth,
-             post_recv_bufs_[static_cast<std::size_t>(d.subtag)]);
-    }
-  }
-  reflect_y_if_physical(field);
-  pending_ = false;
 }
 
 }  // namespace tl::comm

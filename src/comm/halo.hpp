@@ -8,7 +8,6 @@
 //   - HaloExchanger: pack/sendrecv/unpack across tile boundaries over a
 //     MiniComm communicator, for the decomposed (multi-rank) configuration.
 
-#include <array>
 #include <span>
 #include <vector>
 
@@ -37,6 +36,13 @@ class HaloExchanger {
   /// Exchanges `depth` (<= halo_depth) halo layers of `field` with the four
   /// neighbours and reflects physical faces. Collective across ranks: every
   /// rank owning a neighbouring tile must call exchange with the same tag.
+  ///
+  /// Tag scheme: message tag = tag * 8 + subtag, subtag 0 = left-edge data
+  /// moving left, 1 = right-edge data moving right, 2 = bottom-edge data
+  /// moving down, 3 = top-edge data moving up. Both exchange entry points
+  /// throw if tag * 8 + 7 reaches the reserved collective range
+  /// (comm::kCollectiveTagBase), so a runaway tag surfaces as an error
+  /// instead of a collective/halo match-up hang.
   void exchange(Communicator& comm, tl::util::Span2D<double> field, int depth,
                 int tag);
 
@@ -48,31 +54,6 @@ class HaloExchanger {
   /// unsurvivable.
   void exchange_reliable(FaultyComm& fc, tl::util::Span2D<double> field,
                          int depth, int tag);
-
-  /// Nonblocking half of the overlapped pipeline: packs all four faces,
-  /// posts buffered sends and nonblocking receives, and returns without
-  /// touching `field`'s halo. Finish with complete(). Only depth 1 is
-  /// supported: posting all four directions at once skips the x-then-y
-  /// corner relay of exchange(), so a receiver's corner-halo cells stay one
-  /// exchange stale — unobservable to a depth-1 five-point stencil (which
-  /// never reads corners), fatal to anything deeper, hence the hard throw.
-  ///
-  /// Tag scheme (shared with exchange()): message tag = tag * 8 + subtag,
-  /// subtag 0 = left-edge data moving left, 1 = right-edge data moving
-  /// right, 2 = bottom-edge data moving down, 3 = top-edge data moving up.
-  /// Both entry points throw if tag * 8 + 7 reaches the reserved collective
-  /// range (comm::kCollectiveTagBase), so a runaway tag surfaces as an
-  /// error instead of a collective/halo match-up hang.
-  void post(Communicator& comm, tl::util::Span2D<const double> field, int tag);
-
-  /// Waits for the receives posted by post(), unpacks them into `field`
-  /// (x faces, physical-x reflect, y faces, physical-y reflect — the same
-  /// receiver-side order as exchange()), and clears the pending state.
-  /// `field` must view the same storage that was packed by post().
-  void complete(Communicator& comm, tl::util::Span2D<double> field);
-
-  /// True between post() and complete().
-  bool pending() const noexcept { return pending_; }
 
   const Tile& tile() const noexcept { return tile_; }
 
@@ -88,11 +69,6 @@ class HaloExchanger {
   int halo_depth_;
   std::vector<double> send_buf_;
   std::vector<double> recv_buf_;
-  // Overlapped-exchange state: one persistent receive buffer + request per
-  // direction (indexed by the subtag order 0..3 documented at post()).
-  std::array<std::vector<double>, 4> post_recv_bufs_;
-  std::array<CommRequest, 4> post_reqs_;
-  bool pending_ = false;
 };
 
 }  // namespace tl::comm

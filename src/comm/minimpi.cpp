@@ -133,39 +133,6 @@ bool Communicator::try_recv(std::span<double> data, int source, int tag) {
   return world_->try_recv_impl(rank_, source, tag, data);
 }
 
-CommRequest Communicator::isend(std::span<const double> data, int dest,
-                                int tag) {
-  // Sends are buffered and never block, so the "nonblocking" send is
-  // complete by the time it returns — exactly MPI_Isend over an eager
-  // protocol with unlimited buffering.
-  world_->send_impl(rank_, dest, tag, data);
-  return CommRequest{};
-}
-
-CommRequest Communicator::irecv(std::span<double> data, int source, int tag) {
-  return CommRequest(world_, rank_, source, tag, data);
-}
-
-void Communicator::wait_all(std::span<CommRequest> reqs) {
-  for (CommRequest& r : reqs) r.wait();
-}
-
-// ---------------------------------------------------------------------------
-// CommRequest
-// ---------------------------------------------------------------------------
-
-bool CommRequest::test() {
-  if (done_) return true;
-  done_ = world_->try_recv_impl(rank_, source_, tag_, dest_);
-  return done_;
-}
-
-void CommRequest::wait() {
-  if (done_) return;
-  world_->recv_impl(rank_, source_, tag_, dest_);
-  done_ = true;
-}
-
 void Communicator::sendrecv(std::span<const double> send_data, int dest,
                             std::span<double> recv_data, int source, int tag) {
   // Sends are buffered (never block), so send-then-receive cannot deadlock.

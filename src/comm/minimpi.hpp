@@ -8,7 +8,10 @@
 // threads in one process. Each rank runs as a std::thread; mailboxes are
 // mutex+condvar protected queues. Semantics follow MPI's blocking point-to-
 // point model closely enough that the TeaLeaf halo-exchange driver code is
-// shaped exactly as it would be over real MPI.
+// shaped exactly as it would be over real MPI. Every operation blocks except
+// try_recv, the probe the fault-tolerant retry protocol polls with; the
+// overlapped halo exchange is a metering rule (dist/kernels.hpp), not a
+// nonblocking wire protocol.
 
 #include <chrono>
 #include <condition_variable>
@@ -33,47 +36,6 @@ class Communicator;
 /// collision with a collective surfaces as an error, not a hang.
 inline constexpr int kCollectiveTagBase = 1 << 24;
 
-/// Handle for a nonblocking operation. Obtained from Communicator::isend /
-/// Communicator::irecv; completed by wait()/test()/wait_all(). A request is
-/// single-owner and movable; completing it twice is a no-op (duplicate
-/// wait_all over the same span is safe). Default-constructed requests are
-/// already complete.
-///
-/// isend requests complete immediately (MiniComm sends are buffered and
-/// never block); irecv requests complete when a matching (source, tag)
-/// message has been copied into the destination span. wait() inherits the
-/// World's recv deadlock guard, so a mismatched-tag nonblocking exchange
-/// throws the same diagnosable timeout error as the blocking path.
-class CommRequest {
- public:
-  CommRequest() = default;
-
-  /// True once the operation has completed (payload delivered for irecv).
-  bool done() const noexcept { return done_; }
-
-  /// Nonblocking poll: attempts completion, returns done(). Out-of-order
-  /// completion is natural — matching is by (source, tag), so whichever
-  /// message has arrived can complete first regardless of post order.
-  bool test();
-
-  /// Blocks until complete (subject to the World's recv timeout guard).
-  void wait();
-
- private:
-  friend class Communicator;
-  CommRequest(World* world, int rank, int source, int tag,
-              std::span<double> dest)
-      : world_(world), rank_(rank), source_(source), tag_(tag), dest_(dest),
-        done_(false) {}
-
-  World* world_ = nullptr;
-  int rank_ = 0;
-  int source_ = 0;
-  int tag_ = 0;
-  std::span<double> dest_{};
-  bool done_ = true;
-};
-
 /// Per-rank handle passed to the rank body. Thread-compatible: each rank
 /// uses its own Communicator from its own thread.
 class Communicator {
@@ -86,21 +48,10 @@ class Communicator {
   void send(std::span<const double> data, int dest, int tag);
   void recv(std::span<double> data, int source, int tag);
 
-  /// Nonblocking variants. isend buffers the payload and returns an
-  /// already-complete request (symmetry with MPI_Isend; MiniComm sends
-  /// never block). irecv registers interest in a (source, tag) match; the
-  /// destination span must stay valid until the request completes.
-  CommRequest isend(std::span<const double> data, int dest, int tag);
-  CommRequest irecv(std::span<double> data, int source, int tag);
-
   /// Nonblocking probe-and-receive: delivers and returns true iff a
   /// matching (source, tag) message is already queued; never waits. The
   /// fault-tolerant retry protocol's receive phase is built on this.
   bool try_recv(std::span<double> data, int source, int tag);
-
-  /// Completes every request in `reqs` (blocking). Safe to call again on
-  /// the same span: already-complete requests are skipped.
-  static void wait_all(std::span<CommRequest> reqs);
 
   /// Exchange with two peers in one step (the halo-exchange primitive).
   /// Either peer may be kNoRank, in which case that direction is skipped.
@@ -159,7 +110,6 @@ class World {
 
  private:
   friend class Communicator;
-  friend class CommRequest;
 
   struct Message {
     int source;

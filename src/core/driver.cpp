@@ -2,7 +2,6 @@
 
 #include <stdexcept>
 
-#include "core/isa.hpp"
 #include "core/state_init.hpp"
 
 namespace tl::core {
@@ -25,11 +24,6 @@ Driver::Driver(const Settings& settings, std::unique_ptr<SolverKernels> kernels,
       kernels_(std::move(kernels)) {
   settings_.validate();
   if (!kernels_) throw std::invalid_argument("Driver: null kernels");
-  if (!settings_.force_isa.empty()) {
-    // validate() vetted the name; unavailable choices degrade to scalar
-    // inside the dispatcher rather than failing the run.
-    isa::force_isa(isa::parse_isa(settings_.force_isa));
-  }
   if (options.materialize_host_state) {
     chunk_.emplace(mesh_);
     apply_initial_states(*chunk_, settings_);

@@ -465,7 +465,7 @@ inline RowDots fused_w_row_dots_sse2(const double* __restrict p,
 // The unsuffixed dispatchers moved to the runtime ISA table: callers fetch
 // the active implementation set once per sweep via isa::active_row_table()
 // (core/isa.hpp), which selects scalar/SSE2/AVX2 by CPUID at first
-// use, overridable with TL_FORCE_ISA / Settings::force_isa. All entries of
+// use, overridable with TL_FORCE_ISA / isa::force_isa(). All entries of
 // every table are bit-identical to the `_scalar` functions above.
 
 }  // namespace tl::core::fused

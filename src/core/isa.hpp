@@ -6,8 +6,7 @@
 // and invoke its function pointers per row. The table is resolved once, at
 // first use, in priority order:
 //
-//   1. force_isa(...)        — programmatic override (Settings::force_isa,
-//                              threaded from the tl_force_isa deck key);
+//   1. force_isa(...)        — programmatic override (tests, bench_fusion);
 //   2. TL_FORCE_ISA          — environment override (scalar|sse2|avx2;
 //                              unparseable values fall back to detection);
 //   3. CPUID auto-detection  — widest ISA the CPU supports.
@@ -74,7 +73,7 @@ struct RowKernelTable {
 /// Canonical lower-case name ("scalar", "sse2", "avx2").
 const char* isa_name(Isa isa);
 
-/// Parses an ISA name (as accepted by TL_FORCE_ISA / tl_force_isa).
+/// Parses an ISA name (as accepted by TL_FORCE_ISA).
 std::optional<Isa> parse_isa(const std::string& name);
 
 /// True when this build can execute the given ISA on this CPU.

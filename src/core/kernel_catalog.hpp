@@ -36,9 +36,9 @@ enum class KernelId {
   kJacobiCopyU,   // w = u (previous iterate)
   kJacobiIterate, // u = (u0 + sum k * w_neighbours) / diag
   kHaloUpdate,    // boundary reflection / exchange of one field
-  // Fused variants (KernelCaps-gated). Appended after kHaloUpdate so the
-  // classic ids keep their values; each entry prices the *fused* stream
-  // counts, which is where the simulated bandwidth win comes from.
+  // Fused variants (dispatched under use_fused). Appended after kHaloUpdate
+  // so the classic ids keep their values; each entry prices the *fused*
+  // stream counts, which is where the simulated bandwidth win comes from.
   kCgCalcWFused,           // w = A p; pw, r.w, w.w                [reduction]
   kCgFusedUrP,             // u += a p; r -= a w; p = r + b p; rrn [reduction]
   kFusedResidualNorm,      // r = u0 - A u; rr = r.r               [reduction]

@@ -1,8 +1,8 @@
 #pragma once
 // SolverKernels: the contract every programming-model port implements.
 //
-// The solver drivers (cg.cpp, cheby.cpp, ppcg.cpp) contain the algorithmic
-// logic exactly once; a port supplies the kernel bodies in its model's API.
+// The solver drivers (core/solvers.cpp) contain the algorithmic logic
+// exactly once; a port supplies the kernel bodies in its model's API.
 // This mirrors the paper's methodology: "TeaLeaf's core solver logic and
 // parameters were kept consistent between ports to ensure that each of the
 // programming models were objectively compared."
@@ -39,56 +39,6 @@ struct FieldSummary {
 
 /// What calc_2norm measures.
 enum class NormTarget { kResidual, kRhs };
-
-/// Optional fused-kernel capabilities a port can advertise (bitmask returned
-/// by SolverKernels::caps()). The solver drivers dispatch a fused path only
-/// when the corresponding bit is set and fall back to the classic kernel
-/// sequence otherwise, so a port that advertises nothing keeps working
-/// unchanged.
-enum KernelCaps : unsigned {
-  kCapCgFused = 1u << 0,        // cg_calc_w_fused + cg_fused_ur_p
-  kCapResidualNorm = 1u << 1,   // fused_residual_norm
-  kCapChebyFused = 1u << 2,     // cheby_fused_iterate
-  kCapPpcgFused = 1u << 3,      // ppcg_fused_inner
-  kCapJacobiFused = 1u << 4,    // jacobi_fused_copy_iterate
-  kCapRegions = 1u << 5,        // region-parameterised sweeps (*_region)
-};
-/// Note: kCapRegions is deliberately NOT part of kAllKernelCaps. The fused
-/// bits describe what the solver drivers may call on a single chunk; the
-/// regions bit is a distributed-overlap capability that individual ports opt
-/// into (reference + omp3 today). Ports without it automatically fall back
-/// to full-sweep kernels behind a blocking halo exchange.
-inline constexpr unsigned kAllKernelCaps = kCapCgFused | kCapResidualNorm |
-                                           kCapChebyFused | kCapPpcgFused |
-                                           kCapJacobiFused;
-
-/// Sub-domain of a tile's interior for the region-parameterised sweeps
-/// (kCapRegions). The interior region is inset one cell from every interior
-/// edge, so it reads no halo data and can run while a depth-1 halo exchange
-/// is still in flight; the four edge regions form the one-deep boundary ring
-/// that runs after the exchange completes. In padded coordinates with halo
-/// depth h and interior nx x ny:
-///   kInterior: x in [h+1, h+nx-1), y in [h+1, h+ny-1)
-///   kSouth:    y = h,        x in [h, h+nx)
-///   kNorth:    y = h+ny-1,   x in [h, h+nx)      (empty when ny < 2)
-///   kWest:     x = h,        y in [h+1, h+ny-1)
-///   kEast:     x = h+nx-1,   y in [h+1, h+ny-1)  (empty when nx < 2)
-/// The five regions partition the interior exactly (each cell visited once)
-/// for any nx, ny >= 1 — including 1-cell-tall tiles and rings wider than
-/// the interior.
-enum class Region { kInterior, kSouth, kNorth, kWest, kEast };
-
-/// The edge regions, in the fixed sweep order the distributed pipeline uses.
-inline constexpr Region kEdgeRegions[4] = {Region::kSouth, Region::kNorth,
-                                           Region::kWest, Region::kEast};
-
-/// Half-open cell range of `region` (see the geometry table above). Empty
-/// ranges (x0 >= x1 or y0 >= y1) are valid and mean "no cells".
-struct RegionBounds {
-  int x0 = 0, x1 = 0, y0 = 0, y1 = 0;
-  bool empty() const noexcept { return x0 >= x1 || y0 >= y1; }
-};
-RegionBounds region_bounds(Region region, int halo_depth, int nx, int ny);
 
 /// The two dot products a fused w = A p sweep produces in one pass. The
 /// solver also needs r.w to predict the next residual norm, but CG's
@@ -153,68 +103,42 @@ class SolverKernels {
   /// u = (u0 + kx(x+1) w(x+1) + kx w(x-1) + ky(y+1) w(y+1) + ky w(y-1)) / diag.
   virtual void jacobi_iterate() = 0;
 
-  // -- Fused kernels (optional; gated by caps()) -----------------------------
+  // -- Fused kernels ---------------------------------------------------------
   // Each fused method is algebraically identical to a fixed sequence of the
-  // classic kernels above but streams the fields fewer times. The defaults
-  // throw: the solver must never call one unless the matching caps() bit is
-  // advertised (tests/test_fusion.cpp asserts exactly that).
-
-  /// Bitmask of KernelCaps this port supports. Default: none.
-  virtual unsigned caps() const { return 0; }
+  // classic kernels above but streams the fields fewer times. Every kernel
+  // set implements them; Settings::use_fused picks the path.
 
   /// w = A p, returning p.w plus the extra dot w.w that lets the solver
   /// predict rrn before updating r (one sweep instead of sweep + two extra
   /// reduction passes).
-  virtual CgFusedW cg_calc_w_fused();
+  virtual CgFusedW cg_calc_w_fused() = 0;
 
   /// u += alpha p; r -= alpha w; p = r + beta_prev p, in one sweep.
   /// Returns rrn = r.r (the directly summed norm of the new residual).
-  virtual double cg_fused_ur_p(double alpha, double beta_prev);
+  virtual double cg_fused_ur_p(double alpha, double beta_prev) = 0;
 
   /// r = u0 - A u and rr = r.r in one pass (calc_residual + calc_2norm).
-  virtual double fused_residual_norm();
+  virtual double fused_residual_norm() = 0;
 
   /// cheby_iterate's three logical sweeps (residual, p-recurrence, u-update)
   /// collapsed so each field is streamed once.
-  virtual void cheby_fused_iterate(double alpha, double beta);
+  virtual void cheby_fused_iterate(double alpha, double beta) = 0;
 
   /// ppcg_inner's sweeps (u/r update + sd recurrence) fused likewise.
-  virtual void ppcg_fused_inner(double alpha, double beta);
+  virtual void ppcg_fused_inner(double alpha, double beta) = 0;
 
   /// jacobi_copy_u + jacobi_iterate without materialising the copy sweep.
-  virtual void jacobi_fused_copy_iterate();
+  virtual void jacobi_fused_copy_iterate() = 0;
 
-  // -- Region sweeps (optional; gated by caps() & kCapRegions) ---------------
-  // Split forms of the matrix-powers sweeps for comm/compute overlap: the
-  // distributed decorator calls the kInterior region while a depth-1 halo
-  // exchange is in flight, completes the exchange, sweeps the four edge
-  // regions (in kEdgeRegions order), then calls the matching *_finish to
-  // produce the kernel's reductions / deferred updates. A port MUST make the
-  // split bit-identical to the corresponding full-sweep kernel: identical
-  // per-cell arithmetic, and reductions recomputed in the full sweep's exact
-  // accumulation order once all cells are written (never combined by region
-  // completion order). Defaults throw, mirroring the fused kernels.
-
-  /// w = A p over `region` (field update only; no reduction).
-  virtual void cg_calc_w_region(Region region);
-  /// pw = p.w recomputed over the full interior (classic cg_calc_w's order).
-  virtual double cg_calc_w_region_finish();
-  /// Same sweep as cg_calc_w_region; paired with the fused finish.
-  virtual void cg_calc_w_fused_region(Region region);
-  /// {pw, ww} recomputed in cg_calc_w_fused's exact accumulation order.
-  virtual CgFusedW cg_calc_w_fused_region_finish();
-  /// cheby_fused_iterate's sweep over `region` (deferred u-swap in finish).
-  virtual void cheby_fused_region(double alpha, double beta, Region region);
-  virtual void cheby_fused_region_finish();
-  /// ppcg_fused_inner's sweep over `region` (deferred sd-swap in finish).
-  virtual void ppcg_fused_region(double alpha, double beta, Region region);
-  virtual void ppcg_fused_region_finish(double alpha, double beta);
-  /// jacobi_fused_copy_iterate split: the kInterior call performs the
-  /// ping-pong swap (old u becomes w) before sweeping, so the in-flight
-  /// exchange must target the pre-swap u storage (the distributed decorator
-  /// captures the field view at post time).
-  virtual void jacobi_fused_region(Region region);
-  virtual void jacobi_fused_region_finish();
+  // -- Overlapped halo exchange (optional) -----------------------------------
+  /// True when this kernel set's simulated timeline hides an in-flight
+  /// depth-1 halo exchange behind the consuming kernel. The distributed
+  /// decorator then splits that kernel's one launch record around the
+  /// exchange's charge (SimClock::split_next_launch), so only the wire time
+  /// not covered by the interior share is exposed. A metering rule only:
+  /// numerics are identical either way. Default: false (the exchange is
+  /// charged in full before the kernel).
+  virtual bool overlaps_comm() const { return false; }
 
   // -- Elastic per-row reductions (optional) ---------------------------------
   // The elastic distributed mode (Settings::elastic) needs reductions whose

@@ -67,11 +67,10 @@ class PhantomKernels final : public SolverKernels {
   void jacobi_copy_u() override { charge(KernelId::kJacobiCopyU); }
   void jacobi_iterate() override;
 
-  // The replay must follow the same control flow as a live fused run, so the
-  // phantom advertises every capability and scripts the fused returns to
-  // reproduce the classic scripted values (pw=1, rw=0.5, ww=1 keeps the
-  // solver's predicted beta at 1, matching the classic alpha/beta=1 replay).
-  unsigned caps() const override { return kAllKernelCaps; }
+  // The replay follows the same control flow as a live fused run: the fused
+  // returns are scripted to reproduce the classic scripted values (pw=1,
+  // rw=0.5, ww=1 keeps the solver's predicted beta at 1, matching the
+  // classic alpha/beta=1 replay).
   CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double, double) override;
   double fused_residual_norm() override;

@@ -700,188 +700,4 @@ void ReferenceKernels::jacobi_fused_copy_iterate() {
       tile_rows(5));
 }
 
-// ---------------------------------------------------------------------------
-// Region sweeps (kCapRegions): the fused kernels split for comm/compute
-// overlap. Each region sweep repeats the corresponding full sweep's per-cell
-// arithmetic verbatim over a sub-range, so the written field values carry
-// identical bits; the finish methods then recompute any reductions in the
-// full sweep's exact accumulation order (four positional chains per row,
-// pairwise tree over rows), making interior+edges+finish indistinguishable
-// from one full sweep no matter when the halo exchange completed.
-// ---------------------------------------------------------------------------
-
-void ReferenceKernels::cg_calc_w_region(Region region) {
-  const RegionBounds b =
-      region_bounds(region, mesh_.halo_depth, mesh_.nx, mesh_.ny);
-  if (b.empty()) return;
-  const auto p = chunk_.field(FieldId::kP);
-  const auto kx = chunk_.field(FieldId::kKx);
-  const auto ky = chunk_.field(FieldId::kKy);
-  auto w = chunk_.field(FieldId::kW);
-  for (int y = b.y0; y < b.y1; ++y) {
-    for (int x = b.x0; x < b.x1; ++x) {
-      w(x, y) = ref::apply_stencil(p, kx, ky, x, y);
-    }
-  }
-}
-
-double ReferenceKernels::cg_calc_w_region_finish() {
-  // Classic cg_calc_w accumulates pw serially in row-major order; reading
-  // the stored w back gives the same doubles the sweep produced.
-  const int h = mesh_.halo_depth;
-  const auto p = chunk_.field(FieldId::kP);
-  const auto w = chunk_.field(FieldId::kW);
-  double pw = 0.0;
-  for (int y = h; y < h + mesh_.ny; ++y) {
-    for (int x = h; x < h + mesh_.nx; ++x) pw += w(x, y) * p(x, y);
-  }
-  return pw;
-}
-
-void ReferenceKernels::cg_calc_w_fused_region(Region region) {
-  // Same per-cell w as fused_w_row (each lane evaluates stencil_at, which is
-  // apply_stencil's association); only the dots differ, and those are the
-  // finish method's job.
-  cg_calc_w_region(region);
-}
-
-CgFusedW ReferenceKernels::cg_calc_w_fused_region_finish() {
-  const int h = mesh_.halo_depth;
-  const int nx = mesh_.nx;
-  const std::size_t width = static_cast<std::size_t>(mesh_.padded_nx());
-  const double* p_ = data(FieldId::kP);
-  const double* w_ = data(FieldId::kW);
-  row_a_.assign(static_cast<std::size_t>(mesh_.ny), 0.0);
-  row_b_.assign(static_cast<std::size_t>(mesh_.ny), 0.0);
-  const isa::RowKernelTable& t = *isa::active_row_table();
-  for (int y = h; y < h + mesh_.ny; ++y) {
-    const std::size_t b = static_cast<std::size_t>(y) * width +
-                          static_cast<std::size_t>(h);
-    const fused::RowDots dots =
-        t.w_row_dots(p_, w_, b, b + static_cast<std::size_t>(nx));
-    const std::size_t slot = static_cast<std::size_t>(y - h);
-    row_a_[slot] = dots.pw;
-    row_b_[slot] = dots.ww;
-  }
-  CgFusedW out;
-  out.pw = pairwise_sum(row_a_.data(), mesh_.ny);
-  out.ww = pairwise_sum(row_b_.data(), mesh_.ny);
-  return out;
-}
-
-void ReferenceKernels::cheby_fused_region(double alpha, double beta,
-                                          Region region) {
-  const RegionBounds bd =
-      region_bounds(region, mesh_.halo_depth, mesh_.nx, mesh_.ny);
-  if (bd.empty()) return;
-  const std::size_t width = static_cast<std::size_t>(mesh_.padded_nx());
-  const double* __restrict u = data(FieldId::kU);
-  const double* __restrict u0 = data(FieldId::kU0);
-  const double* __restrict kx = data(FieldId::kKx);
-  const double* __restrict ky = data(FieldId::kKy);
-  double* __restrict r = data(FieldId::kR);
-  double* __restrict p = data(FieldId::kP);
-  double* __restrict un = data(FieldId::kW);
-  const double a = alpha, bt = beta;
-  // Per-cell body copied from cheby_fused_iterate: reads u (old iterate) at
-  // the stencil points, writes r/p at the own cell and the new u into the w
-  // scratch — regions never read each other's writes.
-  for (int y = bd.y0; y < bd.y1; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width;
-    const std::size_t b = row + static_cast<std::size_t>(bd.x0);
-    const std::size_t e = row + static_cast<std::size_t>(bd.x1);
-    for (std::size_t i = b; i < e; ++i) {
-      const double kxl = kx[i], kxr = kx[i + 1];
-      const double kyb = ky[i], kyt = ky[i + width];
-      const double au = (1.0 + kxl + kxr + kyb + kyt) * u[i] -
-                        kxr * u[i + 1] - kxl * u[i - 1] -
-                        kyt * u[i + width] - kyb * u[i - width];
-      const double res = u0[i] - au;
-      r[i] = res;
-      const double pn = a * p[i] + bt * res;
-      p[i] = pn;
-      un[i] = u[i] + pn;
-    }
-  }
-}
-
-void ReferenceKernels::cheby_fused_region_finish() {
-  chunk_.swap_fields(FieldId::kU, FieldId::kW);
-}
-
-void ReferenceKernels::ppcg_fused_region(double alpha, double beta,
-                                         Region region) {
-  const RegionBounds bd =
-      region_bounds(region, mesh_.halo_depth, mesh_.nx, mesh_.ny);
-  if (bd.empty()) return;
-  const std::size_t width = static_cast<std::size_t>(mesh_.padded_nx());
-  const double* __restrict sd = data(FieldId::kSd);
-  const double* __restrict kx = data(FieldId::kKx);
-  const double* __restrict ky = data(FieldId::kKy);
-  double* __restrict u = data(FieldId::kU);
-  double* __restrict r = data(FieldId::kR);
-  double* __restrict sn = data(FieldId::kW);
-  const double a = alpha, bt = beta;
-  // Per-cell body copied from ppcg_fused_inner: the stencil reads the old sd
-  // (untouched — the new sd goes into the w scratch until the finish swap).
-  for (int y = bd.y0; y < bd.y1; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width;
-    const std::size_t b = row + static_cast<std::size_t>(bd.x0);
-    const std::size_t e = row + static_cast<std::size_t>(bd.x1);
-    for (std::size_t i = b; i < e; ++i) {
-      const double kxl = kx[i], kxr = kx[i + 1];
-      const double kyb = ky[i], kyt = ky[i + width];
-      const double asd = (1.0 + kxl + kxr + kyb + kyt) * sd[i] -
-                         kxr * sd[i + 1] - kxl * sd[i - 1] -
-                         kyt * sd[i + width] - kyb * sd[i - width];
-      const double rn = r[i] - asd;
-      r[i] = rn;
-      u[i] += sd[i];
-      sn[i] = a * sd[i] + bt * rn;
-    }
-  }
-}
-
-void ReferenceKernels::ppcg_fused_region_finish(double, double) {
-  chunk_.swap_fields(FieldId::kSd, FieldId::kW);
-}
-
-void ReferenceKernels::jacobi_fused_region(Region region) {
-  // The kInterior call must come first: it performs the ping-pong swap that
-  // turns the old u into w (see jacobi_fused_copy_iterate). The interior
-  // region is inset one cell from every interior edge, so its stencil never
-  // reads w's halo — the in-flight exchange (which targets the pre-swap u
-  // storage, i.e. the current w) only has to land before the edge sweeps.
-  if (region == Region::kInterior) {
-    chunk_.swap_fields(FieldId::kU, FieldId::kW);
-  }
-  const RegionBounds bd =
-      region_bounds(region, mesh_.halo_depth, mesh_.nx, mesh_.ny);
-  if (bd.empty()) return;
-  const std::size_t width = static_cast<std::size_t>(mesh_.padded_nx());
-  const double* __restrict u0 = data(FieldId::kU0);
-  const double* __restrict w = data(FieldId::kW);
-  const double* __restrict kx = data(FieldId::kKx);
-  const double* __restrict ky = data(FieldId::kKy);
-  double* __restrict u = data(FieldId::kU);
-  for (int y = bd.y0; y < bd.y1; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width;
-    const std::size_t b = row + static_cast<std::size_t>(bd.x0);
-    const std::size_t e = row + static_cast<std::size_t>(bd.x1);
-    for (std::size_t i = b; i < e; ++i) {
-      const double kxl = kx[i], kxr = kx[i + 1];
-      const double kyb = ky[i], kyt = ky[i + width];
-      const double diag = 1.0 + kxl + kxr + kyb + kyt;
-      u[i] = (u0[i] + kxr * w[i + 1] + kxl * w[i - 1] +
-              kyt * w[i + width] + kyb * w[i - width]) /
-             diag;
-    }
-  }
-}
-
-void ReferenceKernels::jacobi_fused_region_finish() {
-  // Nothing deferred: the swap happened at kInterior and there is no
-  // reduction. Present for pipeline symmetry.
-}
-
 }  // namespace tl::core

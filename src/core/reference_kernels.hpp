@@ -7,10 +7,10 @@
 // it in the unit tests.
 //
 // The classic kernels stay deliberately simple (readable double loops over
-// spans). The caps()-advertised fused kernels are the measured hot path:
-// cache-blocked row tiles swept through a HostPool with raw-pointer,
-// lane-split inner loops, and reductions sliced per row and combined by a
-// pairwise tree in row order — bit-identical for any pool thread count.
+// spans). The fused kernels are the measured hot path: cache-blocked row
+// tiles swept through a HostPool with raw-pointer, lane-split inner loops,
+// and reductions sliced per row and combined by a pairwise tree in row
+// order — bit-identical for any pool thread count.
 
 #include <vector>
 
@@ -45,9 +45,6 @@ class ReferenceKernels final : public SolverKernels {
   void jacobi_copy_u() override;
   void jacobi_iterate() override;
 
-  unsigned caps() const override {
-    return kAllKernelCaps | kCapRegions;
-  }
   CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;
@@ -55,20 +52,10 @@ class ReferenceKernels final : public SolverKernels {
   void ppcg_fused_inner(double alpha, double beta) override;
   void jacobi_fused_copy_iterate() override;
 
-  // Region sweeps for the overlapped halo pipeline (kCapRegions). Sweeps run
-  // serially (the oracle meters nothing); reductions are recomputed in the
-  // full-sweep kernels' exact accumulation order once every region has been
-  // written, so interior+edges+finish is bit-identical to one full sweep.
-  void cg_calc_w_region(Region region) override;
-  double cg_calc_w_region_finish() override;
-  void cg_calc_w_fused_region(Region region) override;
-  CgFusedW cg_calc_w_fused_region_finish() override;
-  void cheby_fused_region(double alpha, double beta, Region region) override;
-  void cheby_fused_region_finish() override;
-  void ppcg_fused_region(double alpha, double beta, Region region) override;
-  void ppcg_fused_region_finish(double alpha, double beta) override;
-  void jacobi_fused_region(Region region) override;
-  void jacobi_fused_region_finish() override;
+  // Meters nothing, so an armed launch split never fires and an overlapped
+  // exchange settles with nothing hidden; advertised so a decomposed
+  // reference run takes the same path as the metered omp3 port.
+  bool overlaps_comm() const override { return true; }
 
   void read_u(tl::util::Span2D<double> out) override;
   void download_energy(Chunk& chunk) override;

@@ -41,7 +41,6 @@ Settings Settings::from_config(const tl::util::IniConfig& cfg) {
   s.use_fused = cfg.get_bool_or("tl_use_fused", s.use_fused);
   s.overlap_comm = cfg.get_bool_or("tl_overlap_comm", s.overlap_comm);
   s.elastic = cfg.get_bool_or("tl_elastic", s.elastic);
-  s.force_isa = cfg.get_or("tl_force_isa", s.force_isa);
 
   if (cfg.get_bool_or("tl_use_jacobi", false)) s.solver = SolverKind::kJacobi;
   if (cfg.get_bool_or("tl_use_cg", false)) s.solver = SolverKind::kCg;
@@ -100,11 +99,6 @@ void Settings::validate() const {
   }
   if (cg_prep_iters < 2) {
     throw std::invalid_argument("Settings: need >= 2 CG prep iterations");
-  }
-  if (!force_isa.empty() && force_isa != "scalar" && force_isa != "sse2" &&
-      force_isa != "avx2") {
-    throw std::invalid_argument(
-        "Settings: tl_force_isa must be scalar|sse2|avx2");
   }
   if (states.empty()) throw std::invalid_argument("Settings: no states");
 }

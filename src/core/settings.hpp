@@ -65,18 +65,14 @@ struct Settings {
   int ppcg_inner_steps = 10;
   int check_interval = 20;  // Chebyshev true-residual check cadence
   double eigen_safety = 0.10;  // widen the estimated spectrum by this factor
-  bool use_fused = true;    // dispatch caps()-advertised fused kernels
-  bool overlap_comm = true;  // overlap halo exchange with interior compute
-                             // (multi-rank, regions-capable ports only)
+  bool use_fused = true;    // dispatch the fused kernels
+  bool overlap_comm = true;  // hide halo wire time behind interior compute
+                             // (multi-rank; ports with overlaps_comm())
   bool elastic = false;  // rank-count-invariant numerics: per-row reductions
                          // folded over the global row order, row-strip
                          // decomposition. Forces the classic (non-fused,
                          // non-overlapped) path; needed for checkpoints that
                          // resume into a different rank count bit-for-bit.
-  std::string force_isa;  // "" = auto (TL_FORCE_ISA env, then CPUID);
-                          // "scalar"|"sse2"|"avx2" pins the fused
-                          // row-kernel ISA (tl_force_isa deck key). All ISAs
-                          // are bit-identical, so this only changes speed.
 
   // Initial states: states[0] is the background (whole domain); later
   // entries paint rectangles over it.

@@ -19,11 +19,6 @@ EigenEstimate clamp_spectrum(EigenEstimate e) {
   return e;
 }
 
-/// True when the solver may take the fused path guarded by `cap`.
-bool want_fused(const SolverKernels& k, const SolveOptions& opt, unsigned cap) {
-  return opt.use_fused && (k.caps() & cap) != 0;
-}
-
 struct FusedCgIter {
   double alpha = 0.0;
   double beta = 0.0;
@@ -56,7 +51,7 @@ FusedCgIter fused_cg_iter(SolverKernels& k, double rro, const CgFusedW& wf) {
 double cg_bootstrap(SolverKernels& k, const SolveOptions& opt, int prep,
                     SolveStats& stats, std::vector<double>& alphas,
                     std::vector<double>& betas) {
-  const bool fused = want_fused(k, opt, kCapCgFused);
+  const bool fused = opt.use_fused;
   double rro = k.cg_init();
   stats.initial_rr = rro;
   stats.rr_history.push_back(rro);
@@ -96,7 +91,7 @@ double cg_bootstrap(SolverKernels& k, const SolveOptions& opt, int prep,
 
 /// r = u0 - A u and its squared norm: one pass on ports that fuse it.
 double residual_norm(SolverKernels& k, const SolveOptions& opt) {
-  if (want_fused(k, opt, kCapResidualNorm)) return k.fused_residual_norm();
+  if (opt.use_fused) return k.fused_residual_norm();
   k.calc_residual();
   return k.calc_2norm(NormTarget::kResidual);
 }
@@ -117,7 +112,7 @@ SolveStats solve_cg(SolverKernels& k, const SolveOptions& opt) {
   }
   k.halo_update(kMaskP, 1);
 
-  const bool fused = want_fused(k, opt, kCapCgFused);
+  const bool fused = opt.use_fused;
   for (int it = 0; it < opt.max_iters; ++it) {
     double rrn = 0.0;
     if (fused) {
@@ -168,7 +163,7 @@ SolveStats solve_cheby(SolverKernels& k, const SolveOptions& opt) {
   k.halo_update(kMaskU, 1);
   ++stats.iterations;
 
-  const bool fused = want_fused(k, opt, kCapChebyFused);
+  const bool fused = opt.use_fused;
   for (int it = 0; it < opt.max_iters && stats.iterations < opt.max_iters;
        ++it) {
     const double a = coef.alphas[static_cast<std::size_t>(it)];
@@ -223,7 +218,7 @@ SolveStats solve_ppcg(SolverKernels& k, const SolveOptions& opt) {
   // fused u/r/p sweep does not apply, and the extra dot products of the
   // fused w sweep would be wasted streams. The fused win for PPCG is the
   // bootstrap (above) and the inner smoothing (below).
-  const bool fused_inner = want_fused(k, opt, kCapPpcgFused);
+  const bool fused_inner = opt.use_fused;
   for (int it = 0; it < opt.max_iters; ++it) {
     const double pw = k.cg_calc_w();
     if (pw == 0.0) throw std::runtime_error("PPCG breakdown: p.Ap == 0");
@@ -286,7 +281,7 @@ SolveStats solve_jacobi(SolverKernels& k, const SolveOptions& opt) {
     return stats;
   }
 
-  const bool fused = want_fused(k, opt, kCapJacobiFused);
+  const bool fused = opt.use_fused;
   for (int it = 0; it < opt.max_iters; ++it) {
     if (fused) {
       k.jacobi_fused_copy_iterate();

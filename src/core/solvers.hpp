@@ -21,9 +21,9 @@ struct SolveOptions {
   int ppcg_inner_steps = 10;
   int check_interval = 20;  // Chebyshev residual-check cadence
   double eigen_safety = 0.10;
-  /// Dispatch the fused kernel paths for ports that advertise them via
-  /// SolverKernels::caps(). Off forces the classic kernel sequence even on
-  /// capable ports (the fused-vs-unfused bench and tests use this).
+  /// Dispatch the fused kernel paths (every kernel set implements them).
+  /// Off forces the classic kernel sequence (the fused-vs-unfused bench and
+  /// tests use this).
   bool use_fused = true;
 
   static SolveOptions from_settings(const Settings& s) {
@@ -55,7 +55,7 @@ struct SolveStats {
   /// replay needs this to reproduce the control flow exactly.
   bool converged_on_ur = false;
   /// Dispatch accounting for telemetry: iterations (outer, plus PPCG inner
-  /// smoothing steps) that ran a caps()-advertised fused kernel path vs. the
+  /// smoothing steps) that ran a fused kernel path vs. the
   /// classic kernel sequence. Purely observational — the conformance checker
   /// compares rr_history/control flow, never these.
   int fused_iterations = 0;

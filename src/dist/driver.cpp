@@ -105,8 +105,9 @@ DistributedDriver::DistributedDriver(const core::Settings& settings,
         "DistributedDriver: decomposition does not match settings");
   }
   if (settings_.elastic) {
-    // The elastic fold is defined over whole rows in global order; fused and
-    // overlapped paths would reorder the accumulation, so force them off.
+    // The elastic fold is defined over whole rows in global order; fused
+    // paths would reorder the accumulation, so force them off. Overlap goes
+    // off too: elastic runs charge every exchange in full.
     settings_.use_fused = false;
     settings_.overlap_comm = false;
     if (!decomp_.row_strips()) {

@@ -22,15 +22,15 @@ constexpr std::array<std::pair<unsigned, core::FieldId>, 6> kMaskFields = {{
     {core::kMaskEnergy0, core::FieldId::kEnergy0},
 }};
 
-// Tag scheme: exchange_field/try_post consume one rolling tag per field
-// exchange, and HaloExchanger derives the wire tag as tag * 8 + subtag with
+// Tag scheme: exchange_field consumes one rolling tag per field exchange,
+// and HaloExchanger derives the wire tag as tag * 8 + subtag with
 // subtag in [0, 4) — 0 left-edge data moving left, 1 right-edge moving
 // right, 2 bottom moving down, 3 top moving up (see comm/halo.hpp). The
 // modulus keeps every derived wire tag strictly below MiniComm's reserved
 // collective tag base, so a mismatched halo tag can never alias a
 // barrier/allreduce message: it surfaces as a stuck recv (the deadlock-guard
-// timeout throws) in both the blocking and the nonblocking path, never as
-// silent data corruption. The static_assert pins the comment to the code.
+// timeout throws), never as silent data corruption. The static_assert pins
+// the comment to the code.
 constexpr int kTagModulus = 1 << 20;
 static_assert(static_cast<long long>(kTagModulus) * 8 <=
                   comm::kCollectiveTagBase,
@@ -53,6 +53,16 @@ constexpr double kPerturbFactor = 1.0 + 1e-3;
 constexpr double kPerturbOffset = 1e-3;
 
 double perturb(double x) { return x * kPerturbFactor + kPerturbOffset; }
+
+/// Share of a tile's cells that no depth-1 halo value reaches through a
+/// five-point stencil: the compute an in-flight exchange can hide behind.
+double interior_fraction(const comm::Tile& tile) {
+  const int nx = tile.nx();
+  const int ny = tile.ny();
+  if (nx <= 2 || ny <= 2) return 0.0;
+  return (static_cast<double>(nx - 2) * static_cast<double>(ny - 2)) /
+         (static_cast<double>(nx) * static_cast<double>(ny));
+}
 
 /// In-place pairwise tree fold over `n` row partials — the same tree the
 /// ports fold locally, here applied to the *global* row vector so the result
@@ -79,7 +89,8 @@ DistributedKernels::DistributedKernels(
       net_(&net),
       nranks_(decomp.nranks()),
       halo_depth_(halo_depth),
-      overlap_(overlap_comm) {
+      overlap_(overlap_comm),
+      interior_fraction_(interior_fraction(exchanger_.tile())) {
   if (!inner_) throw std::invalid_argument("DistributedKernels: null inner");
   if (nranks_ != comm.size()) {
     throw std::invalid_argument(
@@ -173,7 +184,8 @@ void DistributedKernels::perturb_halo_cell(core::FieldId id) {
   }
 }
 
-void DistributedKernels::exchange_field(core::FieldId id, int depth) {
+void DistributedKernels::exchange_field(core::FieldId id, int depth,
+                                        bool defer) {
   const int tag = next_tag_;
   next_tag_ = (next_tag_ + 1) % kTagModulus;
   auto field = inner_->field_view(id);
@@ -206,70 +218,35 @@ void DistributedKernels::exchange_field(core::FieldId id, int depth) {
     }
   }
   const std::size_t bytes = doubles * sizeof(double);
+  const double ns = sim::halo_exchange_ns(*net_, bytes, messages);
   ++stats_.halo_exchanges;
-  meter_comm("halo_exchange", bytes, bytes,
-             sim::halo_exchange_ns(*net_, bytes, messages));
+  if (defer) {
+    pending_ = PendingCharge{true, id, inner_->clock().elapsed_ns(), ns, bytes};
+    return;
+  }
+  meter_comm("halo_exchange", bytes, bytes, ns);
 }
 
-bool DistributedKernels::try_post(unsigned fields, int depth) {
-  if (!overlap_ || depth != 1) return false;
-  if ((inner_->caps() & core::kCapRegions) == 0) return false;
-  // Only the single-field depth-1 exchanges feeding the solver iteration
-  // kernels overlap; multi-field updates (bootstrap, residual prep) and deep
-  // halos keep the blocking path.
-  core::FieldId id;
-  if (fields == core::kMaskP) {
-    id = core::FieldId::kP;
-  } else if (fields == core::kMaskU) {
-    id = core::FieldId::kU;
-  } else if (fields == core::kMaskSd) {
-    id = core::FieldId::kSd;
-  } else {
-    return false;
+void DistributedKernels::arm_split(core::FieldId id) {
+  if (!pending_.active || pending_.id != id) {
+    settle_pending();
+    return;
   }
-
-  const int tag = next_tag_;
-  next_tag_ = (next_tag_ + 1) % kTagModulus;
-  auto field = inner_->field_view(id);
-  exchanger_.post(*comm_, field, tag);
-
-  // Same wire accounting as exchange_field at depth 1.
-  const comm::Tile& tile = exchanger_.tile();
-  std::size_t doubles = 0;
-  int messages = 0;
-  for (const Face f : {Face::kLeft, Face::kRight}) {
-    if (tile.has_neighbour(f)) {
-      doubles += static_cast<std::size_t>(tile.ny());
-      ++messages;
-    }
-  }
-  for (const Face f : {Face::kBottom, Face::kTop}) {
-    if (tile.has_neighbour(f)) {
-      doubles += static_cast<std::size_t>(field.nx());
-      ++messages;
-    }
-  }
-  pending_.active = true;
-  pending_.id = id;
-  pending_.span = field;
-  pending_.posted_elapsed_ns = inner_->clock().elapsed_ns();
-  pending_.bytes = doubles * sizeof(double);
-  pending_.messages = messages;
-  pending_.comm_ns = sim::halo_exchange_ns(*net_, pending_.bytes, messages);
-  return true;
+  const_cast<sim::SimClock&>(inner_->clock())
+      .split_next_launch(interior_fraction_, [this] { settle_pending(); });
 }
 
-void DistributedKernels::complete_pending() {
+void DistributedKernels::settle_pending() {
   if (!pending_.active) return;
-  exchanger_.complete(*comm_, pending_.span);
-  // Compute charged since the post covers that much of the wire time; only
-  // the exposed remainder advances the clock. The hidden share becomes a
-  // trace-only "overlap" event so profiles show where the transfer sat.
-  const double elapsed =
-      inner_->clock().elapsed_ns() - pending_.posted_elapsed_ns;
-  const double exposed = std::max(0.0, pending_.comm_ns - elapsed);
+  pending_.active = false;
+  auto& clock = const_cast<sim::SimClock&>(inner_->clock());
+  clock.cancel_split();
+  // Compute metered since the exchange covers that much of the wire time;
+  // only the exposed remainder advances the clock. The hidden share becomes
+  // a trace-only "overlap" event so profiles show where the transfer sat.
+  const double covered = clock.elapsed_ns() - pending_.posted_ns;
+  const double exposed = std::max(0.0, pending_.comm_ns - covered);
   const double hidden = pending_.comm_ns - exposed;
-  ++stats_.halo_exchanges;
   ++stats_.overlapped_exchanges;
   meter_comm("halo_exchange", pending_.bytes, pending_.bytes, exposed);
   if (hidden > 0.0) {
@@ -279,10 +256,9 @@ void DistributedKernels::complete_pending() {
     info.phase = "overlap";
     info.bytes_read = pending_.bytes;
     info.bytes_written = pending_.bytes;
-    const_cast<sim::SimClock&>(inner_->clock()).record_overlap(info, hidden);
+    clock.record_overlap(info, hidden);
   }
   stats_.hidden_ns += hidden;
-  pending_.active = false;
 }
 
 double DistributedKernels::allreduce_sum(double local) {
@@ -452,23 +428,27 @@ void DistributedKernels::elastic_combine(int k, double* out) {
 }
 
 void DistributedKernels::halo_update(unsigned fields, int depth) {
-  complete_pending();
+  settle_pending();
   // The port's own update does the local work (and the per-rank metering):
   // it reflects all four faces as if the tile were the whole domain. The
   // exchange then overwrites the halos on interior faces with neighbour
   // data, leaving physical faces reflected — TeaLeaf's update_halo split.
   inner_->halo_update(fields, depth);
   if (nranks_ == 1) return;
-  // Eligible exchanges post nonblocking here and complete inside the next
-  // consuming kernel, between its interior and boundary sweeps.
-  if (try_post(fields, depth)) return;
+  // Only the single-field depth-1 exchanges feeding the solver iteration
+  // kernels overlap: their charge settles inside the consuming kernel's
+  // launch. Multi-field updates (bootstrap, residual prep) and deep halos
+  // are charged now.
+  const bool defer = overlap_ && depth == 1 && inner_->overlaps_comm() &&
+                     (fields == core::kMaskP || fields == core::kMaskU ||
+                      fields == core::kMaskSd);
   for (const auto& [mask, id] : kMaskFields) {
-    if ((fields & mask) != 0) exchange_field(id, depth);
+    if ((fields & mask) != 0) exchange_field(id, depth, defer);
   }
 }
 
 double DistributedKernels::calc_2norm(core::NormTarget target) {
-  complete_pending();
+  settle_pending();
   const double local = inner_->calc_2norm(target);
   if (elastic_) {
     double v;
@@ -479,7 +459,7 @@ double DistributedKernels::calc_2norm(core::NormTarget target) {
 }
 
 core::FieldSummary DistributedKernels::field_summary() {
-  complete_pending();
+  settle_pending();
   core::FieldSummary s = inner_->field_summary();
   if (elastic_) {
     double v[4];
@@ -494,7 +474,7 @@ core::FieldSummary DistributedKernels::field_summary() {
 }
 
 double DistributedKernels::cg_init() {
-  complete_pending();
+  settle_pending();
   const double local = inner_->cg_init();
   if (elastic_) {
     double v;
@@ -504,22 +484,14 @@ double DistributedKernels::cg_init() {
   return allreduce_sum(local);
 }
 
+// The five consumer kernels: when the exchange of the field they read is
+// pending, the split arms before the call and the charge settles between
+// the launch's interior share and its remainder (or after the call, with
+// nothing hidden, for a kernel set that meters nothing).
 double DistributedKernels::cg_calc_w() {
-  double local;
-  if (pending_is(core::FieldId::kP)) {
-    // p's halo is in flight: sweep the interior (which never reads it),
-    // drain the exchange, then sweep the boundary ring against fresh halos.
-    // The finish recomputes the dot in the blocking kernel's exact order.
-    inner_->cg_calc_w_region(core::Region::kInterior);
-    complete_pending();
-    for (const core::Region r : core::kEdgeRegions) {
-      inner_->cg_calc_w_region(r);
-    }
-    local = inner_->cg_calc_w_region_finish();
-  } else {
-    complete_pending();
-    local = inner_->cg_calc_w();
-  }
+  arm_split(core::FieldId::kP);
+  const double local = inner_->cg_calc_w();
+  settle_pending();
   if (elastic_) {
     double v;
     elastic_combine(1, &v);
@@ -529,7 +501,7 @@ double DistributedKernels::cg_calc_w() {
 }
 
 double DistributedKernels::cg_calc_ur(double alpha) {
-  complete_pending();
+  settle_pending();
   const double local = inner_->cg_calc_ur(alpha);
   if (elastic_) {
     double v;
@@ -540,18 +512,9 @@ double DistributedKernels::cg_calc_ur(double alpha) {
 }
 
 core::CgFusedW DistributedKernels::cg_calc_w_fused() {
-  core::CgFusedW local;
-  if (pending_is(core::FieldId::kP)) {
-    inner_->cg_calc_w_fused_region(core::Region::kInterior);
-    complete_pending();
-    for (const core::Region r : core::kEdgeRegions) {
-      inner_->cg_calc_w_fused_region(r);
-    }
-    local = inner_->cg_calc_w_fused_region_finish();
-  } else {
-    complete_pending();
-    local = inner_->cg_calc_w_fused();
-  }
+  arm_split(core::FieldId::kP);
+  const core::CgFusedW local = inner_->cg_calc_w_fused();
+  settle_pending();
   if (nranks_ == 1) return local;
   // The fused sweep's two dots travel in one allreduce (the fusion's comm
   // win: one latency instead of two).
@@ -561,128 +524,104 @@ core::CgFusedW DistributedKernels::cg_calc_w_fused() {
 }
 
 double DistributedKernels::cg_fused_ur_p(double alpha, double beta_prev) {
-  complete_pending();
+  settle_pending();
   return allreduce_sum(inner_->cg_fused_ur_p(alpha, beta_prev));
 }
 
 double DistributedKernels::fused_residual_norm() {
-  complete_pending();
+  settle_pending();
   return allreduce_sum(inner_->fused_residual_norm());
 }
 
 void DistributedKernels::cheby_fused_iterate(double alpha, double beta) {
-  if (pending_is(core::FieldId::kU)) {
-    inner_->cheby_fused_region(alpha, beta, core::Region::kInterior);
-    complete_pending();
-    for (const core::Region r : core::kEdgeRegions) {
-      inner_->cheby_fused_region(alpha, beta, r);
-    }
-    inner_->cheby_fused_region_finish();
-  } else {
-    complete_pending();
-    inner_->cheby_fused_iterate(alpha, beta);
-  }
+  arm_split(core::FieldId::kU);
+  inner_->cheby_fused_iterate(alpha, beta);
+  settle_pending();
 }
 
 void DistributedKernels::ppcg_fused_inner(double alpha, double beta) {
-  if (pending_is(core::FieldId::kSd)) {
-    inner_->ppcg_fused_region(alpha, beta, core::Region::kInterior);
-    complete_pending();
-    for (const core::Region r : core::kEdgeRegions) {
-      inner_->ppcg_fused_region(alpha, beta, r);
-    }
-    inner_->ppcg_fused_region_finish(alpha, beta);
-  } else {
-    complete_pending();
-    inner_->ppcg_fused_inner(alpha, beta);
-  }
+  arm_split(core::FieldId::kSd);
+  inner_->ppcg_fused_inner(alpha, beta);
+  settle_pending();
 }
 
 void DistributedKernels::jacobi_fused_copy_iterate() {
-  if (pending_is(core::FieldId::kU)) {
-    inner_->jacobi_fused_region(core::Region::kInterior);
-    complete_pending();
-    for (const core::Region r : core::kEdgeRegions) {
-      inner_->jacobi_fused_region(r);
-    }
-    inner_->jacobi_fused_region_finish();
-  } else {
-    complete_pending();
-    inner_->jacobi_fused_copy_iterate();
-  }
+  arm_split(core::FieldId::kU);
+  inner_->jacobi_fused_copy_iterate();
+  settle_pending();
 }
 
-// Every verbatim forward drains a pending exchange first: the overlapped
-// window only ever spans halo_update -> next consuming kernel, and no other
-// method may observe a half-exchanged halo.
+// Every other forward settles a deferred charge first, with nothing hidden:
+// the overlapped window only ever spans halo_update -> next consuming
+// kernel.
 void DistributedKernels::upload_state(const core::Chunk& chunk) {
-  complete_pending();
+  settle_pending();
   inner_->upload_state(chunk);
 }
 void DistributedKernels::init_u() {
-  complete_pending();
+  settle_pending();
   inner_->init_u();
 }
 void DistributedKernels::init_coefficients(core::Coefficient coefficient,
                                            double rx, double ry) {
-  complete_pending();
+  settle_pending();
   inner_->init_coefficients(coefficient, rx, ry);
 }
 void DistributedKernels::calc_residual() {
-  complete_pending();
+  settle_pending();
   inner_->calc_residual();
 }
 void DistributedKernels::finalise() {
-  complete_pending();
+  settle_pending();
   inner_->finalise();
 }
 void DistributedKernels::cg_calc_p(double beta) {
-  complete_pending();
+  settle_pending();
   inner_->cg_calc_p(beta);
 }
 void DistributedKernels::cheby_init(double theta) {
-  complete_pending();
+  settle_pending();
   inner_->cheby_init(theta);
 }
 void DistributedKernels::cheby_iterate(double alpha, double beta) {
-  complete_pending();
+  settle_pending();
   inner_->cheby_iterate(alpha, beta);
 }
 void DistributedKernels::ppcg_init_sd(double theta) {
-  complete_pending();
+  settle_pending();
   inner_->ppcg_init_sd(theta);
 }
 void DistributedKernels::ppcg_inner(double alpha, double beta) {
-  complete_pending();
+  settle_pending();
   inner_->ppcg_inner(alpha, beta);
 }
 void DistributedKernels::jacobi_copy_u() {
-  complete_pending();
+  settle_pending();
   inner_->jacobi_copy_u();
 }
 void DistributedKernels::jacobi_iterate() {
-  complete_pending();
+  settle_pending();
   inner_->jacobi_iterate();
 }
 void DistributedKernels::read_u(tl::util::Span2D<double> out) {
-  complete_pending();
+  settle_pending();
   inner_->read_u(out);
 }
 void DistributedKernels::download_energy(core::Chunk& chunk) {
-  complete_pending();
+  settle_pending();
   inner_->download_energy(chunk);
 }
 const tl::sim::SimClock& DistributedKernels::clock() const {
   return inner_->clock();
 }
 void DistributedKernels::begin_run(std::uint64_t run_seed) {
-  complete_pending();  // drain in-flight wires before the clock resets
+  settle_pending();  // charge the deferred wire time before the reset
   inner_->begin_run(run_seed);
   stats_ = CommStats{};
   next_tag_ = 0;
 }
 tl::util::Span2D<double> DistributedKernels::field_view(core::FieldId id) {
-  complete_pending();
+  settle_pending();
   return inner_->field_view(id);
 }
 

@@ -28,9 +28,9 @@ struct CommStats {
   std::uint64_t allreduces = 0;
   std::size_t bytes = 0;             // wire bytes this rank moved (both ways)
   double comm_ns = 0.0;   // simulated interconnect time charged (exposed)
-  // Overlapped-pipeline split: exchanges routed through post/complete, and
-  // the simulated wire time they hid behind interior compute (comm_ns only
-  // accumulates the exposed remainder for those exchanges).
+  // Overlapped exchanges (charge deferred into the consuming kernel's
+  // launch) and the simulated wire time they hid behind its interior share
+  // (comm_ns only accumulates the exposed remainder for those exchanges).
   std::uint64_t overlapped_exchanges = 0;
   double hidden_ns = 0.0;
   // Total modelled wire time of all scalar/vector allreduces.
@@ -51,12 +51,13 @@ class DistributedKernels final : public core::SolverKernels {
   /// mesh halo depth (exchange depth may be shallower per call). The
   /// communicator, decomposition, and network spec must outlive this object.
   ///
-  /// With `overlap_comm` (and an inner port advertising kCapRegions), the
-  /// depth-1 single-field exchanges that precede the fused solver kernels are
-  /// posted nonblocking in halo_update and completed inside the consuming
-  /// kernel between its interior and boundary sweeps, so the simulated wire
-  /// time hides behind the interior compute charge. Everything else — and
-  /// everything when the flag is off — takes the classic blocking path.
+  /// Every exchange is blocking. With `overlap_comm` (and an inner port
+  /// whose overlaps_comm() is true), the depth-1 single-field exchanges of
+  /// p, u or sd defer their charge: the consuming kernel's one launch record
+  /// is split at the tile's interior-cell fraction, and the charge settles
+  /// between the two parts, so the simulated wire time hides behind the
+  /// interior share. Every other exchange — and every exchange when the
+  /// flag is off — is charged in full as it happens.
   DistributedKernels(std::unique_ptr<core::SolverKernels> inner,
                      comm::Communicator& comm,
                      const comm::BlockDecomposition& decomp, int halo_depth,
@@ -74,13 +75,12 @@ class DistributedKernels final : public core::SolverKernels {
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;
 
-  // -- Forwarded, consuming a pending overlapped exchange when one matches --
-  unsigned caps() const override { return inner_->caps(); }
+  // -- Forwarded, consuming a deferred exchange charge when one matches -----
   void cheby_fused_iterate(double alpha, double beta) override;
   void ppcg_fused_inner(double alpha, double beta) override;
   void jacobi_fused_copy_iterate() override;
 
-  // -- Forwarded verbatim (after draining any pending exchange) -------------
+  // -- Forwarded verbatim (after settling any deferred charge) -------------
   void upload_state(const core::Chunk& chunk) override;
   void init_u() override;
   void init_coefficients(core::Coefficient coefficient, double rx,
@@ -110,14 +110,14 @@ class DistributedKernels final : public core::SolverKernels {
   /// ny — identical for any row-strip split of the mesh. Requires a
   /// row-strip decomposition (the driver enforces it) and a port that
   /// honours set_row_reductions; throws std::invalid_argument otherwise.
-  /// Forces the blocking exchange path (overlap off).
+  /// Forces overlap off.
   void set_elastic(bool on);
 
   // -- Fault injection -------------------------------------------------------
   /// Routes every halo exchange and allreduce through the reliable ack/retry
   /// protocol under `spec`'s deterministic fault schedule. Numerics are
   /// unchanged (exactly-once delivery); an unsurvivable schedule throws a
-  /// CommFaultError subclass. Forces the blocking exchange path.
+  /// CommFaultError subclass. Forces overlap off.
   void enable_faults(const comm::FaultSpec& spec);
   /// Step-boundary notification for step-scoped fault triggers.
   void set_fault_step(int step);
@@ -126,15 +126,16 @@ class DistributedKernels final : public core::SolverKernels {
   /// Comm-phase perturbation for tl_verify --perturb: "halo_payload" scales
   /// one received halo cell on rank 1 after every exchange; "allreduce"
   /// scales rank 1's local contribution before the reduction. Throws
-  /// std::invalid_argument for unknown targets. Forces the blocking path so
-  /// the corruption is applied on every exchange.
+  /// std::invalid_argument for unknown targets. Forces overlap off.
   void set_comm_perturb(std::string_view target);
 
   /// Seeds the comm tally from a checkpoint cursor (same-rank-count resume).
   void restore_comm_stats(const CommStats& stats) { stats_ = stats; }
 
  private:
-  void exchange_field(core::FieldId id, int depth);
+  /// Exchanges one field (blocking) and charges its wire time, or, with
+  /// `defer`, records the charge as the pending one.
+  void exchange_field(core::FieldId id, int depth, bool defer);
   double allreduce_sum(double local);
   void allreduce_block(double* values, std::size_t n);
   void meter_comm(const char* name, std::size_t sent, std::size_t received,
@@ -146,32 +147,25 @@ class DistributedKernels final : public core::SolverKernels {
   void sync_fault_stats();
   void perturb_halo_cell(core::FieldId id);
 
-  // -- Overlapped halo pipeline ---------------------------------------------
-  /// One in-flight exchange at most. `span` is the field view captured at
-  /// post time: complete() must unpack into the storage the wires were packed
-  /// against, even if the port has since swapped the field's storage (the
-  /// reference jacobi region sweep swaps kU/kW before the edges run).
-  struct PendingExchange {
+  // -- Overlapped halo exchange ---------------------------------------------
+  /// The charge of the last eligible exchange, deferred into the launch of
+  /// the kernel that consumes the field. One at most.
+  struct PendingCharge {
     bool active = false;
     core::FieldId id{};
-    tl::util::Span2D<double> span{};
-    double posted_elapsed_ns = 0.0;  // inner clock when posted
-    double comm_ns = 0.0;            // full modelled wire time
-    std::size_t bytes = 0;           // one-way wire bytes
-    int messages = 0;
+    double posted_ns = 0.0;  // inner clock when the exchange ran
+    double comm_ns = 0.0;    // full modelled wire time
+    std::size_t bytes = 0;   // one-way wire bytes
   };
 
-  /// Posts `fields` nonblocking if eligible (overlap on, regions-capable
-  /// inner, depth 1, exactly one of the solver iteration fields). Returns
-  /// false to fall through to the blocking exchange.
-  bool try_post(unsigned fields, int depth);
-  /// Waits for and unpacks the pending exchange (no-op when none): metering
-  /// charges only the wire time not already covered by compute since the
-  /// post; the hidden remainder is traced (phase "overlap") and tallied.
-  void complete_pending();
-  bool pending_is(core::FieldId id) const noexcept {
-    return pending_.active && pending_.id == id;
-  }
+  /// Arms the inner clock's split of the next launch when `id`'s charge is
+  /// pending; otherwise settles any pending charge.
+  void arm_split(core::FieldId id);
+  /// Charges the pending exchange (no-op when none): only the wire time not
+  /// already covered by compute metered since the exchange advances the
+  /// clock; the hidden remainder is traced (phase "overlap") and tallied.
+  /// Disarms a split the consuming kernel left unfired.
+  void settle_pending();
 
   std::unique_ptr<core::SolverKernels> inner_;
   comm::Communicator* comm_;
@@ -183,7 +177,8 @@ class DistributedKernels final : public core::SolverKernels {
   int halo_depth_;
   int next_tag_ = 0;
   bool overlap_;
-  PendingExchange pending_;
+  double interior_fraction_;  // the tile's (nx-2)(ny-2)/(nx ny), 0 if thin
+  PendingCharge pending_;
   bool elastic_ = false;
   std::unique_ptr<comm::FaultyComm> fc_;
   bool perturb_halo_ = false;

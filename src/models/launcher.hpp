@@ -35,29 +35,12 @@ class Launcher {
   }
 
   /// Meters a launch without executing anything (analytic big-mesh mode).
+  /// Every launch is priced once, here: one PerfModel draw. The overlapped
+  /// halo exchange splits the resulting record in the clock
+  /// (SimClock::split_next_launch), never by pricing a launch twice.
   void charge(const tl::sim::LaunchInfo& info) {
     const double ns = perf_.launch_ns(info);
     clock_.record_launch(info, ns, perf_.last_launch_factor());
-  }
-
-  /// One priced launch, for callers that charge it in instalments (the
-  /// region-split kernels charge the interior fraction when the interior
-  /// sweep runs and the remainder at the finish). Exactly one PerfModel draw
-  /// — the same scheduler luck a single charge() would have consumed, so a
-  /// split kernel's total cost is bit-identical to the unsplit one.
-  struct Priced {
-    double ns = 0.0;
-    double factor = 1.0;
-  };
-  Priced price(const tl::sim::LaunchInfo& info) {
-    const double ns = perf_.launch_ns(info);
-    return Priced{ns, perf_.last_launch_factor()};
-  }
-
-  /// Meters a pre-priced (possibly partial) launch: no new PerfModel draw.
-  void charge_priced(const tl::sim::LaunchInfo& info, double ns,
-                     double factor) {
-    clock_.record_launch(info, ns, factor);
   }
 
   /// Meters a host<->device transfer (data maps, buffer reads/writes).

@@ -8,7 +8,9 @@
 //
 // Metering convention (matched by PhantomKernels):
 //   - each SolverKernels method that runs a kernel charges exactly one
-//     launch with make_launch_info(model, kernel, interior_cells);
+//     launch with make_launch_info(model, kernel, interior_cells), also when
+//     it consumes an overlapped halo exchange: the clock, not the port,
+//     splits that record (SimClock::split_next_launch, DESIGN.md §10);
 //   - halo_update charges one make_halo_info launch;
 //   - upload_state / download_energy / read_u charge one transfer each
 //     (free on host devices);

@@ -41,10 +41,7 @@ class CudaPort final : public PortBase {
 
   // Fused variants: the triple dot runs like field_summary (block reduction
   // plus companion partial sections); the two-sweep steps reuse their loop
-  // bodies under the fused launch charge. No kCapRegions: the distributed
-  // overlap pipeline falls back to full sweeps behind a blocking halo
-  // exchange for this port (see core/kernels_api.hpp).
-  unsigned caps() const override { return core::kAllKernelCaps; }
+  // bodies under the fused launch charge.
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;

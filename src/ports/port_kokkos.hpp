@@ -44,9 +44,6 @@ class KokkosPort : public PortBase {
 
   // Fused variants (flat form, shared by the HP subclass): the triple dot
   // rides a custom init/join functor, the same machinery as field_summary.
-  // No kCapRegions: the distributed overlap pipeline falls back to full
-  // sweeps behind a blocking halo exchange (see core/kernels_api.hpp).
-  unsigned caps() const override { return core::kAllKernelCaps; }
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;

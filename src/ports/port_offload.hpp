@@ -46,9 +46,6 @@ class OffloadPort final : public PortBase {
 
   // Fused variants: the multi-sum sweeps follow field_summary's shape — one
   // region, reduction clause on the primary sum, extra scalars riding along.
-  // No kCapRegions: the distributed overlap pipeline falls back to full
-  // sweeps behind a blocking halo exchange (see core/kernels_api.hpp).
-  unsigned caps() const override { return core::kAllKernelCaps; }
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;

@@ -483,244 +483,6 @@ void Omp3Port::jacobi_fused_copy_iterate() {
   });
 }
 
-// --- Region sweeps (kCapRegions) -------------------------------------------
-//
-// The split keeps two invariants against the blocking path:
-//  * Numerics: sweeps run the same loop bodies over region bounds; the finish
-//    reductions re-run through the pool with the blocking kernels' exact
-//    chunking and accumulation order, so every scalar is bit-identical.
-//  * Metering: region_begin prices the kernel once (one PerfModel draw — the
-//    same scheduler luck the unsplit launch would consume) and charges the
-//    interior-cell fraction; region_finish_charge charges the remainder. The
-//    byte split is exact (remainder = total - part); the two ns instalments
-//    sum to the single-draw cost up to one rounding, far below the comm time
-//    the split exists to hide.
-
-void Omp3Port::region_begin(KernelId id) {
-  region_info_ = info(id);
-  const auto priced = rt_.launcher().price(region_info_);
-  region_factor_ = priced.factor;
-  double frac = 0.0;
-  if (nx_ > 2 && ny_ > 2) {
-    frac = (static_cast<double>(nx_ - 2) * static_cast<double>(ny_ - 2)) /
-           (static_cast<double>(nx_) * static_cast<double>(ny_));
-  }
-  const double part_ns = priced.ns * frac;
-  const auto part_read = static_cast<std::size_t>(
-      static_cast<double>(region_info_.bytes_read) * frac);
-  const auto part_written = static_cast<std::size_t>(
-      static_cast<double>(region_info_.bytes_written) * frac);
-  region_rem_ns_ = priced.ns - part_ns;
-  region_rem_read_ = region_info_.bytes_read - part_read;
-  region_rem_written_ = region_info_.bytes_written - part_written;
-  sim::LaunchInfo part = region_info_;
-  part.bytes_read = part_read;
-  part.bytes_written = part_written;
-  rt_.launcher().charge_priced(part, part_ns, region_factor_);
-}
-
-void Omp3Port::region_finish_charge() {
-  sim::LaunchInfo rem = region_info_;
-  rem.bytes_read = region_rem_read_;
-  rem.bytes_written = region_rem_written_;
-  rt_.launcher().charge_priced(rem, region_rem_ns_, region_factor_);
-}
-
-void Omp3Port::sweep_cg_w(const core::RegionBounds& b) {
-  auto p = f(FieldId::kP);
-  auto kx = f(FieldId::kKx);
-  auto ky = f(FieldId::kKy);
-  auto w = f(FieldId::kW);
-  for (int y = b.y0; y < b.y1; ++y) {
-    for (int x = b.x0; x < b.x1; ++x) {
-      const double diag =
-          1.0 + kx(x + 1, y) + kx(x, y) + ky(x, y + 1) + ky(x, y);
-      w(x, y) = diag * p(x, y) - kx(x + 1, y) * p(x + 1, y) -
-                kx(x, y) * p(x - 1, y) - ky(x, y + 1) * p(x, y + 1) -
-                ky(x, y) * p(x, y - 1);
-    }
-  }
-}
-
-void Omp3Port::cg_calc_w_region(core::Region region) {
-  if (region == core::Region::kInterior) region_begin(KernelId::kCgCalcW);
-  sweep_cg_w(core::region_bounds(region, h_, nx_, ny_));
-}
-
-double Omp3Port::cg_calc_w_region_finish() {
-  auto p = f(FieldId::kP);
-  auto w = f(FieldId::kW);
-  // Same chunking and per-cell order as the blocking parallel_reduce, reading
-  // the stored w instead of recomputing the stencil.
-  const double pw = rt_.pool().parallel_reduce_sum(
-      h_, h_ + ny_, [&](std::int64_t yb, std::int64_t ye) {
-        double acc = 0.0;
-        for (std::int64_t y = yb; y < ye; ++y) {
-          for (int x = h_; x < h_ + nx_; ++x) acc += w(x, y) * p(x, y);
-        }
-        return acc;
-      });
-  region_finish_charge();
-  return pw;
-}
-
-void Omp3Port::cg_calc_w_fused_region(core::Region region) {
-  // The fused sweep is the same stencil; only the catalogue id (and so the
-  // priced cost) differs from the classic cg_calc_w.
-  if (region == core::Region::kInterior) region_begin(KernelId::kCgCalcWFused);
-  sweep_cg_w(core::region_bounds(region, h_, nx_, ny_));
-}
-
-core::CgFusedW Omp3Port::cg_calc_w_fused_region_finish() {
-  auto p = f(FieldId::kP);
-  auto w = f(FieldId::kW);
-  core::CgFusedW out;
-  std::vector<double> row_ww(static_cast<std::size_t>(ny_), 0.0);
-  out.pw = rt_.pool().parallel_reduce_sum(
-      h_, h_ + ny_, [&](std::int64_t yb, std::int64_t ye) {
-        double acc = 0.0;
-        for (std::int64_t y = yb; y < ye; ++y) {
-          double sww = 0.0;
-          for (int x = h_; x < h_ + nx_; ++x) {
-            const double ap = w(x, y);
-            acc += ap * p(x, y);
-            sww += ap * ap;
-          }
-          row_ww[static_cast<std::size_t>(y - h_)] = sww;
-        }
-        return acc;
-      });
-  for (std::size_t row = 0; row < static_cast<std::size_t>(ny_); ++row) {
-    out.ww += row_ww[row];
-  }
-  region_finish_charge();
-  return out;
-}
-
-void Omp3Port::cheby_fused_region(double alpha, double beta,
-                                  core::Region region) {
-  if (region == core::Region::kInterior) {
-    region_begin(KernelId::kChebyFusedIterate);
-  }
-  const auto b = core::region_bounds(region, h_, nx_, ny_);
-  auto u = f(FieldId::kU);
-  auto u0 = f(FieldId::kU0);
-  auto kx = f(FieldId::kKx);
-  auto ky = f(FieldId::kKy);
-  auto r = f(FieldId::kR);
-  auto p = f(FieldId::kP);
-  // Phase 1 only (writes r, p; u untouched, so the in-flight u exchange can
-  // land between the interior and edge sweeps). Phase 2 runs in the finish.
-  for (int y = b.y0; y < b.y1; ++y) {
-    for (int x = b.x0; x < b.x1; ++x) {
-      const double diag =
-          1.0 + kx(x + 1, y) + kx(x, y) + ky(x, y + 1) + ky(x, y);
-      const double au = diag * u(x, y) - kx(x + 1, y) * u(x + 1, y) -
-                        kx(x, y) * u(x - 1, y) - ky(x, y + 1) * u(x, y + 1) -
-                        ky(x, y) * u(x, y - 1);
-      const double res = u0(x, y) - au;
-      r(x, y) = res;
-      p(x, y) = alpha * p(x, y) + beta * res;
-    }
-  }
-}
-
-void Omp3Port::cheby_fused_region_finish() {
-  auto u = f(FieldId::kU);
-  auto p = f(FieldId::kP);
-  rt_.pool().parallel_for(h_, h_ + ny_, [&](std::int64_t yb, std::int64_t ye) {
-    for (std::int64_t y = yb; y < ye; ++y) {
-      for (int x = h_; x < h_ + nx_; ++x) u(x, y) += p(x, y);
-    }
-  });
-  region_finish_charge();
-}
-
-void Omp3Port::ppcg_fused_region(double alpha, double beta,
-                                 core::Region region) {
-  (void)alpha;
-  (void)beta;
-  if (region == core::Region::kInterior) {
-    region_begin(KernelId::kPpcgFusedInner);
-  }
-  const auto b = core::region_bounds(region, h_, nx_, ny_);
-  auto u = f(FieldId::kU);
-  auto r = f(FieldId::kR);
-  auto sd = f(FieldId::kSd);
-  auto kx = f(FieldId::kKx);
-  auto ky = f(FieldId::kKy);
-  // Phase 1 only (writes r, u; sd untouched until the finish, so the
-  // in-flight sd exchange can land between interior and edge sweeps).
-  for (int y = b.y0; y < b.y1; ++y) {
-    for (int x = b.x0; x < b.x1; ++x) {
-      const double diag =
-          1.0 + kx(x + 1, y) + kx(x, y) + ky(x, y + 1) + ky(x, y);
-      const double asd = diag * sd(x, y) - kx(x + 1, y) * sd(x + 1, y) -
-                         kx(x, y) * sd(x - 1, y) -
-                         ky(x, y + 1) * sd(x, y + 1) - ky(x, y) * sd(x, y - 1);
-      r(x, y) -= asd;
-      u(x, y) += sd(x, y);
-    }
-  }
-}
-
-void Omp3Port::ppcg_fused_region_finish(double alpha, double beta) {
-  auto r = f(FieldId::kR);
-  auto sd = f(FieldId::kSd);
-  rt_.pool().parallel_for(h_, h_ + ny_, [&](std::int64_t yb, std::int64_t ye) {
-    for (std::int64_t y = yb; y < ye; ++y) {
-      for (int x = h_; x < h_ + nx_; ++x) {
-        sd(x, y) = alpha * sd(x, y) + beta * r(x, y);
-      }
-    }
-  });
-  region_finish_charge();
-}
-
-void Omp3Port::jacobi_fused_region(core::Region region) {
-  auto u = f(FieldId::kU);
-  auto u0 = f(FieldId::kU0);
-  auto w = f(FieldId::kW);
-  auto kx = f(FieldId::kKx);
-  auto ky = f(FieldId::kKy);
-  if (region == core::Region::kInterior) {
-    region_begin(KernelId::kJacobiFusedCopyIterate);
-    // Full padded copy, as in the fused kernel. The halo rows of u may still
-    // be in flight; the first edge sweep re-copies the refreshed frame, so
-    // by the time any sweep reads w outside the interior it matches what the
-    // blocking path would have copied.
-    for (int y = 0; y < height_; ++y) {
-      for (int x = 0; x < width_; ++x) w(x, y) = u(x, y);
-    }
-    jacobi_frame_synced_ = false;
-  } else if (!jacobi_frame_synced_) {
-    for (int y = 0; y < h_; ++y) {
-      for (int x = 0; x < width_; ++x) w(x, y) = u(x, y);
-    }
-    for (int y = h_ + ny_; y < height_; ++y) {
-      for (int x = 0; x < width_; ++x) w(x, y) = u(x, y);
-    }
-    for (int y = h_; y < h_ + ny_; ++y) {
-      for (int x = 0; x < h_; ++x) w(x, y) = u(x, y);
-      for (int x = h_ + nx_; x < width_; ++x) w(x, y) = u(x, y);
-    }
-    jacobi_frame_synced_ = true;
-  }
-  const auto b = core::region_bounds(region, h_, nx_, ny_);
-  for (int y = b.y0; y < b.y1; ++y) {
-    for (int x = b.x0; x < b.x1; ++x) {
-      const double diag =
-          1.0 + kx(x + 1, y) + kx(x, y) + ky(x, y + 1) + ky(x, y);
-      u(x, y) = (u0(x, y) + kx(x + 1, y) * w(x + 1, y) +
-                 kx(x, y) * w(x - 1, y) + ky(x, y + 1) * w(x, y + 1) +
-                 ky(x, y) * w(x, y - 1)) /
-                diag;
-    }
-  }
-}
-
-void Omp3Port::jacobi_fused_region_finish() { region_finish_charge(); }
-
 void Omp3Port::read_u(util::Span2D<double> out) {
   const auto u = f(FieldId::kU);
   for (int y = 0; y < height_; ++y) {

@@ -41,9 +41,6 @@ class Omp3Port final : public PortBase {
   // Fused variants: the same loop bodies welded into one metered launch per
   // solver step (the paper's ports fuse at source level; here the fusion is
   // visible to the cost model through the fused catalogue entries).
-  unsigned caps() const override {
-    return core::kAllKernelCaps | core::kCapRegions;
-  }
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;
@@ -51,24 +48,9 @@ class Omp3Port final : public PortBase {
   void ppcg_fused_inner(double alpha, double beta) override;
   void jacobi_fused_copy_iterate() override;
 
-  // Region sweeps (kCapRegions). Metering: the kInterior call prices the
-  // whole kernel once (one PerfModel draw — the same scheduler luck the
-  // unsplit kernel would get) and charges the interior-cell fraction; the
-  // finish charges the exact remainder, so total simulated time is
-  // bit-identical to the blocking path and the interior charge is what the
-  // in-flight exchange can hide behind. Edge sweeps charge nothing.
-  void cg_calc_w_region(core::Region region) override;
-  double cg_calc_w_region_finish() override;
-  void cg_calc_w_fused_region(core::Region region) override;
-  core::CgFusedW cg_calc_w_fused_region_finish() override;
-  void cheby_fused_region(double alpha, double beta,
-                          core::Region region) override;
-  void cheby_fused_region_finish() override;
-  void ppcg_fused_region(double alpha, double beta,
-                         core::Region region) override;
-  void ppcg_fused_region_finish(double alpha, double beta) override;
-  void jacobi_fused_region(core::Region region) override;
-  void jacobi_fused_region_finish() override;
+  // The one port whose simulated timeline hides an in-flight halo exchange
+  // behind the consuming kernel's interior share (DESIGN.md §10).
+  bool overlaps_comm() const override { return true; }
 
   void read_u(util::Span2D<double> out) override;
   void download_energy(core::Chunk& chunk) override;
@@ -83,26 +65,8 @@ class Omp3Port final : public PortBase {
  private:
   util::Span2D<double> f(core::FieldId id) { return storage_.field(id); }
 
-  // Region-split metering: price the kernel once at the interior call,
-  // charge the interior-cell fraction immediately and the remainder at the
-  // finish (see Launcher::price). Sweep helpers run the loop bodies serially
-  // over one region's bounds; the finish reductions rerun through the pool
-  // with the blocking path's exact chunking so sums stay bit-identical.
-  void region_begin(core::KernelId id);
-  void region_finish_charge();
-  void sweep_cg_w(const core::RegionBounds& b);
-
   mutable omp3::Runtime rt_;
   core::Chunk storage_;
-
-  sim::LaunchInfo region_info_{};
-  double region_factor_ = 1.0;
-  double region_rem_ns_ = 0.0;
-  std::size_t region_rem_read_ = 0;
-  std::size_t region_rem_written_ = 0;
-  // jacobi region sweeps copy u into w per region; the first edge sweep after
-  // the halo exchange completes must re-copy u's refreshed halo frame into w.
-  bool jacobi_frame_synced_ = false;
 };
 
 }  // namespace tl::ports

@@ -42,10 +42,7 @@ class OpenClPort final : public PortBase {
 
   // Fused variants: the triple-dot sweep runs like field_summary (one
   // work-group reduction plus companion partial sections); the two-sweep
-  // steps reuse their kernels under the fused launch charge. No kCapRegions:
-  // the distributed overlap pipeline falls back to full sweeps behind a
-  // blocking halo exchange (see core/kernels_api.hpp).
-  unsigned caps() const override { return core::kAllKernelCaps; }
+  // steps reuse their kernels under the fused launch charge.
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;

@@ -41,9 +41,6 @@ class RajaPort final : public PortBase {
 
   // Fused variants: one forall carrying several ReduceSum objects (the
   // multi-reduction traversal the paper flags for field_summary).
-  // No kCapRegions: the distributed overlap pipeline falls back to full
-  // sweeps behind a blocking halo exchange (see core/kernels_api.hpp).
-  unsigned caps() const override { return core::kAllKernelCaps; }
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;

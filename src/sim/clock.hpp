@@ -8,9 +8,16 @@
 // metered launch/transfer emits one TraceEvent tagged with the kernel's
 // catalogue id, phase, and the scheduler's launch factor. With no sink
 // attached the accounting arithmetic is exactly what it always was.
+//
+// It is also where overlapped halo exchange is metered: the distributed
+// decorator arms a one-shot split of the consuming kernel's launch, and the
+// deferred comm charge runs between the interior share and the remainder
+// (split_next_launch).
 
 #include <cstddef>
 #include <cstdint>
+#include <functional>
+#include <utility>
 
 #include "sim/trace.hpp"
 #include "sim/traits.hpp"
@@ -72,27 +79,46 @@ class SimClock {
   }
 
   /// Meters one launch and, if a sink is attached, emits its TraceEvent
-  /// (start = timeline position before the launch was charged).
+  /// (start = timeline position before the launch was charged). An armed
+  /// split (split_next_launch) turns this one launch into two records.
   void record_launch(const LaunchInfo& info, double ns, double launch_factor) {
-    const double start = elapsed_ns_;
-    const std::size_t bytes = info.bytes_read + info.bytes_written;
-    add_launch_time(ns, bytes);
-    if (sink_) {
-      sink_->on_event(TraceEvent{.kind = TraceEvent::Kind::kLaunch,
-                                 .name = info.name,
-                                 .kernel_id = info.kernel_id,
-                                 .phase = info.phase,
-                                 .model = model_,
-                                 .device = device_,
-                                 .start_ns = start,
-                                 .duration_ns = ns,
-                                 .bytes = bytes,
-                                 .launch_factor = launch_factor});
+    if (!split_between_) {
+      record_one(info, ns, launch_factor);
+      return;
     }
+    const auto between = std::exchange(split_between_, nullptr);
+    LaunchInfo part = info;
+    part.bytes_read = static_cast<std::size_t>(
+        static_cast<double>(info.bytes_read) * split_fraction_);
+    part.bytes_written = static_cast<std::size_t>(
+        static_cast<double>(info.bytes_written) * split_fraction_);
+    const double part_ns = ns * split_fraction_;
+    record_one(part, part_ns, launch_factor);
+    between();
+    LaunchInfo rest = info;
+    rest.bytes_read = info.bytes_read - part.bytes_read;
+    rest.bytes_written = info.bytes_written - part.bytes_written;
+    record_one(rest, ns - part_ns, launch_factor);
   }
 
+  /// Arms a one-shot split of the next record_launch: it records `fraction`
+  /// of the launch's ns and of each byte count (truncated), runs `between`
+  /// with the clock advanced by that part, then records the remainder. Both
+  /// records keep the launch's identity and launch factor; the bytes sum
+  /// exactly to the unsplit charge and the ns up to one rounding. The
+  /// overlapped halo exchange passes the tile's interior-cell fraction and
+  /// its deferred comm charge. The split is disarmed before `between` runs,
+  /// so `between` may meter launches of its own.
+  void split_next_launch(double fraction, std::function<void()> between) {
+    split_fraction_ = fraction;
+    split_between_ = std::move(between);
+  }
+
+  /// Disarms a split that has not fired (no-op otherwise).
+  void cancel_split() noexcept { split_between_ = nullptr; }
+
   /// Emits a trace-only event for comm time hidden behind compute by the
-  /// overlapped halo pipeline: the window [elapsed - ns, elapsed] already
+  /// overlapped halo exchange: the window [elapsed - ns, elapsed] already
   /// contains the metered compute that covered the transfer, so NOTHING is
   /// accounted here — no elapsed time, no launch count, no bytes. The event
   /// (phase "overlap") just makes the hidden window visible in Chrome
@@ -144,6 +170,24 @@ class SimClock {
   }
 
  private:
+  void record_one(const LaunchInfo& info, double ns, double launch_factor) {
+    const double start = elapsed_ns_;
+    const std::size_t bytes = info.bytes_read + info.bytes_written;
+    add_launch_time(ns, bytes);
+    if (sink_) {
+      sink_->on_event(TraceEvent{.kind = TraceEvent::Kind::kLaunch,
+                                 .name = info.name,
+                                 .kernel_id = info.kernel_id,
+                                 .phase = info.phase,
+                                 .model = model_,
+                                 .device = device_,
+                                 .start_ns = start,
+                                 .duration_ns = ns,
+                                 .bytes = bytes,
+                                 .launch_factor = launch_factor});
+    }
+  }
+
   double elapsed_ns_ = 0.0;
   std::uint64_t launches_ = 0;
   std::uint64_t transfers_ = 0;
@@ -151,6 +195,8 @@ class SimClock {
   std::size_t transfer_bytes_ = 0;
 
   TraceSink* sink_ = nullptr;  // not owned
+  double split_fraction_ = 0.0;
+  std::function<void()> split_between_;  // armed split; empty when none
   Model model_ = Model::kOmp3Cpp;
   DeviceId device_ = DeviceId::kCpuSandyBridge;
 };

@@ -366,11 +366,11 @@ ConformanceReport run_conformance(const VerifyOptions& options) {
               check_history(rep.run.steps.back().solve.rr_history,
                             ref.rr_history, spec, /*len_slack=*/1));
           // The overlap-identity twin is meaningless under comm perturbation:
-          // set_comm_perturb forces the blocking path on both runs.
+          // set_comm_perturb forces overlap off on both runs.
           if (options.overlap && options.comm_perturb.empty()) {
-            // Blocking twin with the same seeds: the overlapped pipeline may
-            // reorder sweeps and defer completions, but every number it
-            // produces must be the blocking number, bit for bit.
+            // Blocking twin with the same seeds: overlap only moves where an
+            // exchange is charged, so every number it produces must be the
+            // blocking number, bit for bit.
             core::Settings sb = s;
             sb.overlap_comm = false;
             dist::DistributedDriver blocking(sb, factory);

@@ -68,7 +68,6 @@ class PerturbingKernels final : public core::SolverKernels {
   // Fused kernels perturb under their classic target names: a fused sweep is
   // the same logical kernel, so "cg_calc_w" faults must fire whichever code
   // path the solver dispatches.
-  unsigned caps() const override { return inner_->caps(); }
   core::CgFusedW cg_calc_w_fused() override {
     core::CgFusedW v = inner_->cg_calc_w_fused();
     v.pw = scale("cg_calc_w", v.pw);

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -236,155 +235,6 @@ TEST(MiniComm, BarrierUnderContention) {
     }
   });
   EXPECT_TRUE(ok.load());
-}
-
-// ---------------------------------------------------------------------------
-// MiniComm: nonblocking operations
-// ---------------------------------------------------------------------------
-
-TEST(MiniCommNonblocking, IsendCompletesImmediately) {
-  // MiniComm sends are buffered: the payload is copied out before isend
-  // returns, so the request is born complete and the source buffer is
-  // reusable straight away.
-  c::run_ranks(2, [](c::Communicator& comm) {
-    if (comm.rank() == 0) {
-      double buf[2] = {1.0, 2.0};
-      c::CommRequest req = comm.isend(buf, 1, 3);
-      EXPECT_TRUE(req.done());
-      buf[0] = -1.0;  // must not affect the in-flight message
-      req.wait();     // no-op on a complete request
-    } else {
-      double buf[2];
-      comm.recv(buf, 0, 3);
-      EXPECT_EQ(buf[0], 1.0);
-      EXPECT_EQ(buf[1], 2.0);
-    }
-  });
-}
-
-TEST(MiniCommNonblocking, OutOfOrderCompletion) {
-  // Matching is by (source, tag): whichever message has arrived completes
-  // first, regardless of the order the receives were posted.
-  c::run_ranks(2, [](c::Communicator& comm) {
-    if (comm.rank() == 1) {
-      double a[1], b[1];
-      c::CommRequest first = comm.irecv(a, 0, 1);   // posted first...
-      c::CommRequest second = comm.irecv(b, 0, 2);  // ...but arrives second
-      const double ready[1] = {1.0};
-      comm.send(ready, 0, 9);  // unleash the tag-2 send
-      while (!second.test()) {
-      }
-      EXPECT_FALSE(first.done());  // tag 1 still in flight
-      EXPECT_EQ(b[0], 20.0);
-      const double go[1] = {2.0};
-      comm.send(go, 0, 9);  // unleash the tag-1 send
-      first.wait();
-      EXPECT_EQ(a[0], 10.0);
-    } else {
-      double sync[1];
-      comm.recv(sync, 1, 9);
-      const double b[1] = {20.0};
-      comm.send(b, 1, 2);
-      comm.recv(sync, 1, 9);
-      const double a[1] = {10.0};
-      comm.send(a, 1, 1);
-    }
-  });
-}
-
-TEST(MiniCommNonblocking, TestPollsWithoutBlocking) {
-  c::run_ranks(2, [](c::Communicator& comm) {
-    if (comm.rank() == 1) {
-      double buf[1] = {0.0};
-      c::CommRequest req = comm.irecv(buf, 0, 5);
-      EXPECT_FALSE(req.test());  // nothing sent yet; must not block
-      const double go[1] = {1.0};
-      comm.send(go, 0, 9);
-      while (!req.test()) {
-      }
-      EXPECT_EQ(buf[0], 42.0);
-      EXPECT_TRUE(req.test());  // stays complete, still no block
-    } else {
-      double sync[1];
-      comm.recv(sync, 1, 9);
-      const double v[1] = {42.0};
-      comm.send(v, 1, 5);
-    }
-  });
-}
-
-TEST(MiniCommNonblocking, DuplicateWaitAllIsSafe) {
-  // wait_all skips already-complete requests, so completing the same span
-  // twice (or mixing in default-constructed requests) is harmless — the
-  // guarantee DistributedKernels' complete-on-every-entry guards rely on.
-  c::run_ranks(2, [](c::Communicator& comm) {
-    if (comm.rank() == 1) {
-      double a[1], b[1];
-      std::array<c::CommRequest, 3> reqs{comm.irecv(a, 0, 1),
-                                         comm.irecv(b, 0, 2),
-                                         c::CommRequest{}};
-      c::Communicator::wait_all(reqs);
-      EXPECT_EQ(a[0], 1.0);
-      EXPECT_EQ(b[0], 2.0);
-      c::Communicator::wait_all(reqs);  // all done: must be a no-op
-      EXPECT_EQ(a[0], 1.0);
-      EXPECT_EQ(b[0], 2.0);
-    } else {
-      const double a[1] = {1.0};
-      const double b[1] = {2.0};
-      comm.send(b, 1, 2);  // reverse of the post order, for good measure
-      comm.send(a, 1, 1);
-    }
-  });
-}
-
-TEST(MiniCommNonblocking, IrecvInheritsDeadlockGuard) {
-  // A wait() on a receive nobody will ever match must throw the same
-  // diagnosable timeout as the blocking path, not hang.
-  try {
-    c::run_ranks(
-        2,
-        [](c::Communicator& comm) {
-          if (comm.rank() == 1) {
-            double buf[1];
-            c::CommRequest req = comm.irecv(buf, 0, 77);
-            req.wait();
-          }
-        },
-        std::chrono::milliseconds{250});
-    FAIL() << "unmatched irecv wait should have timed out";
-  } catch (const std::runtime_error& e) {
-    EXPECT_NE(std::string(e.what()).find("timed out"), std::string::npos)
-        << "unexpected error: " << e.what();
-  }
-}
-
-TEST(MiniCommNonblocking, EightRankConcurrentStress) {
-  // Every rank runs rounds of: post irecvs from both ring neighbours, isend
-  // to both, poll one request while the other drains via wait_all. All eight
-  // mailboxes are hammered concurrently — the TSan CI leg is the real
-  // assertion; the value checks catch cross-wired payloads.
-  constexpr int kRanks = 8;
-  constexpr int kRounds = 40;
-  c::run_ranks(kRanks, [](c::Communicator& comm) {
-    const int n = comm.size();
-    const int left = (comm.rank() + n - 1) % n;
-    const int right = (comm.rank() + 1) % n;
-    for (int round = 0; round < kRounds; ++round) {
-      double from_left[1], from_right[1];
-      std::array<c::CommRequest, 2> reqs{
-          comm.irecv(from_left, left, round * 2),
-          comm.irecv(from_right, right, round * 2 + 1)};
-      const double to_right[1] = {100.0 * comm.rank() + round};
-      const double to_left[1] = {-100.0 * comm.rank() - round};
-      comm.isend(to_right, right, round * 2);
-      comm.isend(to_left, left, round * 2 + 1);
-      reqs[1].test();  // interleave polling with the blocking drain
-      c::Communicator::wait_all(reqs);
-      ASSERT_EQ(from_left[0], 100.0 * left + round) << "round " << round;
-      ASSERT_EQ(from_right[0], -100.0 * right - round) << "round " << round;
-    }
-  });
 }
 
 // ---------------------------------------------------------------------------
@@ -714,111 +564,9 @@ TEST(Halo, NineRankInteriorTileAllFaces) {
   check_distributed_halo(24, 24, 9, /*h=*/2, /*depth=*/2);
 }
 
-// ---------------------------------------------------------------------------
-// Halo: overlapped post/complete
-// ---------------------------------------------------------------------------
-
-namespace {
-/// Split-phase variant of check_distributed_halo at depth 1: post() packs
-/// and fires the exchange, the "interior compute" happens while it is in
-/// flight, complete() lands the halos. The result must match a global
-/// reflected field on every cell the depth-1 stencil reads (corner halo
-/// cells are exempt — post/complete documents them one exchange stale).
-void check_posted_halo(int gnx, int gny, int ranks, int h) {
-  auto global = make_field(gnx, gny, h, [](int x, int y) {
-    return std::cos(0.4 * x) - 2.3 * y;
-  });
-  auto gspan = global.view2d(gnx + 2 * h, gny + 2 * h);
-  c::reflect_boundary(gspan, h, c::kAllFaces);
-
-  const c::BlockDecomposition decomp(gnx, gny, ranks);
-  c::run_ranks(ranks, [&](c::Communicator& comm) {
-    const c::Tile& tile = decomp.tile(comm.rank());
-    const int w = tile.nx() + 2 * h;
-    const int ht = tile.ny() + 2 * h;
-    Buffer<double> local(static_cast<std::size_t>(w) * ht);
-    auto lspan = local.view2d(w, ht);
-    for (int y = 0; y < ht; ++y) {
-      for (int x = 0; x < w; ++x) {
-        const int gx = tile.x_begin + x;
-        const int gy = tile.y_begin + y;
-        lspan(x, y) = (x >= h && x < h + tile.nx() && y >= h &&
-                       y < h + tile.ny())
-                          ? gspan(gx, gy)
-                          : -999.0;
-      }
-    }
-    c::HaloExchanger ex(decomp, comm.rank(), h);
-    EXPECT_FALSE(ex.pending());
-    ex.post(comm, lspan, /*tag=*/5);
-    EXPECT_TRUE(ex.pending());
-    // "Interior compute" while the exchange is in flight: the interior must
-    // be untouched by post(), which only reads the field.
-    for (int y = h + 1; y < h + tile.ny() - 1; ++y) {
-      for (int x = h + 1; x < h + tile.nx() - 1; ++x) {
-        ASSERT_EQ(lspan(x, y), gspan(tile.x_begin + x, tile.y_begin + y));
-      }
-    }
-    ex.complete(comm, lspan);
-    EXPECT_FALSE(ex.pending());
-
-    const bool wire_y[2] = {tile.has_neighbour(c::Face::kBottom),
-                            tile.has_neighbour(c::Face::kTop)};
-    for (int y = h - 1; y < h + tile.ny() + 1; ++y) {
-      for (int x = h - 1; x < h + tile.nx() + 1; ++x) {
-        const bool x_halo = x < h || x >= h + tile.nx();
-        const bool y_halo = y < h || y >= h + tile.ny();
-        // Diagonal-corner cells that arrived over the wire from a
-        // y-neighbour carry that sender's pack-time x-halo — one exchange
-        // stale (no x-then-y relay in the posted path). A 5-point depth-1
-        // stencil never reads them. Reflected corners stay fresh.
-        if (x_halo && y_halo && wire_y[y >= h + tile.ny()]) continue;
-        ASSERT_DOUBLE_EQ(lspan(x, y),
-                         gspan(tile.x_begin + x, tile.y_begin + y))
-            << "rank " << comm.rank() << " cell (" << x << "," << y << ")";
-      }
-    }
-  });
-}
-}  // namespace
-
-TEST(HaloOverlap, PostCompleteMatchesGlobalTwoRanks) {
-  check_posted_halo(16, 12, 2, 2);
-}
-
-TEST(HaloOverlap, PostCompleteMatchesGlobalNineRanks) {
-  // 3x3 grid: the centre tile posts and receives on all four faces.
-  check_posted_halo(24, 24, 9, 2);
-}
-
-TEST(HaloOverlap, RandomisedPostCompleteMatchesGlobal) {
-  tl::util::Rng rng(6);
-  for (int trial = 0; trial < 10; ++trial) {
-    const int gnx = 8 + static_cast<int>(rng.next_below(17));
-    const int gny = 8 + static_cast<int>(rng.next_below(17));
-    const int nranks = 1 + static_cast<int>(rng.next_below(6));
-    check_posted_halo(gnx, gny, nranks, /*h=*/2);
-  }
-}
-
-TEST(HaloOverlap, PostWhilePendingThrows) {
-  const c::BlockDecomposition decomp(8, 8, 2);
-  c::run_ranks(2, [&](c::Communicator& comm) {
-    const c::Tile& tile = decomp.tile(comm.rank());
-    Buffer<double> local(static_cast<std::size_t>(tile.nx() + 4) *
-                         (tile.ny() + 4));
-    auto s = local.view2d(tile.nx() + 4, tile.ny() + 4);
-    c::HaloExchanger ex(decomp, comm.rank(), 2);
-    EXPECT_THROW(ex.complete(comm, s), std::logic_error);  // nothing posted
-    ex.post(comm, s, 1);
-    EXPECT_THROW(ex.post(comm, s, 2), std::logic_error);  // double post
-    ex.complete(comm, s);
-  });
-}
-
-TEST(HaloOverlap, TagOutOfRangeThrows) {
-  // Both entry points refuse a tag whose derived subtags would alias the
-  // reserved collective range.
+TEST(Halo, TagOutOfRangeThrows) {
+  // exchange() refuses a tag whose derived subtags would alias the reserved
+  // collective range.
   const int bad_tag = c::kCollectiveTagBase / 8;
   const c::BlockDecomposition decomp(8, 8, 1);
   c::run_ranks(1, [&](c::Communicator& comm) {
@@ -827,8 +575,6 @@ TEST(HaloOverlap, TagOutOfRangeThrows) {
     c::HaloExchanger ex(decomp, 0, 2);
     EXPECT_THROW(ex.exchange(comm, s, 1, bad_tag), std::invalid_argument);
     EXPECT_THROW(ex.exchange(comm, s, 1, -1), std::invalid_argument);
-    EXPECT_THROW(ex.post(comm, s, bad_tag), std::invalid_argument);
-    EXPECT_FALSE(ex.pending());
   });
 }
 

@@ -84,17 +84,6 @@ TEST(Settings, ValidationCatchesNonsense) {
   s = Settings::default_problem();
   s.cg_prep_iters = 1;
   EXPECT_THROW(s.validate(), std::invalid_argument);
-  s = Settings::default_problem();
-  // The retired 512-bit row table's name is no longer a valid ISA.
-  s.force_isa = std::string("avx") + "512";
-  try {
-    s.validate();
-    ADD_FAILURE() << "tl_force_isa = " << s.force_isa << " was accepted";
-  } catch (const std::invalid_argument& e) {
-    EXPECT_NE(std::string(e.what()).find("scalar|sse2|avx2"),
-              std::string::npos)
-        << e.what();
-  }
 }
 
 // ---------------------------------------------------------------------------

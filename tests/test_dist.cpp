@@ -9,13 +9,16 @@
 #include <vector>
 
 #include "core/driver.hpp"
+#include "core/kernel_catalog.hpp"
 #include "core/mesh.hpp"
+#include "core/model_traits.hpp"
 #include "core/reference_kernels.hpp"
 #include "core/settings.hpp"
 #include "dist/driver.hpp"
 #include "ports/registry.hpp"
 #include "sim/device.hpp"
 #include "sim/model_id.hpp"
+#include "sim/network.hpp"
 #include "sim/trace.hpp"
 #include "verify/conformance.hpp"
 
@@ -220,10 +223,10 @@ TEST(DistOverlap, OverlapMatchesBlockingBitIdentically) {
 }
 
 TEST(DistOverlap, StatsSplitExposedAndHidden) {
-  // The overlapped run must actually take the post/complete path (solver
-  // exchanges are eligible) and account hidden comm; the blocking run must
+  // The overlapped run must actually defer the solver exchanges' charge
+  // (they are eligible) and account hidden comm; the blocking run must
   // report none. Total exchange counts agree — overlap changes when comm
-  // happens, never how much. Needs a metered port (the reference oracle's
+  // is charged, never how much. Needs a metered port (the reference oracle's
   // clock stays at zero, leaving no compute window to hide comm behind).
   Settings on = small_problem(4, tl::core::SolverKind::kCg);
   on.overlap_comm = true;
@@ -267,6 +270,77 @@ TEST(DistOverlap, TraceCarriesOverlapPhaseEvents) {
       }
     }
     EXPECT_GT(overlap_events, 0u) << "rank " << rank;
+  }
+}
+
+TEST(DistOverlap, ConsumerLaunchSplitsAroundTheExposedCharge) {
+  // The metering rule, exactly: an overlapped exchange's charge settles
+  // inside the consuming kernel's one launch, split at the tile's interior
+  // fraction f = (nx-2)(ny-2)/(nx ny). The trace then reads: interior share
+  // of the launch, exposed halo_exchange, hidden halo_overlap, remainder.
+  Settings s = small_problem(2, tl::core::SolverKind::kCg);
+  s.overlap_comm = true;
+  d::DistributedDriver driver(s, omp3_factory());
+  std::vector<tl::sim::RecordingSink> sinks(2);
+  driver.set_rank_sinks({&sinks[0], &sinks[1]});
+  driver.run();
+
+  for (int rank = 0; rank < 2; ++rank) {
+    const tl::comm::Tile& tile = driver.decomposition().tile(rank);
+    const double f =
+        (static_cast<double>(tile.nx() - 2) * (tile.ny() - 2)) /
+        (static_cast<double>(tile.nx()) * tile.ny());
+    std::size_t doubles = 0;
+    int messages = 0;
+    for (const auto face : {tl::comm::Face::kLeft, tl::comm::Face::kRight}) {
+      if (tile.has_neighbour(face)) {
+        doubles += static_cast<std::size_t>(tile.ny());
+        ++messages;
+      }
+    }
+    for (const auto face : {tl::comm::Face::kBottom, tl::comm::Face::kTop}) {
+      if (tile.has_neighbour(face)) {
+        doubles += static_cast<std::size_t>(tile.nx() + 2 * s.halo_depth);
+        ++messages;
+      }
+    }
+    const std::size_t wire_bytes = doubles * sizeof(double);
+    const double wire_ns = tl::sim::halo_exchange_ns(
+        tl::sim::node_interconnect(), wire_bytes, messages);
+
+    const auto& ev = sinks[rank].events();
+    std::size_t overlaps = 0;
+    for (std::size_t i = 0; i < ev.size(); ++i) {
+      if (ev[i].name != "halo_overlap") continue;
+      ++overlaps;
+      ASSERT_GE(i, 2u);
+      ASSERT_LT(i + 1, ev.size());
+      const auto& head = ev[i - 2];
+      const auto& exposed = ev[i - 1];
+      const auto& hidden = ev[i];
+      const auto& tail = ev[i + 1];
+      EXPECT_EQ(exposed.name, "halo_exchange") << "rank " << rank;
+      EXPECT_EQ(exposed.phase, "comm");
+      EXPECT_EQ(hidden.phase, "overlap");
+      EXPECT_TRUE(head.name == "cg_calc_w" || head.name == "cg_calc_w_fused")
+          << head.name;
+      EXPECT_EQ(tail.name, head.name) << "rank " << rank << " event " << i;
+      EXPECT_EQ(tail.kernel_id, head.kernel_id);
+      ASSERT_GE(head.kernel_id, 0);
+
+      const tl::sim::LaunchInfo whole = tl::core::make_launch_info(
+          head.model, static_cast<tl::core::KernelId>(head.kernel_id),
+          static_cast<std::size_t>(tile.nx()) *
+              static_cast<std::size_t>(tile.ny()));
+      EXPECT_EQ(head.bytes + tail.bytes,
+                whole.bytes_read + whole.bytes_written);
+      EXPECT_NEAR(head.duration_ns / (head.duration_ns + tail.duration_ns), f,
+                  1e-12);
+      EXPECT_EQ(exposed.bytes, 2 * wire_bytes);
+      EXPECT_NEAR(exposed.duration_ns + hidden.duration_ns, wire_ns,
+                  1e-12 * wire_ns);
+    }
+    EXPECT_GT(overlaps, 0u) << "rank " << rank;
   }
 }
 

@@ -1,8 +1,7 @@
 // Fused-kernel correctness: the contract that fusion is a pure performance
 // transform. Per-kernel and solver-level equivalence between the fused and
 // classic paths (reference kernels and every supported model x device pair,
-// compared under verify::Tolerance), capability gating (a caps() == 0 port
-// must never receive a fused call), bit-identity of the SIMD and scalar row
+// compared under verify::Tolerance), bit-identity of the SIMD and scalar row
 // primitives, and thread-count invariance of the pooled reductions.
 
 #include <gtest/gtest.h>
@@ -284,129 +283,6 @@ TEST(FusionDeterminism, ReductionsInvariantAcrossThreadCounts) {
     EXPECT_EQ(rrn[0], rrn[i]);
     EXPECT_EQ(rr[0], rr[i]);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Capability gating: a port that advertises caps() == 0 must never receive a
-// fused call, and the solver must produce the classic result through it.
-// ---------------------------------------------------------------------------
-
-/// Forwards every classic kernel to a ReferenceKernels but advertises no
-/// fused capabilities; every fused entry point counts the call and defers to
-/// the base class (which throws — the solver must never get here).
-class NoCapsKernels final : public core::SolverKernels {
- public:
-  explicit NoCapsKernels(const core::Mesh& mesh)
-      : inner_(std::make_unique<core::ReferenceKernels>(mesh)) {}
-
-  int fused_calls = 0;
-
-  unsigned caps() const override { return 0; }
-  core::CgFusedW cg_calc_w_fused() override {
-    ++fused_calls;
-    return SolverKernels::cg_calc_w_fused();
-  }
-  double cg_fused_ur_p(double a, double b) override {
-    ++fused_calls;
-    return SolverKernels::cg_fused_ur_p(a, b);
-  }
-  double fused_residual_norm() override {
-    ++fused_calls;
-    return SolverKernels::fused_residual_norm();
-  }
-  void cheby_fused_iterate(double a, double b) override {
-    ++fused_calls;
-    SolverKernels::cheby_fused_iterate(a, b);
-  }
-  void ppcg_fused_inner(double a, double b) override {
-    ++fused_calls;
-    SolverKernels::ppcg_fused_inner(a, b);
-  }
-  void jacobi_fused_copy_iterate() override {
-    ++fused_calls;
-    SolverKernels::jacobi_fused_copy_iterate();
-  }
-
-  void upload_state(const core::Chunk& c) override { inner_->upload_state(c); }
-  void init_u() override { inner_->init_u(); }
-  void init_coefficients(core::Coefficient c, double rx, double ry) override {
-    inner_->init_coefficients(c, rx, ry);
-  }
-  void halo_update(unsigned f, int d) override { inner_->halo_update(f, d); }
-  void calc_residual() override { inner_->calc_residual(); }
-  double calc_2norm(core::NormTarget t) override {
-    return inner_->calc_2norm(t);
-  }
-  void finalise() override { inner_->finalise(); }
-  core::FieldSummary field_summary() override {
-    return inner_->field_summary();
-  }
-  double cg_init() override { return inner_->cg_init(); }
-  double cg_calc_w() override { return inner_->cg_calc_w(); }
-  double cg_calc_ur(double a) override { return inner_->cg_calc_ur(a); }
-  void cg_calc_p(double b) override { inner_->cg_calc_p(b); }
-  void cheby_init(double t) override { inner_->cheby_init(t); }
-  void cheby_iterate(double a, double b) override {
-    inner_->cheby_iterate(a, b);
-  }
-  void ppcg_init_sd(double t) override { inner_->ppcg_init_sd(t); }
-  void ppcg_inner(double a, double b) override { inner_->ppcg_inner(a, b); }
-  void jacobi_copy_u() override { inner_->jacobi_copy_u(); }
-  void jacobi_iterate() override { inner_->jacobi_iterate(); }
-  void read_u(tl::util::Span2D<double> out) override { inner_->read_u(out); }
-  tl::util::Span2D<double> field_view(FieldId id) override {
-    return inner_->field_view(id);
-  }
-  void download_energy(core::Chunk& c) override { inner_->download_energy(c); }
-  const tl::sim::SimClock& clock() const override { return inner_->clock(); }
-  void begin_run(std::uint64_t seed) override { inner_->begin_run(seed); }
-
- private:
-  std::unique_ptr<core::ReferenceKernels> inner_;
-};
-
-TEST(FusionDispatch, CapsZeroPortNeverReceivesFusedCalls) {
-  for (const SolverKind solver :
-       {SolverKind::kCg, SolverKind::kCheby, SolverKind::kPpcg,
-        SolverKind::kJacobi}) {
-    Settings s = Settings::default_problem();
-    s.nx = s.ny = kN;
-    s.solver = solver;
-    s.use_fused = true;  // requested, but the port does not advertise it
-
-    auto kernels = std::make_unique<NoCapsKernels>(
-        core::Mesh(s.nx, s.ny, s.halo_depth));
-    NoCapsKernels* raw = kernels.get();
-    core::Driver driver(s, std::move(kernels));
-    const core::StepReport report = driver.run_step();
-    EXPECT_TRUE(report.solve.converged)
-        << core::solver_name(solver) << " did not converge";
-    EXPECT_EQ(raw->fused_calls, 0)
-        << core::solver_name(solver)
-        << " dispatched a fused kernel to a caps()==0 port";
-  }
-}
-
-// Forcing the classic path on a fully capable port must reproduce the
-// caps()==0 control flow bit-for-bit.
-TEST(FusionDispatch, UseFusedOffMatchesCapsZeroExactly) {
-  Settings s = Settings::default_problem();
-  s.nx = s.ny = kN;
-  s.solver = SolverKind::kCg;
-
-  s.use_fused = true;
-  core::Driver caps0(s, std::make_unique<NoCapsKernels>(
-                            core::Mesh(s.nx, s.ny, s.halo_depth)));
-  const core::StepReport a = caps0.run_step();
-
-  s.use_fused = false;
-  core::Driver classic(s, std::make_unique<core::ReferenceKernels>(
-                              core::Mesh(s.nx, s.ny, s.halo_depth)));
-  const core::StepReport b = classic.run_step();
-
-  EXPECT_EQ(a.solve.iterations, b.solve.iterations);
-  EXPECT_EQ(a.solve.final_rr, b.solve.final_rr);
-  EXPECT_EQ(a.solve.rr_history, b.solve.rr_history);
 }
 
 // ---------------------------------------------------------------------------

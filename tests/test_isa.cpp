@@ -189,6 +189,8 @@ TEST_F(IsaDispatchTest, ParseRoundTripsEveryName) {
   }
   EXPECT_FALSE(core::isa::parse_isa("").has_value());
   EXPECT_FALSE(core::isa::parse_isa("avx9000").has_value());
+  // The retired 512-bit row table's name is no longer a valid ISA.
+  EXPECT_FALSE(core::isa::parse_isa("avx512").has_value());
 }
 
 TEST_F(IsaDispatchTest, ForceSelectsTheNamedTableOrScalar) {

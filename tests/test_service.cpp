@@ -170,7 +170,9 @@ TEST(ServiceQueue, TryPushFullAndBlockedPushUnblocks) {
     EXPECT_TRUE(q.push(make_job("a", Priority::kNormal)));  // blocks
     pushed.store(true);
   });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  // push() counts itself blocked under the queue lock before it waits, so
+  // once the count shows, the producer is parked until a slot frees.
+  while (q.stats().blocked_pushes < 1) std::this_thread::yield();
   EXPECT_FALSE(pushed.load());  // still waiting for space
   ASSERT_TRUE(q.pop().has_value());
   producer.join();

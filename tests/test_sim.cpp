@@ -1,16 +1,19 @@
 // Unit tests for src/sim: device catalogue, codegen profiles (Table 1),
-// performance model arithmetic, scheduler models, STREAM (Table 2).
+// performance model arithmetic, scheduler models, STREAM (Table 2), and the
+// SimClock launch split behind overlapped halo exchange.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
+#include "sim/clock.hpp"
 #include "sim/codegen.hpp"
 #include "sim/device.hpp"
 #include "sim/model_id.hpp"
 #include "sim/perf_model.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stream.hpp"
+#include "sim/trace.hpp"
 #include "sim/traits.hpp"
 
 namespace s = tl::sim;
@@ -311,4 +314,95 @@ TEST(Stream, DefaultLengthDefeatsCaches) {
   for (const auto d : s::kAllDevices) {
     EXPECT_GT(len * sizeof(double), 2 * s::device_spec(d).llc_bytes);
   }
+}
+
+// ---------------------------------------------------------------------------
+// SimClock: the one-shot launch split (overlapped halo exchange metering)
+// ---------------------------------------------------------------------------
+
+namespace {
+s::LaunchInfo split_probe() {
+  s::LaunchInfo info;
+  info.name = "cg_calc_w";
+  info.kernel_id = 7;
+  info.phase = "cg";
+  info.bytes_read = 1001;   // 0.3 of it truncates 300.3 -> 300
+  info.bytes_written = 333;  // and 99.9 -> 99, not 100
+  return info;
+}
+}  // namespace
+
+TEST(SimClock, SplitRecordsTwoPartsSummingToTheUnsplitCharge) {
+  const s::LaunchInfo info = split_probe();
+  s::SimClock whole;
+  whole.record_launch(info, 1234.5, 0.9);
+
+  s::SimClock clock;
+  s::RecordingSink sink;
+  clock.set_trace_sink(&sink);
+  int calls = 0;
+  double clock_between = -1.0;
+  clock.split_next_launch(0.3, [&] {
+    ++calls;
+    clock_between = clock.elapsed_ns();
+  });
+  clock.record_launch(info, 1234.5, 0.9);
+
+  EXPECT_EQ(calls, 1);
+  ASSERT_EQ(sink.events().size(), 2u);
+  const s::TraceEvent& head = sink.events()[0];
+  const s::TraceEvent& tail = sink.events()[1];
+  const double part_ns = 1234.5 * 0.3;
+  EXPECT_EQ(head.duration_ns, part_ns);
+  EXPECT_EQ(tail.duration_ns, 1234.5 - part_ns);
+  EXPECT_EQ(clock_between, head.duration_ns);  // callback sees the first part
+  EXPECT_EQ(tail.start_ns, head.duration_ns);
+  EXPECT_EQ(head.bytes, 300u + 99u);
+  EXPECT_EQ(head.bytes + tail.bytes, 1001u + 333u);
+  for (const s::TraceEvent& e : sink.events()) {
+    EXPECT_EQ(e.name, info.name);
+    EXPECT_EQ(e.kernel_id, info.kernel_id);
+    EXPECT_EQ(e.phase, info.phase);
+    EXPECT_EQ(e.launch_factor, 0.9);
+  }
+  EXPECT_EQ(clock.launches(), 2u);
+  EXPECT_EQ(clock.kernel_bytes(), whole.kernel_bytes());
+  EXPECT_DOUBLE_EQ(clock.elapsed_ns(), whole.elapsed_ns());
+}
+
+TEST(SimClock, SplitFiresOnceAndCallbackLaunchesStayWhole) {
+  const s::LaunchInfo info = split_probe();
+  s::LaunchInfo comm;
+  comm.name = "halo_exchange";
+  comm.phase = "comm";
+  comm.bytes_read = comm.bytes_written = 64;
+
+  s::SimClock clock;
+  s::RecordingSink sink;
+  clock.set_trace_sink(&sink);
+  int calls = 0;
+  clock.split_next_launch(0.25, [&] {
+    ++calls;
+    clock.record_launch(comm, 10.0, 1.0);  // disarmed: metered whole
+  });
+  clock.record_launch(info, 100.0, 1.0);
+  clock.record_launch(info, 100.0, 1.0);  // the split was one-shot
+  EXPECT_EQ(calls, 1);
+  ASSERT_EQ(sink.events().size(), 4u);
+  EXPECT_EQ(sink.events()[0].duration_ns, 25.0);
+  EXPECT_EQ(sink.events()[1].name, "halo_exchange");
+  EXPECT_EQ(sink.events()[1].duration_ns, 10.0);
+  EXPECT_EQ(sink.events()[1].bytes, 128u);
+  EXPECT_EQ(sink.events()[2].duration_ns, 75.0);
+  EXPECT_EQ(sink.events()[2].start_ns, 35.0);
+  EXPECT_EQ(sink.events()[3].duration_ns, 100.0);
+  EXPECT_EQ(sink.events()[3].bytes, 1001u + 333u);
+
+  // A cancelled split never fires.
+  clock.split_next_launch(0.5, [&] { ++calls; });
+  clock.cancel_split();
+  clock.record_launch(info, 100.0, 1.0);
+  EXPECT_EQ(calls, 1);
+  EXPECT_EQ(sink.events().size(), 5u);
+  EXPECT_EQ(clock.launches(), 5u);
 }
