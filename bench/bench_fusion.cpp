@@ -12,12 +12,12 @@
 //   2. Measured: real wall-clock CG solves on the reference host kernels at
 //      512^2 with a fixed iteration budget, best of three runs per pipeline.
 //      Exits nonzero if the fused path is below the 1.2x speedup gate, or if
-//      the fused row kernels forced to AVX2 fail the 1.1x gate over SSE2
-//      (skipped, not failed, on hosts without both tables). Wall-clock
-//      numbers are machine-dependent: they land on stdout and in the
-//      artifact's "measured" section, which --sim-only (the golden
-//      regeneration path) omits — the golden-diffed cells record only
-//      deterministic simulated numbers and "isa": "phantom".
+//      the AVX2 CG row kernels fail the 1.1x gate over the SSE2 ones on a
+//      cache-resident strip (skipped, not failed, on hosts without both
+//      tables). Wall-clock numbers are machine-dependent: they land on
+//      stdout and in the artifact's "measured" section, which --sim-only
+//      (the golden regeneration path) omits — the golden-diffed cells
+//      record only deterministic simulated numbers and "isa": "phantom".
 //
 // Flags:
 //   --smoke      CI fast path: short calibration ladder, 512^2 simulated
@@ -117,17 +117,12 @@ struct MeasuredLeg {
   double speedup() const { return unfused_s / fused_s; }
 };
 
+/// One fused-CG iteration's row kernels (w = A p dots + the u/r/p update)
+/// at 512^2 row width on a cache-resident strip, where vector width is
+/// observable rather than hidden behind the bandwidth wall.
 struct IsaLeg {
-  // Full 512^2 fused-CG solves (informational: at this working set both ISA
-  // paths saturate the same memory bandwidth, so the ratio hugs 1.0x).
-  double solve_sse2_s = 0.0;
-  double solve_avx2_s = 0.0;
-  // The gated quantity: one fused-CG iteration's row kernels (w = A p dots +
-  // the u/r/p update) at 512^2 row width on a cache-resident strip, where
-  // vector width is observable rather than hidden behind the bandwidth wall.
   double row_sse2_s = 0.0;
   double row_avx2_s = 0.0;
-  double solve_speedup() const { return solve_sse2_s / solve_avx2_s; }
   double row_speedup() const { return row_sse2_s / row_avx2_s; }
 };
 
@@ -185,14 +180,10 @@ void write_json(const std::vector<FusionCell>& cells, int mesh,
                  measured->unfused_s, measured->fused_s, measured->speedup());
     if (isa_leg) {
       std::fprintf(f,
-                   ", \"solve_sse2_seconds\": %.6f, "
-                   "\"solve_avx2_seconds\": %.6f, "
-                   "\"solve_avx2_speedup\": %.4f, "
-                   "\"row_sse2_seconds\": %.6f, \"row_avx2_seconds\": %.6f, "
+                   ", \"row_sse2_seconds\": %.6f, \"row_avx2_seconds\": %.6f, "
                    "\"row_avx2_speedup\": %.4f",
-                   isa_leg->solve_sse2_s, isa_leg->solve_avx2_s,
-                   isa_leg->solve_speedup(), isa_leg->row_sse2_s,
-                   isa_leg->row_avx2_s, isa_leg->row_speedup());
+                   isa_leg->row_sse2_s, isa_leg->row_avx2_s,
+                   isa_leg->row_speedup());
     }
     std::fprintf(f, "},\n");
   }
@@ -322,15 +313,11 @@ double measured_cg_rows_seconds(const core::isa::RowKernelTable* table) {
   return std::chrono::duration<double>(t1 - t0).count();
 }
 
-/// SSE2-vs-AVX2 measured leg. Skipped (not failed) when this host lacks
-/// either table. Two measurements: the full 512^2 fused-CG solve (reported,
-/// not gated — at that working set both paths run at memory bandwidth and
-/// the ratio is ~1.0x by physics, which is the paper's central point), and
-/// the CG row kernels on a cache-resident 512-wide strip, where AVX2 must
-/// clear the 1.1x gate over SSE2. Restores auto dispatch before returning.
+/// SSE2-vs-AVX2 measured leg: the CG row kernels on a cache-resident
+/// 512-wide strip, where AVX2 must clear the 1.1x gate over SSE2. Each table
+/// is called directly through row_table(). Skipped (not failed) when this
+/// host lacks either table.
 int run_isa_leg(std::optional<IsaLeg>& out) {
-  constexpr int kMesh = 512;
-  constexpr int kIters = 50;
   constexpr double kMinSpeedup = 1.1;
   using core::isa::Isa;
   const core::isa::RowKernelTable* sse2 = core::isa::row_table(Isa::kSse2);
@@ -341,25 +328,14 @@ int run_isa_leg(std::optional<IsaLeg>& out) {
     return 0;
   }
   IsaLeg leg;
-  leg.solve_sse2_s = leg.solve_avx2_s = 1e300;
   leg.row_sse2_s = leg.row_avx2_s = 1e300;
   for (int rep = 0; rep < 3; ++rep) {
-    core::isa::force_isa(Isa::kSse2);
-    leg.solve_sse2_s = std::min(leg.solve_sse2_s,
-                                measured_cg_seconds(true, kMesh, kIters));
-    core::isa::force_isa(Isa::kAvx2);
-    leg.solve_avx2_s = std::min(leg.solve_avx2_s,
-                                measured_cg_seconds(true, kMesh, kIters));
     leg.row_sse2_s = std::min(leg.row_sse2_s, measured_cg_rows_seconds(sse2));
     leg.row_avx2_s = std::min(leg.row_avx2_s, measured_cg_rows_seconds(avx2));
   }
-  core::isa::force_isa(std::nullopt);
   out = leg;
   std::printf("\n-- measured: fused CG, sse2 vs avx2 row kernels, best of 3 "
               "--\n");
-  std::printf("  full %dx%d solve, %d iters: sse2 %.3f s   avx2 %.3f s   "
-              "%.2fx (bandwidth-bound; informational)\n", kMesh, kMesh,
-              kIters, leg.solve_sse2_s, leg.solve_avx2_s, leg.solve_speedup());
   std::printf("  cache-resident row kernels: sse2 %.3f s   avx2 %.3f s   "
               "%.2fx (gate: >= %.1fx)\n", leg.row_sse2_s, leg.row_avx2_s,
               leg.row_speedup(), kMinSpeedup);

@@ -16,17 +16,16 @@
 //
 // The wider AVX2 implementation (the four chains in one 256-bit
 // accumulator) lives in fused_rows_avx2.cpp, compiled with its own ISA
-// flags, and is reached only through the runtime dispatch table in
-// core/isa.hpp — callers never include ISA-specific code.
-// tests/test_fusion.cpp asserts scalar and SSE2 agree exactly;
-// tests/test_isa.cpp extends the bit-identity battery to every table entry
-// of every supported ISA. Per-element arithmetic follows each consuming
-// kernel's exact association — apply_stencil's (diag = 1 + kxr + kxl + kyt
-// + kyb) for the matvec rows, the fused iterates' (diag = 1 + kxl + kxr +
-// kyb + kyt) for the cheby/ppcg/jacobi rows — so the fused results track
-// the classic kernels bit-for-bit per path. No FMA contraction happens on
-// any path: SSE2 has no FMA, and the AVX2 TU is compiled with -mno-fma
-// -ffp-contract=off, keeping all builds reproducible across gcc and clang.
+// flags, and is reached only through the dispatch table in core/isa.hpp —
+// callers never include ISA-specific code. tests/test_isa.cpp asserts every
+// table entry of every available ISA bit-identical to the scalar one.
+// Per-element arithmetic follows each consuming kernel's exact association
+// — apply_stencil's (diag = 1 + kxr + kxl + kyt + kyb) for the matvec rows,
+// the fused iterates' (diag = 1 + kxl + kxr + kyb + kyt) for the
+// cheby/ppcg/jacobi rows — so the fused results track the classic kernels
+// bit-for-bit per path. No FMA contraction happens on any path: SSE2 has no
+// FMA, and the AVX2 TU is compiled with -mno-fma -ffp-contract=off, keeping
+// all builds reproducible across gcc and clang.
 
 #include <cstddef>
 
@@ -57,25 +56,6 @@ inline double stencil_at(const double* __restrict v,
 /// Combines the four dot-product chains in the fixed (c0+c2)+(c1+c3) order.
 inline double combine_chains(const double* c) {
   return (c[0] + c[2]) + (c[1] + c[3]);
-}
-
-/// Recomputes fused_w_row's {p.w, w.w} from an already-written w row,
-/// preserving the positional four-chain accumulation bit-for-bit: chain
-/// (i - b) & 3 sees its elements in the same ascending-i order as both the
-/// unrolled scalar and the SSE2 lane accumulators, so the result is
-/// identical whether the row was swept whole or assembled region-by-region
-/// (the overlap pipeline's finish path relies on this).
-inline RowDots fused_w_row_dots(const double* __restrict p,
-                                const double* __restrict w, std::size_t b,
-                                std::size_t e) {
-  double cpw[4] = {0.0, 0.0, 0.0, 0.0};
-  double cww[4] = {0.0, 0.0, 0.0, 0.0};
-  for (std::size_t i = b; i < e; ++i) {
-    const double ap = w[i];
-    cpw[(i - b) & 3] += ap * p[i];
-    cww[(i - b) & 3] += ap * ap;
-  }
-  return RowDots{combine_chains(cpw), combine_chains(cww)};
 }
 
 // -- Portable fallback ------------------------------------------------------
@@ -431,41 +411,12 @@ inline void jacobi_row_sse2(const double* __restrict u0,
   if (i < e) jacobi_row_scalar(u0, w, kx, ky, u, i, e, width);
 }
 
-/// SSE2 twin of the serial fused_w_row_dots recompute (chains {0,1}/{2,3}
-/// in two 128-bit accumulators, positional tail).
-inline RowDots fused_w_row_dots_sse2(const double* __restrict p,
-                                     const double* __restrict w, std::size_t b,
-                                     std::size_t e) {
-  double cpw[4], cww[4];
-  __m128d pw01 = _mm_setzero_pd(), pw23 = _mm_setzero_pd();
-  __m128d ww01 = _mm_setzero_pd(), ww23 = _mm_setzero_pd();
-  std::size_t i = b;
-  for (; i + 4 <= e; i += 4) {
-    const __m128d ap01 = _mm_loadu_pd(w + i);
-    const __m128d ap23 = _mm_loadu_pd(w + i + 2);
-    pw01 = _mm_add_pd(pw01, _mm_mul_pd(ap01, _mm_loadu_pd(p + i)));
-    pw23 = _mm_add_pd(pw23, _mm_mul_pd(ap23, _mm_loadu_pd(p + i + 2)));
-    ww01 = _mm_add_pd(ww01, _mm_mul_pd(ap01, ap01));
-    ww23 = _mm_add_pd(ww23, _mm_mul_pd(ap23, ap23));
-  }
-  _mm_storeu_pd(cpw, pw01);
-  _mm_storeu_pd(cpw + 2, pw23);
-  _mm_storeu_pd(cww, ww01);
-  _mm_storeu_pd(cww + 2, ww23);
-  for (; i < e; ++i) {
-    const double ap = w[i];
-    cpw[(i - b) & 3] += ap * p[i];
-    cww[(i - b) & 3] += ap * ap;
-  }
-  return RowDots{combine_chains(cpw), combine_chains(cww)};
-}
-
 #endif  // TL_FUSED_SIMD
 
-// The unsuffixed dispatchers moved to the runtime ISA table: callers fetch
-// the active implementation set once per sweep via isa::active_row_table()
-// (core/isa.hpp), which selects scalar/SSE2/AVX2 by CPUID at first
-// use, overridable with TL_FORCE_ISA / isa::force_isa(). All entries of
-// every table are bit-identical to the `_scalar` functions above.
+// Callers reach these through the ISA table: they fetch the active
+// implementation set once per sweep via isa::active_row_table()
+// (core/isa.hpp), which picks the widest of scalar/SSE2/AVX2 the CPU runs,
+// once, from CPUID. All entries of every table are bit-identical to the
+// `_scalar` functions above.
 
 }  // namespace tl::core::fused

@@ -110,26 +110,6 @@ RowDots w_row(const double* __restrict p, const double* __restrict kx,
   return RowDots{combine4(cpw), combine4(cww)};
 }
 
-RowDots w_row_dots(const double* __restrict p, const double* __restrict w,
-                   std::size_t b, std::size_t e) {
-  double cpw[4], cww[4];
-  __m256d pw = _mm256_setzero_pd(), ww = _mm256_setzero_pd();
-  std::size_t i = b;
-  for (; i + 4 <= e; i += 4) {
-    const __m256d ap = _mm256_loadu_pd(w + i);
-    pw = _mm256_add_pd(pw, _mm256_mul_pd(ap, _mm256_loadu_pd(p + i)));
-    ww = _mm256_add_pd(ww, _mm256_mul_pd(ap, ap));
-  }
-  _mm256_storeu_pd(cpw, pw);
-  _mm256_storeu_pd(cww, ww);
-  for (; i < e; ++i) {
-    const double ap = w[i];
-    cpw[(i - b) & 3] += ap * p[i];
-    cww[(i - b) & 3] += ap * ap;
-  }
-  return RowDots{combine4(cpw), combine4(cww)};
-}
-
 double urp_row(double* __restrict u, double* __restrict r,
                double* __restrict p, const double* __restrict w,
                std::size_t b, std::size_t e, double a, double bp) {
@@ -266,8 +246,7 @@ void jacobi_row(const double* __restrict u0, const double* __restrict w,
 }
 
 const RowKernelTable kAvx2Table = {
-    &w_row,     &w_row_dots, &urp_row,    &residual_row,
-    &cheby_row, &ppcg_row,   &jacobi_row,
+    &w_row, &urp_row, &residual_row, &cheby_row, &ppcg_row, &jacobi_row,
 };
 
 }  // namespace

@@ -1,20 +1,14 @@
 #pragma once
-// Runtime ISA dispatch for the fused row primitives.
+// ISA dispatch for the fused row primitives.
 //
 // The hot sweeps in reference_kernels.cpp never call an ISA-specific function
 // directly: they fetch a RowKernelTable once per sweep via active_row_table()
-// and invoke its function pointers per row. The table is resolved once, at
-// first use, in priority order:
-//
-//   1. force_isa(...)        — programmatic override (tests, bench_fusion);
-//   2. TL_FORCE_ISA          — environment override (scalar|sse2|avx2;
-//                              unparseable values fall back to detection);
-//   3. CPUID auto-detection  — widest ISA the CPU supports.
-//
-// Forcing an ISA the CPU (or build) lacks degrades gracefully to scalar —
-// never to an illegal-instruction fault. Every table is bit-identical to the
-// scalar one (tests/test_isa.cpp enforces this per primitive, per tail
-// residue 0–7, on unaligned row starts), so dispatch is a pure speed choice.
+// and invoke its function pointers per row. The process runs the widest table
+// the CPU can execute (AVX2, then SSE2, then scalar), picked once from CPUID
+// at first use; nothing overrides that choice. Every table is bit-identical
+// to the scalar one (tests/test_isa.cpp enforces this per primitive, per tail
+// residue, on unaligned row starts, calling each table through row_table()),
+// so the choice is a pure speed choice.
 //
 // The AVX2 table lives in fused_rows_avx2.cpp — the only translation unit
 // compiled with -mavx2. It keeps every helper in an anonymous namespace (no
@@ -22,8 +16,6 @@
 // paths via the linker.
 
 #include <cstddef>
-#include <optional>
-#include <string>
 
 #include "fused_rows.hpp"
 
@@ -38,17 +30,12 @@ enum class Isa {
   kAvx2 = 2,
 };
 
-inline constexpr int kIsaCount = 3;
-
 /// One implementation set of every fused row primitive. All entries of all
 /// tables are bit-identical; they differ only in vector width.
 struct RowKernelTable {
   /// w = A p over one row: returns {p.w, w.w}.
   fused::RowDots (*w_row)(const double*, const double*, const double*,
                           double*, std::size_t, std::size_t, std::size_t);
-  /// Recompute {p.w, w.w} from an already-written w row (region finish path).
-  fused::RowDots (*w_row_dots)(const double*, const double*, std::size_t,
-                               std::size_t);
   /// u += a p; r -= a w; p = r + bp p: returns r.r.
   double (*urp_row)(double*, double*, double*, const double*, std::size_t,
                     std::size_t, double, double);
@@ -73,21 +60,8 @@ struct RowKernelTable {
 /// Canonical lower-case name ("scalar", "sse2", "avx2").
 const char* isa_name(Isa isa);
 
-/// Parses an ISA name (as accepted by TL_FORCE_ISA).
-std::optional<Isa> parse_isa(const std::string& name);
-
-/// True when this build can execute the given ISA on this CPU.
-bool isa_available(Isa isa);
-
-/// Widest available ISA on this CPU (ignores overrides).
-Isa detect_best();
-
-/// Programmatic override (wins over TL_FORCE_ISA). Passing nullopt reverts
-/// to env/auto resolution. Resets the cached dispatch decision.
-void force_isa(std::optional<Isa> isa);
-
-/// The resolved ISA: forced -> TL_FORCE_ISA -> detect_best(), with
-/// unavailable forced choices degrading to kScalar. Cached after first call.
+/// The widest ISA whose row table this build can execute on this CPU.
+/// Resolved once, at first call.
 Isa active_isa();
 
 /// Row table for the given ISA, or nullptr when it is unavailable in this

@@ -501,9 +501,9 @@ void ReferenceKernels::download_energy(Chunk& chunk) {
 // Traversal: the interior rows are split into tiles whose working set
 // (nfields rows of the padded width) fits in half of an assumed 256 KiB L2;
 // tiles are claimed from the HostPool with the tile height as the grain.
-// The row sweeps themselves come from the runtime ISA dispatch table in
-// core/isa.hpp (scalar / SSE2 / AVX2, selected by CPUID or
-// TL_FORCE_ISA); every table entry accumulates dots in four fixed chains
+// The row sweeps themselves come from the ISA dispatch table in
+// core/isa.hpp (the widest of scalar / SSE2 / AVX2 the CPU runs, picked
+// once from CPUID); every table entry accumulates dots in four fixed chains
 // c = (index in row) & 3 combined as (c0 + c2) + (c1 + c3), so all ISAs
 // produce the same bits. Row sums land in per-row slots combined by a
 // pairwise tree over the row index — the result depends only on the mesh,

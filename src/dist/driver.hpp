@@ -92,10 +92,9 @@ class DistributedDriver {
                     const sim::NetworkSpec& net = sim::node_interconnect());
 
   /// As above, but adopts a precomputed decomposition instead of deriving
-  /// one from the settings — the solve service's Session caches
-  /// decompositions across jobs with repeated mesh shapes. Throws
-  /// std::invalid_argument when `decomp` does not match the settings'
-  /// (nx, ny, nranks).
+  /// one from the settings — e.g. a weighted row-strip layout for a
+  /// heterogeneous world. Throws std::invalid_argument when `decomp` does
+  /// not match the settings' (nx, ny, nranks).
   DistributedDriver(const core::Settings& settings, PortFactory factory,
                     comm::BlockDecomposition decomp,
                     const sim::NetworkSpec& net = sim::node_interconnect());

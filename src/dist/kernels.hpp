@@ -121,7 +121,6 @@ class DistributedKernels final : public core::SolverKernels {
   void enable_faults(const comm::FaultSpec& spec);
   /// Step-boundary notification for step-scoped fault triggers.
   void set_fault_step(int step);
-  bool faults_active() const noexcept { return fc_ != nullptr; }
 
   /// Comm-phase perturbation for tl_verify --perturb: "halo_payload" scales
   /// one received halo cell on rank 1 after every exchange; "allreduce"

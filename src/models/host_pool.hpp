@@ -34,10 +34,6 @@ class HostPool {
   HostPool(const HostPool&) = delete;
   HostPool& operator=(const HostPool&) = delete;
 
-  unsigned thread_count() const noexcept {
-    return static_cast<unsigned>(threads_.size()) + 1;
-  }
-
   /// Raw dispatch seam: invoked once per chunk with that chunk's
   /// [begin, end) and its index in iteration order.
   using ChunkFn = void (*)(void* ctx, std::int64_t begin, std::int64_t end,

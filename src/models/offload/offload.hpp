@@ -53,11 +53,7 @@ class Runtime {
     return resident_.count(host_ptr) != 0;
   }
 
-  /// Explicit consistency (omp target update / acc update).
-  void update_to(const void* host_ptr, std::size_t bytes) {
-    require_present(host_ptr);
-    charge_transfer(bytes, true);
-  }
+  /// Explicit consistency (omp target update from / acc update host).
   void update_from(const void* host_ptr, std::size_t bytes) {
     require_present(host_ptr);
     charge_transfer(bytes, false);

@@ -47,7 +47,6 @@ class IndexSet {
   void push_back(ListSegment s) { segments_.emplace_back(std::move(s)); }
 
   const std::vector<Segment>& segments() const noexcept { return segments_; }
-  std::size_t segment_count() const noexcept { return segments_.size(); }
 
   std::int64_t total_length() const noexcept {
     std::int64_t n = 0;

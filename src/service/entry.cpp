@@ -62,11 +62,7 @@ ScenarioOutcome run_distributed(const Scenario& sc,
                             1 + static_cast<std::uint64_t>(rank),
                             hooks.host_threads);
   };
-  dist::DistributedDriver driver =
-      hooks.decomposition != nullptr
-          ? dist::DistributedDriver(sc.settings, std::move(factory),
-                                    *hooks.decomposition)
-          : dist::DistributedDriver(sc.settings, std::move(factory));
+  dist::DistributedDriver driver(sc.settings, std::move(factory));
   if (hooks.sink_for_rank) {
     std::vector<sim::TraceSink*> sinks;
     sinks.reserve(static_cast<std::size_t>(sc.settings.nranks));

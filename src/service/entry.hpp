@@ -27,10 +27,6 @@ struct ScenarioHooks {
   std::function<sim::TraceSink*(int rank)> sink_for_rank;
   /// Host threads each rank's port runs with (HostPool width).
   unsigned host_threads = 1;
-  /// Precomputed decomposition for this scenario's (nx, ny, nranks) — a
-  /// Session's cache hands it in so repeated shapes skip the grid
-  /// factorisation. nullptr recomputes; ignored for single-chunk runs.
-  const comm::BlockDecomposition* decomposition = nullptr;
 
   // -- Elastic execution (distributed scenarios only; single-chunk runs have
   // no communication to fault or re-decompose, so these are ignored there) --

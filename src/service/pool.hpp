@@ -11,8 +11,8 @@
 //   large lane   dedicated workers popping one job at a time — a large mesh
 //                owns its worker for the duration.
 //
-// Every worker owns a Session (decomposition cache + single-writer
-// per-tenant MetricsRegistry slice). submit() assigns ids and blocks when
+// Every worker owns a Session (single-writer per-tenant MetricsRegistry
+// slice). submit() assigns ids and blocks when
 // the target lane is full (bounded admission); finish() closes both lanes,
 // joins the workers — draining every in-flight and queued job — and folds
 // results, tenant summaries (deterministically, sorted by job id), and the

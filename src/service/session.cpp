@@ -3,8 +3,6 @@
 #include <chrono>
 #include <exception>
 
-#include "util/string_util.hpp"
-
 namespace tl::service {
 
 namespace {
@@ -14,22 +12,6 @@ namespace {
 constexpr double kWaitBounds[] = {1, 2, 4, 8, 16, 32, 64, 128, 256, 512};
 
 }  // namespace
-
-const comm::BlockDecomposition& Session::decomposition_for(
-    const Scenario& scenario) {
-  const std::string key =
-      util::strf("%dx%d/r%d", scenario.settings.nx, scenario.settings.ny,
-                 scenario.settings.nranks);
-  auto it = decompositions_.find(key);
-  if (it == decompositions_.end()) {
-    it = decompositions_
-             .emplace(key, comm::BlockDecomposition(scenario.settings.nx,
-                                                    scenario.settings.ny,
-                                                    scenario.settings.nranks))
-             .first;
-  }
-  return it->second;
-}
 
 JobResult Session::run(const Job& job) {
   JobResult result;
@@ -46,7 +28,6 @@ JobResult Session::run(const Job& job) {
     ScenarioHooks hooks;
     hooks.host_threads = config_.host_threads;
     if (job.scenario.settings.nranks > 1) {
-      hooks.decomposition = &decomposition_for(job.scenario);
       hooks.faults = job.faults;
       // Each resume attempt advances the fault epoch: the schedule hash
       // changes, so a deterministic hard failure does not recur forever.

@@ -1,13 +1,13 @@
 #pragma once
 // Session: one worker's reusable execution context.
 //
-// A Session owns what repeated solves share — the decomposition cache (a
-// Scenario's BlockDecomposition is a pure function of (nx, ny, nranks), so
-// mixed workloads that repeat shapes skip the grid factorisation) and a
-// MetricsRegistry slice metering every job per tenant. Registries are
-// single-writer by construction (DESIGN.md §11), which is exactly why each
-// worker owns its own Session: the slice is written only from that worker's
-// thread, and the pool merges slices pairwise in worker order at drain time.
+// A Session owns what repeated solves share: a MetricsRegistry slice
+// metering every job per tenant. Each job runs exactly its standalone path
+// (service/entry.hpp); nothing about one job is cached for the next.
+// Registries are single-writer by construction (DESIGN.md §11), which is
+// exactly why each worker owns its own Session: the slice is written only
+// from that worker's thread, and the pool merges slices pairwise in worker
+// order at drain time.
 //
 // run() never throws: a job that is rejected (unsupported model x device,
 // invalid settings) or dies mid-solve comes back with ok == false and the
@@ -15,10 +15,7 @@
 // not take the service down.
 
 #include <cstdint>
-#include <map>
-#include <string>
 
-#include "comm/decomposition.hpp"
 #include "service/entry.hpp"
 #include "service/job.hpp"
 #include "telemetry/metrics_registry.hpp"
@@ -48,16 +45,9 @@ class Session {
   telemetry::MetricsRegistry& registry() noexcept { return registry_; }
 
   std::uint64_t jobs_run() const noexcept { return jobs_run_; }
-  std::size_t cached_decompositions() const noexcept {
-    return decompositions_.size();
-  }
 
  private:
-  /// Cache lookup, inserting on miss. Only consulted for nranks > 1.
-  const comm::BlockDecomposition& decomposition_for(const Scenario& scenario);
-
   SessionConfig config_;
-  std::map<std::string, comm::BlockDecomposition> decompositions_;
   telemetry::MetricsRegistry registry_;
   std::uint64_t jobs_run_ = 0;
 };

@@ -61,10 +61,6 @@ class SimClock {
     transfer_bytes_ += bytes;
   }
 
-  /// Host-side time that is not kernel or transfer work (halo packing on the
-  /// host, MPI progress, ...).
-  void add_host_time(double ns) { elapsed_ns_ += ns; }
-
   // -- Trace hook -----------------------------------------------------------
 
   /// Attaches `sink` (nullptr detaches). Not owned; must outlive the clock

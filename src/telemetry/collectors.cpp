@@ -31,12 +31,6 @@ void RegistrySink::on_event(const sim::TraceEvent& event) {
   reg.observe("tl_launch_factor", event.launch_factor, kLaunchFactorBounds);
 }
 
-void collect_events(MetricsRegistry& registry,
-                    std::span<const sim::TraceEvent> events) {
-  RegistrySink sink(registry);
-  for (const sim::TraceEvent& event : events) sink.on_event(event);
-}
-
 void collect_comm(MetricsRegistry& registry, int rank,
                   const dist::CommStats& stats) {
   const MetricsRegistry::Labels labels = {

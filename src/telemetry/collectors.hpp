@@ -6,8 +6,6 @@
 // already-aggregated CommStats / RunReport structures the dist and core
 // layers produce anyway.
 
-#include <span>
-
 #include "core/driver.hpp"
 #include "dist/kernels.hpp"
 #include "sim/trace.hpp"
@@ -37,11 +35,6 @@ class RegistrySink final : public sim::TraceSink {
  private:
   MetricsRegistry* registry_;
 };
-
-/// Replays an already-recorded event stream through a RegistrySink (for
-/// consumers that kept a RecordingSink, e.g. quickstart's per-rank traces).
-void collect_events(MetricsRegistry& registry,
-                    std::span<const sim::TraceEvent> events);
 
 /// Per-rank comm/overlap tallies as rank-labelled counters
 /// (tl_rank_halo_exchanges{rank="0"}, tl_rank_comm_bytes{...},

@@ -80,11 +80,6 @@ double MetricsRegistry::counter_or(std::string_view key,
   return it != counters_.end() ? it->second : fallback;
 }
 
-double MetricsRegistry::gauge_or(std::string_view key, double fallback) const {
-  const auto it = gauges_.find(key);
-  return it != gauges_.end() ? it->second : fallback;
-}
-
 void MetricsRegistry::clear() {
   counters_.clear();
   gauges_.clear();

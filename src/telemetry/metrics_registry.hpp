@@ -68,9 +68,8 @@ class MetricsRegistry {
   const CounterMap& gauges() const noexcept { return gauges_; }
   const HistogramMap& histograms() const noexcept { return histograms_; }
 
-  /// Counter/gauge lookup by serialized key; `fallback` when absent.
+  /// Counter lookup by serialized key; `fallback` when absent.
   double counter_or(std::string_view key, double fallback = 0.0) const;
-  double gauge_or(std::string_view key, double fallback = 0.0) const;
 
   bool empty() const noexcept {
     return counters_.empty() && gauges_.empty() && histograms_.empty();

@@ -3,7 +3,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/isa.hpp"
 #include "sim/device.hpp"
 #include "telemetry/check.hpp"
 #include "telemetry/collectors.hpp"
@@ -27,9 +26,6 @@ ReportBuilder::ReportBuilder(ReportContext context)
     : context_(std::move(context)) {
   if (const auto device = sim::parse_device(context_.device)) {
     peak_gbs_ = sim::device_spec(*device).stream_bw_gbs;
-  }
-  if (context_.isa.empty()) {
-    context_.isa = core::isa::isa_name(core::isa::active_isa());
   }
 }
 
@@ -107,8 +103,7 @@ std::string ReportBuilder::to_json() const {
      << ", \"nx\": " << context_.nx << ", \"ny\": " << context_.ny
      << ", \"steps\": " << context_.steps << ", \"ranks\": " << context_.ranks
      << ", \"use_fused\": " << jbool(context_.use_fused)
-     << ", \"overlap_comm\": " << jbool(context_.overlap_comm)
-     << ", \"isa\": " << jstr(context_.isa) << "},\n";
+     << ", \"overlap_comm\": " << jbool(context_.overlap_comm) << "},\n";
 
   int total_iterations = 0;
   for (const SolveRow& s : solves_) total_iterations += s.iterations;

@@ -35,10 +35,6 @@ struct ReportContext {
   int ranks = 1;
   bool use_fused = true;
   bool overlap_comm = true;
-  /// Dispatched row-kernel ISA (core/isa.hpp active_isa). Defaults to the
-  /// process's resolved ISA; "phantom" for metering-only runs that never
-  /// execute a row kernel.
-  std::string isa;
 };
 
 /// One solve outcome row (a Driver step, or one bench solve).

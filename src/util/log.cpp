@@ -1,82 +1,19 @@
 #include "util/log.hpp"
 
-#include <atomic>
-#include <chrono>
 #include <cstdarg>
 #include <cstdio>
-#include <cstdlib>
 #include <mutex>
-
-#include "util/json.hpp"
-#include "util/string_util.hpp"
+#include <string>
 
 namespace tl::util {
 
 namespace {
 
-LogLevel level_from_env() {
-  const char* env = std::getenv("TL_LOG_LEVEL");
-  if (env != nullptr) {
-    if (const auto parsed = parse_log_level(env)) return *parsed;
-  }
-  return LogLevel::kWarn;
-}
-
-LogFormat format_from_env() {
-  const char* env = std::getenv("TL_LOG_FORMAT");
-  if (env != nullptr) {
-    if (const auto parsed = parse_log_format(env)) return *parsed;
-  }
-  return LogFormat::kPlain;
-}
-
-std::atomic<LogLevel> g_level{level_from_env()};
-std::atomic<LogFormat> g_format{format_from_env()};
 std::mutex g_mutex;
 
-/// Monotonic ns since the first log statement armed the clock (json lines
-/// only; plain lines carry no timestamp and stay byte-identical).
-long long monotonic_ns() {
-  static const auto t0 = std::chrono::steady_clock::now();
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(
-             std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
-const char* level_id(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "debug";
-    case LogLevel::kInfo: return "info";
-    case LogLevel::kWarn: return "warn";
-    case LogLevel::kError: return "error";
-    case LogLevel::kOff: return "off";
-  }
-  return "?";
-}
-
-const char* level_name(LogLevel level) {
-  switch (level) {
-    case LogLevel::kDebug: return "DEBUG";
-    case LogLevel::kInfo: return "INFO";
-    case LogLevel::kWarn: return "WARN";
-    case LogLevel::kError: return "ERROR";
-    case LogLevel::kOff: return "OFF";
-  }
-  return "?";
-}
-
-/// Single emission path for every log line: format_log_line keeps the wire
-/// format in one place, the mutex keeps lines whole under threads.
-void emit(LogLevel level, std::string_view message) {
-  const LogFormat format = g_format.load(std::memory_order_relaxed);
-  const long long ts = format == LogFormat::kJson ? monotonic_ns() : 0;
-  const std::string line = format_log_line(format, level, message, ts);
-  std::lock_guard<std::mutex> lock(g_mutex);
-  std::fprintf(stderr, "%s\n", line.c_str());
-}
-
-void vlog(LogLevel level, const char* fmt, va_list args) {
-  if (level < g_level.load(std::memory_order_relaxed)) return;
+/// Formats the message first, then writes the whole line in one call under
+/// the mutex, so lines stay whole under threads.
+void vlog(const char* tag, const char* fmt, va_list args) {
   va_list args2;
   va_copy(args2, args);
   const int needed = std::vsnprintf(nullptr, 0, fmt, args);
@@ -86,70 +23,24 @@ void vlog(LogLevel level, const char* fmt, va_list args) {
     std::vsnprintf(message.data(), message.size() + 1, fmt, args2);
   }
   va_end(args2);
-  emit(level, message);
+  std::lock_guard<std::mutex> lock(g_mutex);
+  std::fprintf(stderr, "[%s] %s\n", tag, message.c_str());
 }
+
 }  // namespace
 
-std::optional<LogLevel> parse_log_level(std::string_view text) {
-  const std::string norm = to_lower(trim(text));
-  if (norm == "debug") return LogLevel::kDebug;
-  if (norm == "info") return LogLevel::kInfo;
-  if (norm == "warn" || norm == "warning") return LogLevel::kWarn;
-  if (norm == "error") return LogLevel::kError;
-  if (norm == "off" || norm == "none") return LogLevel::kOff;
-  return std::nullopt;
+void log_warn(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  vlog("WARN", fmt, args);
+  va_end(args);
 }
 
-std::optional<LogFormat> parse_log_format(std::string_view text) {
-  const std::string norm = to_lower(trim(text));
-  if (norm == "plain" || norm == "text") return LogFormat::kPlain;
-  if (norm == "json") return LogFormat::kJson;
-  return std::nullopt;
+void log_error(const char* fmt, ...) {
+  va_list args;
+  va_start(args, fmt);
+  vlog("ERROR", fmt, args);
+  va_end(args);
 }
-
-void set_log_level(LogLevel level) {
-  g_level.store(level, std::memory_order_relaxed);
-}
-
-LogLevel log_level() noexcept { return g_level.load(std::memory_order_relaxed); }
-
-void set_log_format(LogFormat format) {
-  g_format.store(format, std::memory_order_relaxed);
-}
-
-LogFormat log_format() noexcept {
-  return g_format.load(std::memory_order_relaxed);
-}
-
-std::string format_log_line(LogFormat format, LogLevel level,
-                            std::string_view message, long long ts_ns) {
-  if (format == LogFormat::kJson) {
-    return strf("{\"level\":\"%s\",\"ts_ns\":%lld,\"message\":\"%s\"}",
-                level_id(level), ts_ns,
-                json_escape(message).c_str());
-  }
-  return strf("[%s] %.*s", level_name(level),
-              static_cast<int>(message.size()), message.data());
-}
-
-void log_message(LogLevel level, const std::string& message) {
-  if (level < g_level.load(std::memory_order_relaxed)) return;
-  emit(level, message);
-}
-
-#define TLM_DEFINE_LOG_FN(name, level)            \
-  void name(const char* fmt, ...) {               \
-    va_list args;                                 \
-    va_start(args, fmt);                          \
-    vlog(level, fmt, args);                       \
-    va_end(args);                                 \
-  }
-
-TLM_DEFINE_LOG_FN(log_debug, LogLevel::kDebug)
-TLM_DEFINE_LOG_FN(log_info, LogLevel::kInfo)
-TLM_DEFINE_LOG_FN(log_warn, LogLevel::kWarn)
-TLM_DEFINE_LOG_FN(log_error, LogLevel::kError)
-
-#undef TLM_DEFINE_LOG_FN
 
 }  // namespace tl::util

@@ -1,54 +1,10 @@
 #pragma once
-// Leveled logging to stderr. Kept deliberately simple: benches and examples
-// print their primary output with tables/CSV; the log is for diagnostics.
-
-#include <optional>
-#include <string>
-#include <string_view>
+// Diagnostics to stderr, one plain line each: "[WARN] message" or
+// "[ERROR] message". Benches and examples print their primary output with
+// tables/CSV; the log only reports what went wrong.
 
 namespace tl::util {
 
-enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
-
-/// Plain is the classic "[WARN] message" line; json emits exactly one JSON
-/// object per line — {"level":"warn","ts_ns":N,"message":"..."} with ts_ns a
-/// monotonic steady-clock nanosecond offset from process start (machine
-/// ingestion: level filters, message dedup, intra-run ordering).
-enum class LogFormat { kPlain = 0, kJson = 1 };
-
-/// Parses "debug" / "info" / "warn" / "error" / "off" (case-insensitive,
-/// surrounding whitespace ignored); nullopt for anything else.
-std::optional<LogLevel> parse_log_level(std::string_view text);
-
-/// Parses "plain" / "text" / "json" (case-insensitive, trimmed); nullopt for
-/// anything else.
-std::optional<LogFormat> parse_log_format(std::string_view text);
-
-/// Global threshold; messages below it are dropped. Starts at kWarn so
-/// library code stays quiet in tests unless something is wrong; the
-/// TL_LOG_LEVEL environment variable overrides the starting level at process
-/// startup (unparsable values are ignored), so benches and tests can turn on
-/// diagnostics without recompiling.
-void set_log_level(LogLevel level);
-LogLevel log_level() noexcept;
-
-/// Global line format. Starts plain; the TL_LOG_FORMAT environment variable
-/// ("json") overrides it at process startup (unparsable values are ignored),
-/// so plain output stays byte-identical whenever the variable is unset.
-void set_log_format(LogFormat format);
-LogFormat log_format() noexcept;
-
-/// Renders one log line in `format` without the trailing newline (the json
-/// rendering of plain "[WARN] message"). Exposed so tests can pin the wire
-/// format; `ts_ns` is the monotonic nanosecond offset stamped into json
-/// lines.
-std::string format_log_line(LogFormat format, LogLevel level,
-                            std::string_view message, long long ts_ns);
-
-void log_message(LogLevel level, const std::string& message);
-
-[[gnu::format(printf, 1, 2)]] void log_debug(const char* fmt, ...);
-[[gnu::format(printf, 1, 2)]] void log_info(const char* fmt, ...);
 [[gnu::format(printf, 1, 2)]] void log_warn(const char* fmt, ...);
 [[gnu::format(printf, 1, 2)]] void log_error(const char* fmt, ...);
 

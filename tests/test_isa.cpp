@@ -1,22 +1,17 @@
-// Runtime ISA dispatch: the contract that vector width is a pure speed
-// choice. Every available row-kernel table (sse2/avx2) must be
-// bit-identical to the scalar one for every primitive, every tail residue,
-// and unaligned row starts; TL_FORCE_ISA / force_isa must select the table
-// they name (degrading to scalar, never faulting, when the CPU or build
-// lacks it); and a whole CG solve must produce bit-identical results under
-// every forced ISA.
+// ISA dispatch: the contract that vector width is a pure speed choice.
+// Every available row-kernel table (sse2/avx2) must be bit-identical to the
+// scalar one for every primitive, every tail residue, and unaligned row
+// starts; the battery calls each table directly through row_table(), so it
+// covers every table whichever one the process runs. The process runs the
+// widest available table. The pool's default grain rides along here too.
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
-#include "core/driver.hpp"
 #include "core/isa.hpp"
-#include "core/reference_kernels.hpp"
-#include "core/settings.hpp"
 #include "models/host_pool.hpp"
 
 using namespace tl;
@@ -28,7 +23,7 @@ namespace {
 // Per-primitive bit-identity against the scalar table
 // ---------------------------------------------------------------------------
 
-/// Deterministic positive test data, same generator as test_fusion.cpp.
+/// Deterministic positive test data (xorshift64).
 struct RowArrays {
   std::vector<double> a, b, c, d, e, f, g;
   explicit RowArrays(std::size_t n) : a(n), b(n), c(n), d(n), e(n), f(n), g(n) {
@@ -82,12 +77,6 @@ void expect_table_matches_scalar(const core::isa::RowKernelTable& table,
     EXPECT_EQ(d1.pw, d2.pw) << what << " w_row pw";
     EXPECT_EQ(d1.ww, d2.ww) << what << " w_row ww";
     EXPECT_EQ(w1, w2) << what << " w_row w";
-  }
-  {  // w_row_dots: recompute the dots from a written w row
-    const auto d1 = table.w_row_dots(m.a.data(), m.e.data(), base, e);
-    const auto d2 = ref.w_row_dots(m.a.data(), m.e.data(), base, e);
-    EXPECT_EQ(d1.pw, d2.pw) << what << " w_row_dots pw";
-    EXPECT_EQ(d1.ww, d2.ww) << what << " w_row_dots ww";
   }
   {  // urp_row: u += a p; r -= a w; p = r + bp p; returns r.r
     std::vector<double> u1 = m.a, r1 = m.b, p1 = m.c;
@@ -163,68 +152,12 @@ TEST(IsaTables, EveryAvailableTableMatchesScalarBitwise) {
   }
 }
 
-// ---------------------------------------------------------------------------
-// Dispatch: force_isa / TL_FORCE_ISA resolution and graceful fallback
-// ---------------------------------------------------------------------------
-
-/// Restores clean resolution state around every dispatch test.
-class IsaDispatchTest : public testing::Test {
- protected:
-  void SetUp() override {
-    ::unsetenv("TL_FORCE_ISA");
-    core::isa::force_isa(std::nullopt);
-  }
-  void TearDown() override {
-    ::unsetenv("TL_FORCE_ISA");
-    core::isa::force_isa(std::nullopt);
-  }
-};
-
-TEST_F(IsaDispatchTest, ParseRoundTripsEveryName) {
-  for (int i = 0; i < core::isa::kIsaCount; ++i) {
-    const Isa isa = static_cast<Isa>(i);
-    const auto parsed = core::isa::parse_isa(core::isa::isa_name(isa));
-    ASSERT_TRUE(parsed.has_value()) << core::isa::isa_name(isa);
-    EXPECT_EQ(*parsed, isa);
-  }
-  EXPECT_FALSE(core::isa::parse_isa("").has_value());
-  EXPECT_FALSE(core::isa::parse_isa("avx9000").has_value());
-  // The retired 512-bit row table's name is no longer a valid ISA.
-  EXPECT_FALSE(core::isa::parse_isa("avx512").has_value());
-}
-
-TEST_F(IsaDispatchTest, ForceSelectsTheNamedTableOrScalar) {
-  for (int i = 0; i < core::isa::kIsaCount; ++i) {
-    const Isa isa = static_cast<Isa>(i);
-    core::isa::force_isa(isa);
-    const Isa expect =
-        core::isa::row_table(isa) != nullptr ? isa : Isa::kScalar;
-    EXPECT_EQ(core::isa::active_isa(), expect) << core::isa::isa_name(isa);
-    EXPECT_EQ(core::isa::active_row_table(), core::isa::row_table(expect));
-  }
-}
-
-TEST_F(IsaDispatchTest, EnvSelectsAndProgrammaticForceWins) {
-  ::setenv("TL_FORCE_ISA", "sse2", 1);
-  core::isa::force_isa(std::nullopt);  // reset the cached decision
-  EXPECT_EQ(core::isa::active_isa(), Isa::kSse2);
-
-  // Programmatic force outranks the environment.
-  core::isa::force_isa(Isa::kScalar);
-  EXPECT_EQ(core::isa::active_isa(), Isa::kScalar);
-}
-
-TEST_F(IsaDispatchTest, UnparseableEnvFallsBackToDetection) {
-  ::setenv("TL_FORCE_ISA", "not-an-isa", 1);
-  core::isa::force_isa(std::nullopt);
-  EXPECT_EQ(core::isa::active_isa(), core::isa::detect_best());
-}
-
-TEST_F(IsaDispatchTest, ActiveTableIsNeverNull) {
-  for (int i = 0; i < core::isa::kIsaCount; ++i) {
-    core::isa::force_isa(static_cast<Isa>(i));
-    EXPECT_NE(core::isa::active_row_table(), nullptr);
-  }
+TEST(IsaTables, ProcessRunsTheWidestAvailableTable) {
+  Isa widest = Isa::kScalar;
+  for (const Isa isa : available_wide_isas()) widest = isa;
+  EXPECT_EQ(core::isa::active_isa(), widest)
+      << core::isa::isa_name(core::isa::active_isa());
+  EXPECT_EQ(core::isa::active_row_table(), core::isa::row_table(widest));
 }
 
 // ---------------------------------------------------------------------------
@@ -237,37 +170,6 @@ TEST(IsaGrain, DefaultGrainRoundsUpToTheIsaGroup) {
   EXPECT_EQ(HostPool::effective_grain(1000, 7), 7);
   // Tiny ranges still get a positive grain.
   EXPECT_EQ(HostPool::effective_grain(3, 0), 1);
-}
-
-// ---------------------------------------------------------------------------
-// Whole-solve invariance: CG bit-identical under every forced ISA (histories
-// and residuals, not just per-row outputs).
-// ---------------------------------------------------------------------------
-
-core::StepReport run_cg() {
-  core::Settings s = core::Settings::default_problem();
-  s.nx = s.ny = 40;
-  s.solver = core::SolverKind::kCg;
-  core::Driver driver(s, std::make_unique<core::ReferenceKernels>(
-                             core::Mesh(s.nx, s.ny, s.halo_depth)));
-  return driver.run_step();
-}
-
-TEST_F(IsaDispatchTest, CgSolveBitIdenticalUnderEveryForcedIsa) {
-  core::isa::force_isa(Isa::kScalar);
-  const core::StepReport base = run_cg();
-  EXPECT_TRUE(base.solve.converged);
-  for (const Isa isa : available_wide_isas()) {
-    core::isa::force_isa(isa);
-    const core::StepReport got = run_cg();
-    const std::string tag = core::isa::isa_name(isa);
-    EXPECT_EQ(got.solve.iterations, base.solve.iterations) << tag;
-    EXPECT_EQ(got.solve.final_rr, base.solve.final_rr) << tag;
-    EXPECT_EQ(got.solve.rr_history, base.solve.rr_history) << tag;
-    EXPECT_EQ(got.summary.internal_energy, base.summary.internal_energy)
-        << tag;
-    EXPECT_EQ(got.summary.temperature, base.summary.temperature) << tag;
-  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <exception>
 #include <map>
 #include <set>
 #include <string>
@@ -277,13 +278,24 @@ TEST(ServiceSession, UnsupportedPairFailsSoft) {
   EXPECT_EQ(it->second, 1.0);
 }
 
-TEST(ServiceSession, DecompositionCacheHitsOnRepeatedShape) {
+TEST(ServiceSession, MultiRankJobFailsExactlyLikeItsStandaloneTwin) {
+  // A session job runs exactly run_scenario's path, refusals included: an
+  // elastic 4-rank job must fail with the standalone reason, not with an
+  // error only a session-side shortcut could raise.
+  Scenario s = tiny_scenario(core::SolverKind::kCg, 16, 4);
+  s.settings.elastic = true;
+  std::string standalone;
+  try {
+    service::run_scenario(s);
+  } catch (const std::exception& e) {
+    standalone = e.what();
+  }
+  ASSERT_FALSE(standalone.empty());
   service::Session session;
-  const Scenario s = tiny_scenario(core::SolverKind::kCg, 16, 2);
-  EXPECT_TRUE(session.run(make_job("a", Priority::kNormal, s)).ok);
-  EXPECT_TRUE(session.run(make_job("a", Priority::kNormal, s)).ok);
-  EXPECT_EQ(session.cached_decompositions(), 1u);
-  EXPECT_EQ(session.jobs_run(), 2u);
+  const JobResult r = session.run(make_job("a", Priority::kNormal, s));
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.error, standalone);
+  EXPECT_EQ(session.jobs_run(), 1u);
 }
 
 // -- ServiceConfig -----------------------------------------------------------

@@ -22,7 +22,6 @@
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/report.hpp"
 #include "util/json.hpp"
-#include "util/log.hpp"
 #include "util/metrics.hpp"
 
 namespace {
@@ -518,33 +517,6 @@ TEST(Analyze, RunReportMentionsKernelsAndComm) {
       telemetry::analyze(util::parse_json(builder.to_json()));
   EXPECT_NE(text.find("cg_calc_w"), std::string::npos);
   EXPECT_NE(text.find("comm"), std::string::npos);
-}
-
-// -- Structured logging ------------------------------------------------------
-
-TEST(Log, JsonLinesAreValidAndPlainIsUnchanged) {
-  const std::string plain = util::format_log_line(
-      util::LogFormat::kPlain, util::LogLevel::kWarn, "disk \"full\"", 0);
-  EXPECT_EQ(plain, "[WARN] disk \"full\"");
-
-  const std::string json = util::format_log_line(
-      util::LogFormat::kJson, util::LogLevel::kWarn, "disk \"full\"\n", 42);
-  const JsonValue parsed = util::parse_json(json);
-  EXPECT_EQ(parsed.get_string_or("level", ""), "warn");
-  EXPECT_EQ(parsed.get_number_or("ts_ns", -1.0), 42.0);
-  EXPECT_EQ(parsed.get_string_or("message", ""), "disk \"full\"\n");
-  EXPECT_EQ(json.find('\n'), std::string::npos);  // one object per line
-}
-
-TEST(Log, FormatParsesAndRoundTrips) {
-  EXPECT_EQ(util::parse_log_format("json"), util::LogFormat::kJson);
-  EXPECT_EQ(util::parse_log_format(" PLAIN "), util::LogFormat::kPlain);
-  EXPECT_EQ(util::parse_log_format("text"), util::LogFormat::kPlain);
-  EXPECT_FALSE(util::parse_log_format("yaml").has_value());
-  const util::LogFormat before = util::log_format();
-  util::set_log_format(util::LogFormat::kJson);
-  EXPECT_EQ(util::log_format(), util::LogFormat::kJson);
-  util::set_log_format(before);
 }
 
 }  // namespace

@@ -355,49 +355,12 @@ TEST(Cli, TypeErrorThrows) {
 // log
 // ---------------------------------------------------------------------------
 
-TEST(Log, ThresholdFiltersLevels) {
-  const auto before = u::log_level();
-  u::set_log_level(u::LogLevel::kError);
-  EXPECT_EQ(u::log_level(), u::LogLevel::kError);
-  // Below-threshold calls are dropped without touching stderr state; this
-  // mainly asserts the calls are safe at any level.
-  u::log_debug("dropped %d", 1);
-  u::log_info("dropped %s", "x");
-  u::log_warn("dropped");
-  u::set_log_level(u::LogLevel::kOff);
-  u::log_error("also dropped");
-  u::set_log_level(before);
-}
-
-TEST(Log, MessageApiAcceptsStrings) {
-  const auto before = u::log_level();
-  u::set_log_level(u::LogLevel::kOff);
-  u::log_message(u::LogLevel::kError, std::string(300, 'x'));
-  u::set_log_level(before);
-}
-
-TEST(Log, ParseLogLevelAcceptsAllNames) {
-  EXPECT_EQ(u::parse_log_level("debug"), u::LogLevel::kDebug);
-  EXPECT_EQ(u::parse_log_level("info"), u::LogLevel::kInfo);
-  EXPECT_EQ(u::parse_log_level("warn"), u::LogLevel::kWarn);
-  EXPECT_EQ(u::parse_log_level("warning"), u::LogLevel::kWarn);
-  EXPECT_EQ(u::parse_log_level("error"), u::LogLevel::kError);
-  EXPECT_EQ(u::parse_log_level("off"), u::LogLevel::kOff);
-  EXPECT_EQ(u::parse_log_level("none"), u::LogLevel::kOff);
-}
-
-TEST(Log, ParseLogLevelIsCaseAndWhitespaceInsensitive) {
-  // TL_LOG_LEVEL comes straight from the environment, so tolerate the usual
-  // shell noise.
-  EXPECT_EQ(u::parse_log_level("WARN"), u::LogLevel::kWarn);
-  EXPECT_EQ(u::parse_log_level("Debug"), u::LogLevel::kDebug);
-  EXPECT_EQ(u::parse_log_level("  info "), u::LogLevel::kInfo);
-}
-
-TEST(Log, ParseLogLevelRejectsUnknown) {
-  EXPECT_EQ(u::parse_log_level("bogus"), std::nullopt);
-  EXPECT_EQ(u::parse_log_level(""), std::nullopt);
-  EXPECT_EQ(u::parse_log_level("3"), std::nullopt);
+TEST(Log, WarnAndErrorWriteOnePlainLineEach) {
+  testing::internal::CaptureStderr();
+  u::log_warn("disk \"%s\"", "full");
+  u::log_error("%d of %d", 1, 2);
+  EXPECT_EQ(testing::internal::GetCapturedStderr(),
+            "[WARN] disk \"full\"\n[ERROR] 1 of 2\n");
 }
 
 // ---------------------------------------------------------------------------
