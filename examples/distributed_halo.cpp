@@ -55,14 +55,13 @@ int main(int argc, char** argv) {
     k.init_coefficients(proto.coefficient, rx, rx);
     exchange(core::FieldId::kU, 2);
 
-    using Op = comm::Communicator::ReduceOp;
-    double rro = cm.allreduce(k.cg_init(), Op::kSum);
+    double rro = cm.allreduce(k.cg_init());
     exchange(core::FieldId::kP, 3);
     int iterations = 0;
     for (int it = 0; it < proto.max_iters; ++it) {
-      const double pw = cm.allreduce(k.cg_calc_w(), Op::kSum);
+      const double pw = cm.allreduce(k.cg_calc_w());
       const double alpha = rro / pw;
-      const double rrn = cm.allreduce(k.cg_calc_ur(alpha), Op::kSum);
+      const double rrn = cm.allreduce(k.cg_calc_ur(alpha));
       ++iterations;
       if (rrn < proto.eps) break;
       k.cg_calc_p(rrn / rro);
@@ -72,8 +71,8 @@ int main(int argc, char** argv) {
 
     k.finalise();
     const core::FieldSummary local = k.field_summary();
-    const double temp = cm.allreduce(local.temperature, Op::kSum);
-    const double mass = cm.allreduce(local.mass, Op::kSum);
+    const double temp = cm.allreduce(local.temperature);
+    const double mass = cm.allreduce(local.mass);
     cm.barrier();
     if (cm.rank() == 0) {
       std::printf("converged in %d iterations\n", iterations);

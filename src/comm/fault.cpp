@@ -18,7 +18,7 @@ std::uint64_t mix64(std::uint64_t x) {
 
 }  // namespace
 
-double FaultyComm::uniform(int dest, int tag, int attempt, int salt) const {
+double Link::uniform(int dest, int tag, int attempt, int salt) const {
   std::uint64_t h = spec_.seed;
   h = mix64(h ^ (static_cast<std::uint64_t>(spec_.epoch) << 48));
   h = mix64(h ^ (static_cast<std::uint64_t>(comm_.rank()) << 32) ^
@@ -29,9 +29,8 @@ double FaultyComm::uniform(int dest, int tag, int attempt, int salt) const {
   return static_cast<double>(h >> 11) * 0x1.0p-53;
 }
 
-void FaultyComm::faulty_send(const WireOut& out, int attempt,
-                             std::vector<const WireOut*>& delayed) {
-  ++stats_.data_sends;
+void Link::faulty_send(const WireOut& out, int attempt,
+                       std::vector<const WireOut*>& delayed) {
   const bool hard_fail = spec_.epoch == 0 &&
                          comm_.rank() == spec_.hard_fail_rank &&
                          step_ == spec_.hard_fail_step;
@@ -51,8 +50,18 @@ void FaultyComm::faulty_send(const WireOut& out, int attempt,
   }
 }
 
-void FaultyComm::exchange(std::span<const WireOut> outs,
-                          std::span<const WireIn> ins) {
+void Link::exchange(std::span<const WireOut> outs,
+                    std::span<const WireIn> ins) {
+  if (faulty_) {
+    reliable_exchange(outs, ins);
+    return;
+  }
+  for (const WireOut& out : outs) comm_.send(out.data, out.dest, out.tag);
+  for (const WireIn& in : ins) comm_.recv(in.data, in.source, in.tag);
+}
+
+void Link::reliable_exchange(std::span<const WireOut> outs,
+                             std::span<const WireIn> ins) {
   std::vector<char> acked(outs.size(), 0);
   std::vector<char> got(ins.size(), 0);
   std::vector<const WireOut*> delayed;
@@ -83,7 +92,6 @@ void FaultyComm::exchange(std::span<const WireOut> outs,
       while (comm_.try_recv(got[j] != 0 ? scratch : in.data, in.source,
                             in.tag)) {
         got[j] = 1;
-        ++stats_.acks_sent;
         comm_.send(std::span<const double>(&ack_payload, 1), in.source,
                    in.tag + kAckTagOffset);
       }
@@ -103,8 +111,7 @@ void FaultyComm::exchange(std::span<const WireOut> outs,
     }
     for (char g : got) ins_left += g != 0 ? 0 : 1;
     const double world_left =
-        comm_.allreduce(static_cast<double>(outs_left + ins_left),
-                        Communicator::ReduceOp::kSum);
+        comm_.allreduce(static_cast<double>(outs_left + ins_left));
     if (world_left == 0.0) return;
     if (round < spec_.max_attempts) continue;
 
@@ -125,41 +132,38 @@ void FaultyComm::exchange(std::span<const WireOut> outs,
   }
 }
 
-void reliable_allreduce_sum(FaultyComm& fc, std::span<double> values,
-                            int gather_tag, int bcast_tag) {
-  Communicator& comm = fc.comm();
-  const int rank = comm.rank();
-  const int size = comm.size();
+void Link::allreduce_sum(std::span<double> values, int gather_tag,
+                         int bcast_tag) {
+  const int size = comm_.size();
   if (size == 1) return;
   const std::size_t n = values.size();
 
-  if (rank == 0) {
-    std::vector<double> incoming(static_cast<std::size_t>(size - 1) * n);
-    std::vector<WireIn> ins;
-    ins.reserve(static_cast<std::size_t>(size - 1));
+  if (comm_.rank() == 0) {
+    incoming_.resize(static_cast<std::size_t>(size - 1) * n);
+    ins_.clear();
     for (int r = 1; r < size; ++r) {
-      ins.push_back({r, gather_tag,
-                     std::span<double>(incoming.data() +
-                                           static_cast<std::size_t>(r - 1) * n,
-                                       n)});
+      ins_.push_back({r, gather_tag,
+                      std::span<double>(incoming_.data() +
+                                            static_cast<std::size_t>(r - 1) * n,
+                                        n)});
     }
-    fc.exchange({}, ins);
+    exchange({}, ins_);
     // Rank-order combine: bit-identical to MiniComm's sequential reduce.
     for (int r = 1; r < size; ++r) {
-      const double* block = incoming.data() + static_cast<std::size_t>(r - 1) * n;
+      const double* block =
+          incoming_.data() + static_cast<std::size_t>(r - 1) * n;
       for (std::size_t k = 0; k < n; ++k) values[k] += block[k];
     }
-    std::vector<WireOut> outs;
-    outs.reserve(static_cast<std::size_t>(size - 1));
+    outs_.clear();
     for (int r = 1; r < size; ++r) {
-      outs.push_back({r, bcast_tag, std::span<const double>(values)});
+      outs_.push_back({r, bcast_tag, std::span<const double>(values)});
     }
-    fc.exchange(outs, {});
+    exchange(outs_, {});
   } else {
     const WireOut contribute{0, gather_tag, std::span<const double>(values)};
-    fc.exchange(std::span<const WireOut>(&contribute, 1), {});
+    exchange(std::span<const WireOut>(&contribute, 1), {});
     const WireIn result{0, bcast_tag, values};
-    fc.exchange({}, std::span<const WireIn>(&result, 1));
+    exchange({}, std::span<const WireIn>(&result, 1));
   }
 }
 

@@ -1,22 +1,27 @@
 #pragma once
-// Comm fault injection and the reliable ack/retry protocol (DESIGN.md §13).
+// The comm link: the one channel the halo exchange and the solver's
+// reductions talk through, and the only place fault injection lives
+// (DESIGN.md §13).
 //
-// FaultyComm decorates a MiniComm Communicator with a seeded, deterministic
-// fault schedule: any DATA send may be dropped, duplicated, or delayed,
-// decided by hashing (seed, epoch, src, dst, tag, attempt) — never by wall
-// clock — so a given schedule is reproducible across runs and machines.
-// On top of the lossy sends sits `exchange()`: a reliable bidirectional
-// exchange run in logical rounds. In round k every rank sends each payload
-// still unacknowledged as attempt k; a round barrier follows, then every
-// rank receives what arrived and ACKs each copy (duplicates are absorbed
-// and re-ACKed); a second barrier follows, then senders collect their ACKs.
-// The rounds end when a world-wide count of unfinished payloads reaches
-// zero. Matching is by (source, wire tag), which the halo/reduction layers
-// never reuse within a run. Attempts, retries and survival therefore depend
-// only on (seed, epoch, schedule), not on how the OS schedules the rank
-// threads. Every rank of the world must call exchange() the same number of
-// times in the same order (the halo and reduction layers are SPMD), since
-// the rounds synchronise the whole world.
+// Link::exchange(outs, ins) delivers a batch of tagged payloads. Under an
+// inactive FaultSpec it sends every payload, then receives every expected
+// one — MiniComm sends are buffered, so that order cannot deadlock. Under an
+// active spec the link decorates the MiniComm Communicator with a seeded,
+// deterministic fault schedule: any DATA send may be dropped, duplicated, or
+// delayed, decided by hashing (seed, epoch, src, dst, tag, attempt) — never
+// by wall clock — so a given schedule is reproducible across runs and
+// machines. The exchange then runs a reliable ack/retry protocol in logical
+// rounds. In round k every rank sends each payload still unacknowledged as
+// attempt k; a round barrier follows, then every rank receives what arrived
+// and ACKs each copy (duplicates are absorbed and re-ACKed); a second
+// barrier follows, then senders collect their ACKs. The rounds end when a
+// world-wide count of unfinished payloads reaches zero. Matching is by
+// (source, wire tag), which the halo/reduction layers never reuse within a
+// run. Attempts, retries and survival therefore depend only on (seed, epoch,
+// schedule), not on how the OS schedules the rank threads. Under faults
+// every rank of the world must call exchange() the same number of times in
+// the same order (the halo and reduction layers are SPMD), since the rounds
+// synchronise the whole world.
 //
 // Unsurvivable schedules stay diagnosable instead of hanging: when round
 // max_attempts ends with a payload still unfinished anywhere, every rank
@@ -84,18 +89,17 @@ class ReliableTimeout : public CommFaultError {
   using CommFaultError::CommFaultError;
 };
 
-/// Injection/retry tallies for one rank, folded into dist::CommStats.
+/// Injection/retry tallies for one rank, folded into dist::CommStats. All
+/// zero under an inactive spec.
 struct FaultStats {
-  std::uint64_t data_sends = 0;  // DATA send attempts (incl. retransmits)
   std::uint64_t retries = 0;     // retransmissions past the first attempt
   std::uint64_t dropped = 0;     // injected drops
   std::uint64_t duplicated = 0;  // injected duplicate deliveries
   std::uint64_t delayed = 0;     // injected deferrals
-  std::uint64_t acks_sent = 0;   // ACKs emitted (never faulted)
 };
 
-/// One outbound / inbound payload of a reliable exchange. The spans must
-/// stay valid until exchange() returns.
+/// One outbound / inbound payload of an exchange. The spans must stay valid
+/// until exchange() returns.
 struct WireOut {
   int dest = 0;
   int tag = 0;
@@ -107,25 +111,33 @@ struct WireIn {
   std::span<double> data;
 };
 
-class FaultyComm {
+class Link {
  public:
-  FaultyComm(Communicator& comm, FaultSpec spec)
-      : comm_(comm), spec_(spec) {}
+  /// The default spec is inactive: a plain send-then-receive link.
+  explicit Link(Communicator& comm, FaultSpec spec = {})
+      : comm_(comm), spec_(spec), faulty_(spec.active()) {}
 
-  /// Completes every out (ACKed by its receiver) and every in (payload
-  /// delivered exactly once) under the fault schedule, or throws a
-  /// CommFaultError subclass. Either span may be empty. Collective: every
-  /// rank of the world takes part in each call.
+  /// Completes every out and every in (payload delivered exactly once), or,
+  /// under an active spec, throws a CommFaultError subclass. Either span may
+  /// be empty. Under an active spec the call is collective: every rank of
+  /// the world takes part in each call.
   void exchange(std::span<const WireOut> outs, std::span<const WireIn> ins);
+
+  /// allreduce(sum) over the link: gather to rank 0, combine in rank order
+  /// 0..P-1 (bit-identical to MiniComm's allreduce, and the same 2(P-1)
+  /// messages), broadcast. `gather_tag`/`bcast_tag` are caller-provided data
+  /// wire tags (the halo scheme's spare subtags).
+  void allreduce_sum(std::span<double> values, int gather_tag, int bcast_tag);
 
   /// Step-boundary notification (arms/disarms the hard-fail trigger).
   void set_step(int step) noexcept { step_ = step; }
 
   const FaultStats& stats() const noexcept { return stats_; }
-  const FaultSpec& spec() const noexcept { return spec_; }
-  Communicator& comm() noexcept { return comm_; }
 
  private:
+  /// The ack/retry rounds of an active spec (see the header comment).
+  void reliable_exchange(std::span<const WireOut> outs,
+                         std::span<const WireIn> ins);
   double uniform(int dest, int tag, int attempt, int salt) const;
   /// Sends under the schedule; a delayed send is appended to `delayed`.
   void faulty_send(const WireOut& out, int attempt,
@@ -133,15 +145,13 @@ class FaultyComm {
 
   Communicator& comm_;
   FaultSpec spec_;
+  const bool faulty_;  // spec_.active(), fixed for the link's lifetime
   FaultStats stats_;
   int step_ = 0;
+  // allreduce_sum scratch, reused across calls.
+  std::vector<double> incoming_;
+  std::vector<WireIn> ins_;
+  std::vector<WireOut> outs_;
 };
-
-/// Fault-surviving allreduce(sum): reliable gather-to-0, combine in rank
-/// order (bit-identical to MiniComm's sequential reduce), reliable
-/// broadcast. `gather_tag`/`bcast_tag` are caller-provided data wire tags
-/// (the halo scheme's spare subtags).
-void reliable_allreduce_sum(FaultyComm& fc, std::span<double> values,
-                            int gather_tag, int bcast_tag);
 
 }  // namespace tl::comm

@@ -49,17 +49,6 @@ void reflect_boundary(Span2D<double> field, int halo_depth,
   }
 }
 
-void reflect_physical_faces(Span2D<double> field, int halo_depth,
-                            const Tile& tile) {
-  std::vector<Face> faces;
-  // Preserve x-before-y ordering for correct corner fill.
-  if (!tile.has_neighbour(Face::kLeft)) faces.push_back(Face::kLeft);
-  if (!tile.has_neighbour(Face::kRight)) faces.push_back(Face::kRight);
-  if (!tile.has_neighbour(Face::kBottom)) faces.push_back(Face::kBottom);
-  if (!tile.has_neighbour(Face::kTop)) faces.push_back(Face::kTop);
-  reflect_boundary(field, halo_depth, faces);
-}
-
 HaloExchanger::HaloExchanger(const BlockDecomposition& decomp, int rank,
                              int halo_depth)
     : tile_(decomp.tile(rank)), halo_depth_(halo_depth) {
@@ -67,22 +56,9 @@ HaloExchanger::HaloExchanger(const BlockDecomposition& decomp, int rank,
       static_cast<std::size_t>(halo_depth) *
       static_cast<std::size_t>(
           std::max(tile_.ny(), tile_.nx() + 2 * halo_depth));
-  send_buf_.resize(max_strip);
-  recv_buf_.resize(max_strip);
+  for (auto& buf : send_bufs_) buf.resize(max_strip);
+  for (auto& buf : recv_bufs_) buf.resize(max_strip);
 }
-
-namespace {
-// Shared by both exchange entry points: a tag whose derived sub-tags would
-// reach the reserved collective range silently aliases collective traffic —
-// turn that into a diagnosable error up front.
-void check_tag_range(int tag) {
-  if (tag < 0 || tag * 8 + 7 >= kCollectiveTagBase) {
-    throw std::invalid_argument(
-        "HaloExchanger: tag out of range — tag * 8 + subtag must stay below "
-        "the reserved collective tag base (1 << 24)");
-  }
-}
-}  // namespace
 
 void HaloExchanger::pack(Span2D<const double> field, Face face, int depth,
                          std::vector<double>& buf) const {
@@ -138,62 +114,14 @@ void HaloExchanger::unpack(Span2D<double> field, Face face, int depth,
   }
 }
 
-void HaloExchanger::reflect_x_if_physical(Span2D<double> field) const {
-  std::vector<Face> faces;
-  if (!tile_.has_neighbour(Face::kLeft)) faces.push_back(Face::kLeft);
-  if (!tile_.has_neighbour(Face::kRight)) faces.push_back(Face::kRight);
-  reflect_boundary(field, halo_depth_, faces);
-}
-
-void HaloExchanger::reflect_y_if_physical(Span2D<double> field) const {
-  std::vector<Face> faces;
-  if (!tile_.has_neighbour(Face::kBottom)) faces.push_back(Face::kBottom);
-  if (!tile_.has_neighbour(Face::kTop)) faces.push_back(Face::kTop);
-  reflect_boundary(field, halo_depth_, faces);
-}
-
-void HaloExchanger::exchange(Communicator& comm, Span2D<double> field,
-                             int depth, int tag) {
-  if (depth <= 0 || depth > halo_depth_) {
-    throw std::invalid_argument("HaloExchanger: bad exchange depth");
-  }
-  check_tag_range(tag);
-  // Phase 1: x direction over interior rows; phase 2: y direction over the
-  // full (halo-included) width so corner data propagates diagonally.
-  const std::size_t x_count = static_cast<std::size_t>(depth) *
-                              static_cast<std::size_t>(tile_.ny());
-  const std::size_t y_count = static_cast<std::size_t>(depth) *
-                              static_cast<std::size_t>(field.nx());
-
-  auto swap_face = [&](Face send_face, Face recv_face, std::size_t count,
-                       int subtag) {
-    const int dest = tile_.neighbour_of(send_face);
-    const int source = tile_.neighbour_of(recv_face);
-    if (dest >= 0) pack(field, send_face, depth, send_buf_);
-    comm.sendrecv(std::span<const double>(send_buf_.data(), dest >= 0 ? count : 0),
-                  dest >= 0 ? dest : Communicator::kNoRank,
-                  std::span<double>(recv_buf_.data(), source >= 0 ? count : 0),
-                  source >= 0 ? source : Communicator::kNoRank,
-                  tag * 8 + subtag);
-    if (source >= 0) unpack(field, recv_face, depth, recv_buf_);
-  };
-
-  swap_face(Face::kLeft, Face::kRight, x_count, 0);
-  swap_face(Face::kRight, Face::kLeft, x_count, 1);
-  reflect_x_if_physical(field);
-
-  swap_face(Face::kBottom, Face::kTop, y_count, 2);
-  swap_face(Face::kTop, Face::kBottom, y_count, 3);
-  reflect_y_if_physical(field);
-}
-
 namespace {
 struct Direction {
   Face send_face;
   Face recv_face;
   int subtag;
 };
-// Same direction/subtag order as exchange()'s swap_face sequence.
+// Phase 1 (x) is directions 0-1, phase 2 (y) directions 2-3; the subtag is
+// the direction's index in the tag * 8 + subtag scheme.
 constexpr Direction kDirections[4] = {
     {Face::kLeft, Face::kRight, 0},
     {Face::kRight, Face::kLeft, 1},
@@ -202,56 +130,68 @@ constexpr Direction kDirections[4] = {
 };
 }  // namespace
 
-void HaloExchanger::exchange_reliable(FaultyComm& fc, Span2D<double> field,
-                                      int depth, int tag) {
+void HaloExchanger::exchange_phase(Link& link, Span2D<double> field, int depth,
+                                   int tag, int first_dir) {
+  // x strips span the tile's interior rows; y strips the full padded width,
+  // so corner data relayed by the x phase propagates diagonally.
+  const std::size_t count =
+      static_cast<std::size_t>(depth) *
+      static_cast<std::size_t>(first_dir == 0 ? tile_.ny() : field.nx());
+  std::array<WireOut, 2> outs;
+  std::array<WireIn, 2> ins;
+  std::size_t n_out = 0;
+  std::size_t n_in = 0;
+  for (std::size_t k = 0; k < 2; ++k) {
+    const Direction& d = kDirections[first_dir + static_cast<int>(k)];
+    const int dest = tile_.neighbour_of(d.send_face);
+    const int source = tile_.neighbour_of(d.recv_face);
+    if (dest >= 0) {
+      pack(field, d.send_face, depth, send_bufs_[k]);
+      outs[n_out++] = {dest, tag * 8 + d.subtag,
+                       std::span<const double>(send_bufs_[k].data(), count)};
+    }
+    if (source >= 0) {
+      ins[n_in++] = {source, tag * 8 + d.subtag,
+                     std::span<double>(recv_bufs_[k].data(), count)};
+    }
+  }
+  link.exchange(std::span<const WireOut>(outs.data(), n_out),
+                std::span<const WireIn>(ins.data(), n_in));
+  // A face with a neighbour takes its data; a physical face is reflected.
+  std::array<Face, 2> physical;
+  std::size_t n_physical = 0;
+  for (std::size_t k = 0; k < 2; ++k) {
+    const Direction& d = kDirections[first_dir + static_cast<int>(k)];
+    if (tile_.has_neighbour(d.recv_face)) {
+      unpack(field, d.recv_face, depth, recv_bufs_[k]);
+    } else {
+      physical[n_physical++] = d.recv_face;
+    }
+  }
+  reflect_boundary(field, halo_depth_,
+                   std::span<const Face>(physical.data(), n_physical));
+}
+
+void HaloExchanger::exchange(Link& link, Span2D<double> field, int depth,
+                             int tag) {
   if (depth <= 0 || depth > halo_depth_) {
     throw std::invalid_argument("HaloExchanger: bad exchange depth");
   }
-  check_tag_range(tag);
-  const std::size_t x_count = static_cast<std::size_t>(depth) *
-                              static_cast<std::size_t>(tile_.ny());
-  const std::size_t y_count = static_cast<std::size_t>(depth) *
-                              static_cast<std::size_t>(field.nx());
+  // A tag whose derived sub-tags would reach the reserved collective range
+  // silently aliases collective traffic — a diagnosable error up front.
+  if (tag < 0 || tag * 8 + 7 >= kCollectiveTagBase) {
+    throw std::invalid_argument(
+        "HaloExchanger: tag out of range — tag * 8 + subtag must stay below "
+        "the reserved collective tag base (1 << 24)");
+  }
+  exchange_phase(link, field, depth, tag, 0);
+  exchange_phase(link, field, depth, tag, 2);
+}
 
-  // One reliable exchange per phase: both directions' payloads in flight at
-  // once (each exchange round sends before it receives, so concurrent
-  // directions cannot deadlock), then the same unpack order as exchange().
-  auto phase = [&](int first_dir) {
-    std::array<std::vector<double>, 2> sbuf, rbuf;
-    std::vector<WireOut> outs;
-    std::vector<WireIn> ins;
-    for (int k = 0; k < 2; ++k) {
-      const Direction& d = kDirections[first_dir + k];
-      const std::size_t count =
-          d.subtag < 2 ? x_count : y_count;
-      const int dest = tile_.neighbour_of(d.send_face);
-      const int source = tile_.neighbour_of(d.recv_face);
-      if (dest >= 0) {
-        auto& buf = sbuf[static_cast<std::size_t>(k)];
-        buf.resize(count);
-        pack(field, d.send_face, depth, buf);
-        outs.push_back({dest, tag * 8 + d.subtag,
-                        std::span<const double>(buf.data(), count)});
-      }
-      if (source >= 0) {
-        auto& buf = rbuf[static_cast<std::size_t>(k)];
-        buf.resize(count);
-        ins.push_back({source, tag * 8 + d.subtag, std::span<double>(buf)});
-      }
-    }
-    fc.exchange(outs, ins);
-    for (int k = 0; k < 2; ++k) {
-      const Direction& d = kDirections[first_dir + k];
-      if (tile_.neighbour_of(d.recv_face) >= 0) {
-        unpack(field, d.recv_face, depth, rbuf[static_cast<std::size_t>(k)]);
-      }
-    }
-  };
-
-  phase(0);
-  reflect_x_if_physical(field);
-  phase(2);
-  reflect_y_if_physical(field);
+void HaloExchanger::exchange(Communicator& comm, Span2D<double> field,
+                             int depth, int tag) {
+  Link link(comm);
+  exchange(link, field, depth, tag);
 }
 
 }  // namespace tl::comm

@@ -5,9 +5,12 @@
 //   - reflect_boundary: physical (reflective) boundary fill on the faces of
 //     the global domain — used by every solver iteration even in the
 //     single-tile case;
-//   - HaloExchanger: pack/sendrecv/unpack across tile boundaries over a
-//     MiniComm communicator, for the decomposed (multi-rank) configuration.
+//   - HaloExchanger: pack/exchange/unpack across tile boundaries over the
+//     comm link (comm/fault.hpp), for the decomposed (multi-rank)
+//     configuration. One protocol serves the clean and the fault-injected
+//     link: the link alone decides how a batch of payloads is delivered.
 
+#include <array>
 #include <span>
 #include <vector>
 
@@ -24,51 +27,49 @@ namespace tl::comm {
 void reflect_boundary(tl::util::Span2D<double> field, int halo_depth,
                       std::span<const Face> faces);
 
-/// Reflects on every face that is a physical boundary of `tile`, and on all
-/// four faces in the single-tile case.
-void reflect_physical_faces(tl::util::Span2D<double> field, int halo_depth,
-                            const Tile& tile);
-
 class HaloExchanger {
  public:
   HaloExchanger(const BlockDecomposition& decomp, int rank, int halo_depth);
 
   /// Exchanges `depth` (<= halo_depth) halo layers of `field` with the four
-  /// neighbours and reflects physical faces. Collective across ranks: every
-  /// rank owning a neighbouring tile must call exchange with the same tag.
+  /// neighbours and reflects physical faces, in two phases: x faces, reflect
+  /// x, y faces (full padded width, so corners relay), reflect y. Each phase
+  /// puts both directions' payloads in flight in one Link::exchange.
+  /// Collective across ranks: every rank owning a neighbouring tile must
+  /// call exchange with the same tag. Numerically the same under any fault
+  /// schedule (exactly-once delivery); throws a CommFaultError subclass when
+  /// the link's schedule is unsurvivable.
   ///
   /// Tag scheme: message tag = tag * 8 + subtag, subtag 0 = left-edge data
   /// moving left, 1 = right-edge data moving right, 2 = bottom-edge data
-  /// moving down, 3 = top-edge data moving up. Both exchange entry points
-  /// throw if tag * 8 + 7 reaches the reserved collective range
-  /// (comm::kCollectiveTagBase), so a runaway tag surfaces as an error
-  /// instead of a collective/halo match-up hang.
-  void exchange(Communicator& comm, tl::util::Span2D<double> field, int depth,
+  /// moving down, 3 = top-edge data moving up. Throws if tag * 8 + 7 reaches
+  /// the reserved collective range (comm::kCollectiveTagBase), so a runaway
+  /// tag surfaces as an error instead of a collective/halo match-up hang.
+  void exchange(Link& link, tl::util::Span2D<double> field, int depth,
                 int tag);
 
-  /// Fault-tolerant twin of exchange(): identical receiver-side structure
-  /// (x faces, reflect-x, y faces, reflect-y — the corner relay), but each
-  /// phase runs as one reliable ack/retry exchange under `fc`'s fault
-  /// schedule. Numerically bit-identical to exchange(); only delivery is
-  /// adversarial. Throws a CommFaultError subclass when the schedule is
-  /// unsurvivable.
-  void exchange_reliable(FaultyComm& fc, tl::util::Span2D<double> field,
-                         int depth, int tag);
+  /// exchange() over a fault-free link on `comm`.
+  void exchange(Communicator& comm, tl::util::Span2D<double> field, int depth,
+                int tag);
 
   const Tile& tile() const noexcept { return tile_; }
 
  private:
-  void reflect_x_if_physical(tl::util::Span2D<double> field) const;
-  void reflect_y_if_physical(tl::util::Span2D<double> field) const;
   void pack(tl::util::Span2D<const double> field, Face face, int depth,
             std::vector<double>& buf) const;
   void unpack(tl::util::Span2D<double> field, Face face, int depth,
               std::span<const double> buf) const;
+  /// One phase: directions first_dir and first_dir + 1 of kDirections,
+  /// then reflection of the phase's physical faces.
+  void exchange_phase(Link& link, tl::util::Span2D<double> field, int depth,
+                      int tag, int first_dir);
 
   Tile tile_;
   int halo_depth_;
-  std::vector<double> send_buf_;
-  std::vector<double> recv_buf_;
+  // One send and one receive strip per direction of a phase, sized for the
+  // widest strip at construction, so an exchange allocates no buffers.
+  std::array<std::vector<double>, 2> send_bufs_;
+  std::array<std::vector<double>, 2> recv_bufs_;
 };
 
 }  // namespace tl::comm

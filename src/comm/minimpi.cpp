@@ -14,7 +14,6 @@ namespace {
 constexpr int kTagBroadcast = kCollectiveTagBase + 1;
 constexpr int kTagReduceUp = kCollectiveTagBase + 2;
 constexpr int kTagReduceDown = kCollectiveTagBase + 3;
-constexpr int kTagGather = kCollectiveTagBase + 4;
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -133,13 +132,6 @@ bool Communicator::try_recv(std::span<double> data, int source, int tag) {
   return world_->try_recv_impl(rank_, source, tag, data);
 }
 
-void Communicator::sendrecv(std::span<const double> send_data, int dest,
-                            std::span<double> recv_data, int source, int tag) {
-  // Sends are buffered (never block), so send-then-receive cannot deadlock.
-  if (dest != kNoRank) world_->send_impl(rank_, dest, tag, send_data);
-  if (source != kNoRank) world_->recv_impl(rank_, source, tag, recv_data);
-}
-
 void Communicator::barrier() { world_->barrier_impl(); }
 
 void Communicator::broadcast(std::span<double> data, int root) {
@@ -152,7 +144,7 @@ void Communicator::broadcast(std::span<double> data, int root) {
   }
 }
 
-void Communicator::allreduce(std::span<double> values, ReduceOp op) {
+void Communicator::allreduce(std::span<double> values) {
   // Reduce-to-root then broadcast. Rank order of accumulation is fixed
   // (0..P-1), so the result is deterministic.
   constexpr int root = 0;
@@ -160,13 +152,7 @@ void Communicator::allreduce(std::span<double> values, ReduceOp op) {
     std::vector<double> incoming(values.size());
     for (int r = 1; r < size(); ++r) {
       world_->recv_impl(rank_, r, kTagReduceUp, incoming);
-      for (std::size_t i = 0; i < values.size(); ++i) {
-        switch (op) {
-          case ReduceOp::kSum: values[i] += incoming[i]; break;
-          case ReduceOp::kMin: values[i] = std::min(values[i], incoming[i]); break;
-          case ReduceOp::kMax: values[i] = std::max(values[i], incoming[i]); break;
-        }
-      }
+      for (std::size_t i = 0; i < values.size(); ++i) values[i] += incoming[i];
     }
     for (int r = 1; r < size(); ++r) {
       world_->send_impl(rank_, r, kTagReduceDown, values);
@@ -177,27 +163,10 @@ void Communicator::allreduce(std::span<double> values, ReduceOp op) {
   }
 }
 
-double Communicator::allreduce(double value, ReduceOp op) {
+double Communicator::allreduce(double value) {
   double buf[1] = {value};
-  allreduce(std::span<double>(buf, 1), op);
+  allreduce(std::span<double>(buf, 1));
   return buf[0];
-}
-
-std::vector<double> Communicator::gather(double value, int root) {
-  if (rank_ == root) {
-    std::vector<double> out(static_cast<std::size_t>(size()));
-    out[static_cast<std::size_t>(rank_)] = value;
-    double buf[1];
-    for (int r = 0; r < size(); ++r) {
-      if (r == root) continue;
-      world_->recv_impl(rank_, r, kTagGather, buf);
-      out[static_cast<std::size_t>(r)] = buf[0];
-    }
-    return out;
-  }
-  const double buf[1] = {value};
-  world_->send_impl(rank_, root, kTagGather, buf);
-  return {};
 }
 
 // ---------------------------------------------------------------------------

@@ -3,15 +3,17 @@
 //
 // The paper notes every evaluated model stops at node-level parallelism and
 // TeaLeaf handles inter-node communication with MPI. This environment has no
-// MPI (and no second node), so we provide the same primitives — ranks,
-// blocking tagged send/recv, sendrecv, barrier, broadcast, allreduce — over
+// MPI (and no second node), so we provide the primitives the program calls —
+// ranks, blocking tagged send/recv, barrier, broadcast, sum-allreduce — over
 // threads in one process. Each rank runs as a std::thread; mailboxes are
 // mutex+condvar protected queues. Semantics follow MPI's blocking point-to-
 // point model closely enough that the TeaLeaf halo-exchange driver code is
-// shaped exactly as it would be over real MPI. Every operation blocks except
-// try_recv, the probe the fault-tolerant retry protocol polls with; the
-// overlapped halo exchange is a metering rule (dist/kernels.hpp), not a
-// nonblocking wire protocol.
+// shaped exactly as it would be over real MPI. The halo exchange and the
+// solver's reductions run over comm::Link (comm/fault.hpp), which is built on
+// send/recv plus, under a fault schedule, try_recv, barrier and allreduce.
+// Every operation blocks except try_recv, the probe the fault-tolerant retry
+// protocol polls with; the overlapped halo exchange is a metering rule
+// (dist/kernels.hpp), not a nonblocking wire protocol.
 
 #include <chrono>
 #include <condition_variable>
@@ -29,7 +31,7 @@ class World;
 class Communicator;
 
 /// Tags at or above this value are reserved for the collectives built on
-/// point-to-point messaging (broadcast, allreduce, gather). User-level
+/// point-to-point messaging (broadcast, allreduce). User-level
 /// protocols — notably the halo exchanger's `tag * 8 + subtag` scheme —
 /// must keep every derived tag strictly below this base; HaloExchanger
 /// throws (and dist/kernels.cpp static_asserts) on violation so a tag
@@ -53,23 +55,15 @@ class Communicator {
   /// fault-tolerant retry protocol's receive phase is built on this.
   bool try_recv(std::span<double> data, int source, int tag);
 
-  /// Exchange with two peers in one step (the halo-exchange primitive).
-  /// Either peer may be kNoRank, in which case that direction is skipped.
-  static constexpr int kNoRank = -1;
-  void sendrecv(std::span<const double> send_data, int dest,
-                std::span<double> recv_data, int source, int tag);
-
   void barrier();
 
   /// Broadcast from root into `data` on every rank.
   void broadcast(std::span<double> data, int root);
 
-  enum class ReduceOp { kSum, kMin, kMax };
-  double allreduce(double value, ReduceOp op);
-  void allreduce(std::span<double> values, ReduceOp op);
-
-  /// Gather one double from every rank to root; non-roots get empty results.
-  std::vector<double> gather(double value, int root);
+  /// Elementwise sum over every rank, accumulated in rank order 0..P-1, so
+  /// every rank receives the same bits.
+  double allreduce(double value);
+  void allreduce(std::span<double> values);
 
  private:
   friend class World;
@@ -101,7 +95,7 @@ class World {
 
   /// Deadlock guard: bounds every recv wait. A recv that sees no matching
   /// (source, tag) message within the window throws std::runtime_error
-  /// instead of blocking forever — mismatched tags in a sendrecv pattern
+  /// instead of blocking forever — mismatched tags in a send/recv pattern
   /// become a diagnosable failure, not a hang. Zero (the default) waits
   /// indefinitely. Set before the rank threads start.
   void set_recv_timeout(std::chrono::milliseconds timeout) noexcept {

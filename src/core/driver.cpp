@@ -39,43 +39,49 @@ const Chunk& Driver::chunk() const {
   return *chunk_;
 }
 
-StepReport Driver::run_step() {
+StepReport run_timestep(SolverKernels& kernels, Chunk& chunk,
+                        const Settings& settings, const Mesh& global,
+                        int step) {
   StepReport report;
-  report.step = ++step_;
-  report.dt = settings_.dt_init;
+  report.step = step;
+  report.dt = settings.dt_init;
 
-  const double start_ns = kernels_->clock().elapsed_ns();
+  const double start_ns = kernels.clock().elapsed_ns();
 
   // TeaLeaf's per-step sequence: map state onto the device, form u/u0 and
   // the face coefficients, make halos consistent, solve, finalise.
-  kernels_->upload_state(chunk_ ? *chunk_ : *placeholder_);
-  kernels_->halo_update(kMaskDensity | kMaskEnergy0, mesh_.halo_depth);
-  kernels_->init_u();
+  kernels.upload_state(chunk);
+  kernels.halo_update(kMaskDensity | kMaskEnergy0, global.halo_depth);
+  kernels.init_u();
 
-  const double rx = report.dt / (mesh_.dx() * mesh_.dx());
-  const double ry = report.dt / (mesh_.dy() * mesh_.dy());
-  kernels_->init_coefficients(settings_.coefficient, rx, ry);
-  kernels_->halo_update(kMaskU, 1);
+  const double rx = report.dt / (global.dx() * global.dx());
+  const double ry = report.dt / (global.dy() * global.dy());
+  kernels.init_coefficients(settings.coefficient, rx, ry);
+  kernels.halo_update(kMaskU, 1);
 
-  report.solve = solve(settings_.solver, *kernels_,
-                       SolveOptions::from_settings(settings_));
+  report.solve = solve(settings.solver, kernels,
+                       SolveOptions::from_settings(settings));
 
-  kernels_->finalise();
-  report.summary = kernels_->field_summary();
-  kernels_->download_energy(chunk_ ? *chunk_ : *placeholder_);
+  kernels.finalise();
+  report.summary = kernels.field_summary();
+  kernels.download_energy(chunk);
 
   // Advance the state for the next step: energy0 <- energy (host side; the
   // next upload_state ships it back).
-  if (chunk_) {
-    const auto energy = chunk_->field(FieldId::kEnergy);
-    auto energy0 = chunk_->field(FieldId::kEnergy0);
-    for (int y = 0; y < mesh_.padded_ny(); ++y) {
-      for (int x = 0; x < mesh_.padded_nx(); ++x) energy0(x, y) = energy(x, y);
-    }
+  const Mesh& mesh = chunk.mesh();
+  const auto energy = chunk.field(FieldId::kEnergy);
+  auto energy0 = chunk.field(FieldId::kEnergy0);
+  for (int y = 0; y < mesh.padded_ny(); ++y) {
+    for (int x = 0; x < mesh.padded_nx(); ++x) energy0(x, y) = energy(x, y);
   }
 
-  report.sim_step_ns = kernels_->clock().elapsed_ns() - start_ns;
+  report.sim_step_ns = kernels.clock().elapsed_ns() - start_ns;
   return report;
+}
+
+StepReport Driver::run_step() {
+  return run_timestep(*kernels_, chunk_ ? *chunk_ : *placeholder_, settings_,
+                      mesh_, ++step_);
 }
 
 RunReport Driver::run() {

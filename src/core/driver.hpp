@@ -36,6 +36,16 @@ struct RunReport {
   }
 };
 
+/// One implicit step of TeaLeaf's loop on `kernels` (upload, halos, init,
+/// solve, finalise, summary), then energy0 <- energy on `chunk` for the next
+/// step's upload. rx/ry come from `global`'s spacing, so every rank of a
+/// decomposed run applies the bit-identical operator (re-deriving dx from a
+/// tile's extents can drift by an ulp between tiles of different width).
+/// core::Driver and the distributed rank loop both run their steps here.
+StepReport run_timestep(SolverKernels& kernels, Chunk& chunk,
+                        const Settings& settings, const Mesh& global,
+                        int step);
+
 struct DriverOptions {
   /// When false, no full-size host chunk is allocated or painted: the step
   /// sequence runs against a placeholder the kernels must ignore. Only valid

@@ -374,6 +374,16 @@ void check_resume_compatible(const Snapshot& snap,
         "checkpoint resume: elastic-mode flag mismatch between snapshot and "
         "settings");
   }
+  // The fused and classic kernels accumulate in different orders, so a
+  // switch between them cannot reproduce the uninterrupted run.
+  const bool use_fused = settings.use_fused && !settings.elastic;
+  if (snap.use_fused != use_fused) {
+    throw CheckpointError(util::strf(
+        "checkpoint resume: kernel-set mismatch (snapshot ran the %s "
+        "kernels, settings run the %s kernels)",
+        snap.use_fused ? "fused" : "classic",
+        use_fused ? "fused" : "classic"));
+  }
   if (snap.completed_steps >= settings.end_step) {
     throw CheckpointError(util::strf(
         "checkpoint resume: snapshot already has %d of %d step(s) — nothing "

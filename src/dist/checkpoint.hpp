@@ -50,7 +50,9 @@ struct RankCursor {
 };
 
 struct Snapshot {
-  // Configuration fingerprint: a resume must match all of these.
+  // Configuration fingerprint: a resume must match all of these except
+  // end_step (the resumed run may go further) and overlap_comm. use_fused is
+  // the kernel set the run executed (use_fused && !elastic).
   int nx = 0;
   int ny = 0;
   int halo_depth = 0;
@@ -58,6 +60,8 @@ struct Snapshot {
   int end_step = 0;
   bool elastic = false;
   bool use_fused = false;
+  /// Provenance only: overlap moves where exchanges are charged, not the
+  /// numerics (DESIGN.md §10). Records the flag the run executed.
   bool overlap_comm = false;
   double eps = 0.0;
   double dt_init = 0.0;
@@ -87,8 +91,9 @@ void save_snapshot(const std::string& path, const Snapshot& snap);
 Snapshot load_snapshot(const std::string& path);
 
 /// Throws CheckpointError when `snap` cannot resume a run configured by
-/// `settings` (mesh/solver/tolerance fingerprint mismatch, or nothing left
-/// to run). The rank count may differ — that is the elastic resume path.
+/// `settings` (mesh/solver/tolerance/kernel-set fingerprint mismatch, or
+/// nothing left to run). The rank count may differ — that is the elastic
+/// resume path.
 void check_resume_compatible(const Snapshot& snap,
                              const core::Settings& settings);
 

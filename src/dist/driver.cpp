@@ -28,40 +28,19 @@ core::Mesh global_mesh_from(const core::Settings& s) {
   return mesh;
 }
 
-/// One rank's step, mirroring core::Driver::run_step. rx/ry come from the
-/// *global* mesh spacing so every rank applies the bit-identical operator
-/// (tile extents are global multiples, but re-deriving dx from them can
-/// drift by an ulp between tiles of different width).
-core::StepReport run_one_step(DistributedKernels& k, core::Chunk& chunk,
-                              const core::Settings& s, double rx, double ry,
-                              int halo_depth, int step_index) {
-  core::StepReport report;
-  report.step = step_index;
-  report.dt = s.dt_init;
-  const double start_ns = k.clock().elapsed_ns();
-
-  k.upload_state(chunk);
-  k.halo_update(core::kMaskDensity | core::kMaskEnergy0, halo_depth);
-  k.init_u();
-  k.init_coefficients(s.coefficient, rx, ry);
-  k.halo_update(core::kMaskU, 1);
-
-  report.solve =
-      core::solve(s.solver, k, core::SolveOptions::from_settings(s));
-
-  k.finalise();
-  report.summary = k.field_summary();
-  k.download_energy(chunk);
-
-  const core::Mesh& mesh = chunk.mesh();
-  const auto energy = chunk.field(core::FieldId::kEnergy);
-  auto energy0 = chunk.field(core::FieldId::kEnergy0);
-  for (int y = 0; y < mesh.padded_ny(); ++y) {
-    for (int x = 0; x < mesh.padded_nx(); ++x) energy0(x, y) = energy(x, y);
-  }
-
-  report.sim_step_ns = k.clock().elapsed_ns() - start_ns;
-  return report;
+/// The flags a run executes, resolved once from its settings and controls.
+/// Elastic runs take the classic kernels: the fused paths would reorder the
+/// accumulation the elastic fold fixes. Overlap stays on only for a plain
+/// run: elastic runs charge every exchange in full, and fault-injected and
+/// perturbed runs keep the blocking path, where every exchange (and every
+/// corruption) settles as it happens.
+core::Settings executed_settings(const core::Settings& s,
+                                 const RunControl& ctl) {
+  core::Settings out = s;
+  out.use_fused = s.use_fused && !s.elastic;
+  out.overlap_comm = s.overlap_comm && !s.elastic && !ctl.faults.active() &&
+                     ctl.comm_perturb.empty();
+  return out;
 }
 
 }  // namespace
@@ -104,17 +83,11 @@ DistributedDriver::DistributedDriver(const core::Settings& settings,
     throw std::invalid_argument(
         "DistributedDriver: decomposition does not match settings");
   }
-  if (settings_.elastic) {
-    // The elastic fold is defined over whole rows in global order; fused
-    // paths would reorder the accumulation, so force them off. Overlap goes
-    // off too: elastic runs charge every exchange in full.
-    settings_.use_fused = false;
-    settings_.overlap_comm = false;
-    if (!decomp_.row_strips()) {
-      throw std::invalid_argument(
-          "DistributedDriver: elastic mode requires a row-strip "
-          "decomposition (every rank must own whole rows)");
-    }
+  if (settings_.elastic && !decomp_.row_strips()) {
+    // The elastic fold is defined over whole rows in global order.
+    throw std::invalid_argument(
+        "DistributedDriver: elastic mode requires a row-strip "
+        "decomposition (every rank must own whole rows)");
   }
 }
 
@@ -125,10 +98,11 @@ DistReport DistributedDriver::run(const RunControl& ctl) {
   const int h = settings_.halo_depth;
   const int gnx = settings_.nx;
   const int gny = settings_.ny;
-  const double rx =
-      settings_.dt_init / (global_mesh_.dx() * global_mesh_.dx());
-  const double ry =
-      settings_.dt_init / (global_mesh_.dy() * global_mesh_.dy());
+  const core::Settings run_settings = executed_settings(settings_, ctl);
+  const Mode mode{.overlap_comm = run_settings.overlap_comm,
+                  .elastic = run_settings.elastic,
+                  .faults = ctl.faults,
+                  .comm_perturb = ctl.comm_perturb};
 
   if (ctl.resume != nullptr) check_resume_compatible(*ctl.resume, settings_);
   const int first_step = ctl.resume ? ctl.resume->completed_steps + 1 : 1;
@@ -167,16 +141,9 @@ DistReport DistributedDriver::run(const RunControl& ctl) {
     const core::Mesh mesh = tile_mesh(global_mesh_, tile);
 
     core::Chunk chunk(mesh);
-    core::Settings paint = settings_;
-    paint.nx = mesh.nx;
-    paint.ny = mesh.ny;
-    core::apply_initial_states(chunk, paint);
+    core::apply_initial_states(chunk, settings_);
 
-    DistributedKernels k(factory_(mesh, rank), cm, decomp_, h, *net_,
-                         settings_.overlap_comm);
-    if (settings_.elastic) k.set_elastic(true);
-    if (ctl.faults.active()) k.enable_faults(ctl.faults);
-    if (!ctl.comm_perturb.empty()) k.set_comm_perturb(ctl.comm_perturb);
+    DistributedKernels k(factory_(mesh, rank), cm, decomp_, h, *net_, mode);
     if (static_cast<std::size_t>(rank) < sinks_.size() &&
         sinks_[static_cast<std::size_t>(rank)] != nullptr) {
       k.attach_trace_sink(sinks_[static_cast<std::size_t>(rank)]);
@@ -228,7 +195,8 @@ DistReport DistributedDriver::run(const RunControl& ctl) {
     }
     for (int s = first_step; s <= last_step; ++s) {
       k.set_fault_step(s);
-      steps.push_back(run_one_step(k, chunk, settings_, rx, ry, h, s));
+      steps.push_back(
+          core::run_timestep(k, chunk, run_settings, global_mesh_, s));
 
       const bool periodic =
           ctl.checkpoint_every > 0 && s % ctl.checkpoint_every == 0;
@@ -261,8 +229,8 @@ DistReport DistributedDriver::run(const RunControl& ctl) {
           snap.solver = settings_.solver;
           snap.end_step = settings_.end_step;
           snap.elastic = settings_.elastic;
-          snap.use_fused = settings_.use_fused;
-          snap.overlap_comm = settings_.overlap_comm;
+          snap.use_fused = run_settings.use_fused;
+          snap.overlap_comm = run_settings.overlap_comm;
           snap.eps = settings_.eps;
           snap.dt_init = settings_.dt_init;
           snap.completed_steps = s;

@@ -3,13 +3,13 @@
 //
 // Spawns a MiniComm world, block-decomposes the global mesh over
 // settings.nranks, gives every rank its own tile-sized port (via the
-// injected factory) wrapped in DistributedKernels, and runs the exact
-// per-step sequence of core::Driver on every rank concurrently: upload,
+// injected factory) wrapped in DistributedKernels, and runs core::Driver's
+// step function (core::run_timestep) on every rank concurrently: upload,
 // halo(density|energy0), init_u, init_coefficients, halo(u), solve,
-// finalise, summary. Reduced scalars are identical on every rank (MiniComm's
-// allreduce is deterministic), so all ranks take the same control flow and
-// report the same solve statistics; with nranks == 1 the run is exactly the
-// single-rank core::Driver run.
+// finalise, summary. Reduced scalars are identical on every rank (the
+// link's allreduce folds in rank order), so all ranks take the same control
+// flow and report the same solve statistics; with nranks == 1 the run is
+// exactly the single-rank core::Driver run.
 
 #include <functional>
 #include <memory>
@@ -77,7 +77,8 @@ struct RunControl {
   /// count only — per-rank clock/comm cursors are restored. Must stay valid
   /// for the run() call. Throws CheckpointError on a fingerprint mismatch.
   const Snapshot* resume = nullptr;
-  /// active() schedules routed through FaultyComm's reliable protocol.
+  /// An active() schedule is injected into every rank's comm link, whose
+  /// exchanges then run the reliable ack/retry protocol.
   comm::FaultSpec faults;
   /// "" (off), "halo_payload", or "allreduce" — in-flight comm corruption
   /// for tl_verify --perturb.
@@ -103,7 +104,11 @@ class DistributedDriver {
   DistReport run();
 
   /// As run(), under elastic-execution controls (checkpoint capture, halted
-  /// runs, snapshot resume, comm fault injection, comm perturbation).
+  /// runs, snapshot resume, comm fault injection, comm perturbation). The
+  /// run executes the fused kernels only when settings.use_fused and not
+  /// settings.elastic, and overlaps comm only when settings.overlap_comm and
+  /// the run is neither elastic, fault-injected nor perturbed; snapshots
+  /// record these executed flags.
   DistReport run(const RunControl& ctl);
 
   const comm::BlockDecomposition& decomposition() const noexcept {

@@ -37,9 +37,9 @@ static_assert(static_cast<long long>(kTagModulus) * 8 <=
               "halo wire tags (tag * 8 + subtag) must stay below the "
               "reserved collective tag base");
 
-// Subtags 4 and 5 of the tag * 8 scheme (halo uses 0-3) carry the elastic
-// row-partial gather/broadcast and the fault-mode reliable allreduce, so
-// every wire message in a run still has a unique tag.
+// Subtags 4 and 5 of the tag * 8 scheme (halo uses 0-3) carry the gather
+// and the broadcast of every reduction (allreduce and the elastic row-partial
+// combine), so every wire message in a run still has a unique tag.
 constexpr int kSubtagGather = 4;
 constexpr int kSubtagBcast = 5;
 
@@ -81,21 +81,42 @@ double pairwise_sum(double* p, std::int64_t n) {
 DistributedKernels::DistributedKernels(
     std::unique_ptr<core::SolverKernels> inner, comm::Communicator& comm,
     const comm::BlockDecomposition& decomp, int halo_depth,
-    const sim::NetworkSpec& net, bool overlap_comm)
+    const sim::NetworkSpec& net, const Mode& mode)
     : inner_(std::move(inner)),
-      comm_(&comm),
+      link_(comm, mode.faults),
       decomp_(&decomp),
       exchanger_(decomp, comm.rank(), halo_depth),
       net_(&net),
+      rank_(comm.rank()),
       nranks_(decomp.nranks()),
       halo_depth_(halo_depth),
-      overlap_(overlap_comm),
+      overlap_(mode.overlap_comm),
+      elastic_(mode.elastic),
       interior_fraction_(interior_fraction(exchanger_.tile())) {
   if (!inner_) throw std::invalid_argument("DistributedKernels: null inner");
   if (nranks_ != comm.size()) {
     throw std::invalid_argument(
         "DistributedKernels: decomposition/communicator rank mismatch");
   }
+  if (elastic_ && !inner_->set_row_reductions(true)) {
+    throw std::invalid_argument(
+        "DistributedKernels: elastic mode needs a port with per-row "
+        "reductions (set_row_reductions refused)");
+  }
+  if (mode.comm_perturb == "halo_payload") {
+    perturb_halo_ = true;
+  } else if (mode.comm_perturb == "allreduce") {
+    perturb_allreduce_ = true;
+  } else if (!mode.comm_perturb.empty()) {
+    throw std::invalid_argument("unknown comm perturb target: " +
+                                mode.comm_perturb);
+  }
+}
+
+int DistributedKernels::take_tag() {
+  const int tag = next_tag_;
+  next_tag_ = (next_tag_ + 1) % kTagModulus;
+  return tag;
 }
 
 void DistributedKernels::meter_comm(const char* name, std::size_t sent,
@@ -111,40 +132,8 @@ void DistributedKernels::meter_comm(const char* name, std::size_t sent,
   stats_.comm_ns += ns;
 }
 
-void DistributedKernels::set_elastic(bool on) {
-  if (on && !inner_->set_row_reductions(true)) {
-    throw std::invalid_argument(
-        "DistributedKernels: elastic mode needs a port with per-row "
-        "reductions (set_row_reductions refused)");
-  }
-  if (!on) inner_->set_row_reductions(false);
-  elastic_ = on;
-  if (on) overlap_ = false;
-}
-
-void DistributedKernels::enable_faults(const comm::FaultSpec& spec) {
-  fc_ = std::make_unique<comm::FaultyComm>(*comm_, spec);
-  overlap_ = false;
-}
-
-void DistributedKernels::set_fault_step(int step) {
-  if (fc_) fc_->set_step(step);
-}
-
-void DistributedKernels::set_comm_perturb(std::string_view target) {
-  if (target == "halo_payload") {
-    perturb_halo_ = true;
-  } else if (target == "allreduce") {
-    perturb_allreduce_ = true;
-  } else {
-    throw std::invalid_argument("unknown comm perturb target: " +
-                                std::string(target));
-  }
-  overlap_ = false;  // blocking path only: the corruption must always apply
-}
-
 void DistributedKernels::sync_fault_stats() {
-  const comm::FaultStats& fs = fc_->stats();
+  const comm::FaultStats& fs = link_.stats();
   if (fs.retries > stats_.retries) {
     // Trace-only breadcrumb (bytes = new retries): makes retry storms
     // visible in Chrome traces without touching the metered timeline.
@@ -186,16 +175,10 @@ void DistributedKernels::perturb_halo_cell(core::FieldId id) {
 
 void DistributedKernels::exchange_field(core::FieldId id, int depth,
                                         bool defer) {
-  const int tag = next_tag_;
-  next_tag_ = (next_tag_ + 1) % kTagModulus;
   auto field = inner_->field_view(id);
-  if (fc_) {
-    exchanger_.exchange_reliable(*fc_, field, depth, tag);
-    sync_fault_stats();
-  } else {
-    exchanger_.exchange(*comm_, field, depth, tag);
-  }
-  if (perturb_halo_ && comm_->rank() == 1) perturb_halo_cell(id);
+  exchanger_.exchange(link_, field, depth, take_tag());
+  sync_fault_stats();
+  if (perturb_halo_ && rank_ == 1) perturb_halo_cell(id);
 
   // Wire accounting: a strip of `depth` layers per present neighbour; x
   // strips span the tile height, y strips the full padded width (corner
@@ -261,53 +244,25 @@ void DistributedKernels::settle_pending() {
   stats_.hidden_ns += hidden;
 }
 
-double DistributedKernels::allreduce_sum(double local) {
-  if (perturb_allreduce_ && comm_->rank() == 1) local = perturb(local);
-  if (nranks_ == 1) return local;
-  double global;
-  if (fc_) {
-    const int tag = next_tag_;
-    next_tag_ = (next_tag_ + 1) % kTagModulus;
-    double v = local;
-    comm::reliable_allreduce_sum(*fc_, std::span<double>(&v, 1),
-                                 tag * 8 + kSubtagGather,
-                                 tag * 8 + kSubtagBcast);
-    sync_fault_stats();
-    global = v;
-  } else {
-    global = comm_->allreduce(local, comm::Communicator::ReduceOp::kSum);
-  }
+void DistributedKernels::allreduce(std::span<double> values,
+                                   std::size_t wire_bytes) {
+  if (perturb_allreduce_ && rank_ == 1) values[0] = perturb(values[0]);
+  if (nranks_ == 1) return;
+  const int tag = take_tag();
+  link_.allreduce_sum(values, tag * 8 + kSubtagGather, tag * 8 + kSubtagBcast);
+  sync_fault_stats();
   ++stats_.allreduces;
-  const std::size_t level_bytes = sizeof(double) * [](int p) {
-    int d = 0;
-    while ((1 << d) < p) ++d;
-    return static_cast<std::size_t>(d);
-  }(nranks_);
-  stats_.allreduce_ns += sim::allreduce_ns(*net_, sizeof(double), nranks_);
-  meter_comm("allreduce", level_bytes, level_bytes,
-             sim::allreduce_ns(*net_, sizeof(double), nranks_));
-  return global;
+  const double ns = sim::allreduce_ns(*net_, values.size_bytes(), nranks_);
+  stats_.allreduce_ns += ns;
+  meter_comm("allreduce", wire_bytes, wire_bytes, ns);
 }
 
-void DistributedKernels::allreduce_block(double* values, std::size_t n) {
-  if (perturb_allreduce_ && comm_->rank() == 1) values[0] = perturb(values[0]);
-  if (nranks_ == 1) return;
-  if (fc_) {
-    const int tag = next_tag_;
-    next_tag_ = (next_tag_ + 1) % kTagModulus;
-    comm::reliable_allreduce_sum(*fc_, std::span<double>(values, n),
-                                 tag * 8 + kSubtagGather,
-                                 tag * 8 + kSubtagBcast);
-    sync_fault_stats();
-  } else {
-    comm_->allreduce(std::span<double>(values, n),
-                     comm::Communicator::ReduceOp::kSum);
-  }
-  ++stats_.allreduces;
-  const std::size_t payload = n * sizeof(double);
-  stats_.allreduce_ns += sim::allreduce_ns(*net_, payload, nranks_);
-  meter_comm("allreduce", payload, payload,
-             sim::allreduce_ns(*net_, payload, nranks_));
+double DistributedKernels::allreduce_sum(double local) {
+  int levels = 0;
+  while ((1 << levels) < nranks_) ++levels;
+  allreduce(std::span<double>(&local, 1),
+            sizeof(double) * static_cast<std::size_t>(levels));
+  return local;
 }
 
 void DistributedKernels::elastic_combine(int k, double* out) {
@@ -321,23 +276,43 @@ void DistributedKernels::elastic_combine(int k, double* out) {
   }
   const int gny = decomp_->global_ny();
   const std::size_t gny_z = static_cast<std::size_t>(gny);
-
-  if (nranks_ == 1) {
-    elastic_scratch_.assign(local.begin(), local.end());
+  const auto fold = [&] {
     for (int j = 0; j < k; ++j) {
       out[j] = pairwise_sum(
           elastic_scratch_.data() + static_cast<std::size_t>(j) * gny_z, gny);
     }
+  };
+
+  if (nranks_ == 1) {
+    elastic_scratch_.assign(local.begin(), local.end());
+    fold();
     return;
   }
 
-  const int tag = next_tag_;
-  next_tag_ = (next_tag_ + 1) % kTagModulus;
+  const int tag = take_tag();
   const int gather_tag = tag * 8 + kSubtagGather;
   const int bcast_tag = tag * 8 + kSubtagBcast;
-  std::span<double> result(out, static_cast<std::size_t>(k));
+  const std::span<double> result(out, static_cast<std::size_t>(k));
 
-  if (comm_->rank() == 0) {
+  if (rank_ == 0) {
+    // Every other rank's k blocks of row partials, in rank order.
+    const auto count_of = [&](int r) {
+      return static_cast<std::size_t>(k) *
+             static_cast<std::size_t>(decomp_->tile(r).ny());
+    };
+    std::size_t total = 0;
+    for (int r = 1; r < nranks_; ++r) total += count_of(r);
+    std::vector<double> incoming(total);
+    std::vector<comm::WireIn> ins;
+    ins.reserve(static_cast<std::size_t>(nranks_ - 1));
+    std::size_t offset = 0;
+    for (int r = 1; r < nranks_; ++r) {
+      ins.push_back({r, gather_tag,
+                     std::span<double>(incoming.data() + offset, count_of(r))});
+      offset += count_of(r);
+    }
+    link_.exchange({}, ins);
+
     // Assemble the k global row vectors: rank r's rows land at its tile's
     // y_begin, so rank-order placement IS global row order for row strips.
     elastic_scratch_.assign(static_cast<std::size_t>(k) * gny_z, 0.0);
@@ -352,73 +327,20 @@ void DistributedKernels::elastic_combine(int k, double* out) {
       }
     };
     place(0, local);
+    for (const comm::WireIn& in : ins) place(in.source, in.data);
+    fold();
 
-    std::vector<std::size_t> offsets(static_cast<std::size_t>(nranks_), 0);
-    std::size_t total = 0;
-    for (int r = 1; r < nranks_; ++r) {
-      offsets[static_cast<std::size_t>(r)] = total;
-      total += static_cast<std::size_t>(k) *
-               static_cast<std::size_t>(decomp_->tile(r).ny());
-    }
-    std::vector<double> incoming(total);
-    if (fc_) {
-      std::vector<comm::WireIn> ins;
-      ins.reserve(static_cast<std::size_t>(nranks_ - 1));
-      for (int r = 1; r < nranks_; ++r) {
-        const std::size_t count = static_cast<std::size_t>(k) *
-                                  static_cast<std::size_t>(decomp_->tile(r).ny());
-        ins.push_back({r, gather_tag,
-                       std::span<double>(
-                           incoming.data() + offsets[static_cast<std::size_t>(r)],
-                           count)});
-      }
-      fc_->exchange({}, ins);
-    } else {
-      for (int r = 1; r < nranks_; ++r) {
-        const std::size_t count = static_cast<std::size_t>(k) *
-                                  static_cast<std::size_t>(decomp_->tile(r).ny());
-        comm_->recv(std::span<double>(
-                        incoming.data() + offsets[static_cast<std::size_t>(r)],
-                        count),
-                    r, gather_tag);
-      }
-    }
-    for (int r = 1; r < nranks_; ++r) {
-      const std::size_t count = static_cast<std::size_t>(k) *
-                                static_cast<std::size_t>(decomp_->tile(r).ny());
-      place(r, std::span<const double>(
-                   incoming.data() + offsets[static_cast<std::size_t>(r)],
-                   count));
-    }
-
-    for (int j = 0; j < k; ++j) {
-      out[j] = pairwise_sum(
-          elastic_scratch_.data() + static_cast<std::size_t>(j) * gny_z, gny);
-    }
-
-    if (fc_) {
-      std::vector<comm::WireOut> outs;
-      outs.reserve(static_cast<std::size_t>(nranks_ - 1));
-      for (int r = 1; r < nranks_; ++r) {
-        outs.push_back({r, bcast_tag, std::span<const double>(result)});
-      }
-      fc_->exchange(outs, {});
-      sync_fault_stats();
-    } else {
-      comm_->broadcast(result, 0);
-    }
+    std::vector<comm::WireOut> outs;
+    outs.reserve(static_cast<std::size_t>(nranks_ - 1));
+    for (int r = 1; r < nranks_; ++r) outs.push_back({r, bcast_tag, result});
+    link_.exchange(outs, {});
   } else {
-    if (fc_) {
-      const comm::WireOut contribute{0, gather_tag, local};
-      fc_->exchange(std::span<const comm::WireOut>(&contribute, 1), {});
-      const comm::WireIn back{0, bcast_tag, result};
-      fc_->exchange({}, std::span<const comm::WireIn>(&back, 1));
-      sync_fault_stats();
-    } else {
-      comm_->send(local, 0, gather_tag);
-      comm_->broadcast(result, 0);
-    }
+    const comm::WireOut contribute{0, gather_tag, local};
+    link_.exchange(std::span<const comm::WireOut>(&contribute, 1), {});
+    const comm::WireIn back{0, bcast_tag, result};
+    link_.exchange({}, std::span<const comm::WireIn>(&back, 1));
   }
+  sync_fault_stats();
 
   ++stats_.allreduces;
   const std::size_t payload =
@@ -469,7 +391,7 @@ core::FieldSummary DistributedKernels::field_summary() {
   if (nranks_ == 1) return s;
   std::array<double, 4> values = {s.volume, s.mass, s.internal_energy,
                                   s.temperature};
-  allreduce_block(values.data(), values.size());
+  allreduce(values, values.size() * sizeof(double));
   return core::FieldSummary{values[0], values[1], values[2], values[3]};
 }
 
@@ -519,7 +441,7 @@ core::CgFusedW DistributedKernels::cg_calc_w_fused() {
   // The fused sweep's two dots travel in one allreduce (the fusion's comm
   // win: one latency instead of two).
   std::array<double, 2> values = {local.pw, local.ww};
-  allreduce_block(values.data(), values.size());
+  allreduce(values, values.size() * sizeof(double));
   return core::CgFusedW{values[0], values[1]};
 }
 

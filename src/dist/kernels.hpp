@@ -5,16 +5,21 @@
 // byte-identical (they already speak SolverKernels), and every port gains
 // distribution for free. halo_update runs the port's own (local, metered)
 // update first, then exchanges tile boundaries through HaloExchanger; every
-// reduction kernel's local partial is allreduced over the MiniComm world.
-// Communication is charged to the rank's SimClock via the network cost model
-// (sim/network.hpp) as "comm"-phase trace events carrying the wire bytes, so
-// `--profile`/`--trace` and the scaling bench see comm time per rank.
+// reduction kernel's local partial is allreduced. All traffic goes through
+// one comm::Link, which alone knows whether a fault schedule is injected, and
+// the whole mode (overlap, elastic, faults, perturbation) is fixed at
+// construction. Communication is charged to the rank's SimClock via the
+// network cost model (sim/network.hpp) as "comm"-phase trace events carrying
+// the wire bytes, so `--profile`/`--trace` and the scaling bench see comm
+// time per rank.
 
 #include <cstdint>
 #include <memory>
-#include <string_view>
+#include <span>
+#include <string>
 #include <vector>
 
+#include "comm/fault.hpp"
 #include "comm/halo.hpp"
 #include "comm/minimpi.hpp"
 #include "core/kernels_api.hpp"
@@ -35,34 +40,58 @@ struct CommStats {
   double hidden_ns = 0.0;
   // Total modelled wire time of all scalar/vector allreduces.
   double allreduce_ns = 0.0;
-  // Fault-injected runs (FaultyComm active): totals mirrored from the
-  // injector after every reliable operation. The injector retries in logical
-  // rounds, so the values depend only on the fault schedule (seed, epoch,
-  // rates), never on how the rank threads were scheduled.
+  // Fault-injected runs: totals mirrored from the link after every comm
+  // operation (zero without faults). The link retries in logical rounds, so
+  // the values depend only on the fault schedule (seed, epoch, rates), never
+  // on how the rank threads were scheduled.
   std::uint64_t retries = 0;
   std::uint64_t dropped = 0;
   std::uint64_t duplicated = 0;
   std::uint64_t delayed = 0;
 };
 
+/// How one DistributedKernels runs, fixed for its lifetime. The caller
+/// resolves the flags (DistributedDriver::run turns overlap off for elastic,
+/// fault-injected and perturbed runs).
+struct Mode {
+  /// Every exchange is blocking. With overlap (and an inner port whose
+  /// overlaps_comm() is true), the depth-1 single-field exchanges of p, u or
+  /// sd defer their charge: the consuming kernel's one launch record is split
+  /// at the tile's interior-cell fraction, and the charge settles between the
+  /// two parts, so the simulated wire time hides behind the interior share.
+  /// Every other exchange — and every exchange when the flag is off — is
+  /// charged in full as it happens.
+  bool overlap_comm = true;
+  /// Rank-count-invariant reductions: the inner port computes one partial
+  /// per interior row (set_row_reductions), and every reduction gathers the
+  /// partials in global row order and folds one pairwise tree over global
+  /// ny — identical for any row-strip split of the mesh. Requires a
+  /// row-strip decomposition (the driver enforces it) and a port that
+  /// honours set_row_reductions.
+  bool elastic = false;
+  /// An active() schedule is injected into the link: every halo exchange
+  /// and reduction runs the reliable ack/retry protocol. Numerics are
+  /// unchanged (exactly-once delivery); an unsurvivable schedule throws a
+  /// CommFaultError subclass.
+  comm::FaultSpec faults;
+  /// Comm-phase perturbation for tl_verify --perturb: "" (off);
+  /// "halo_payload" scales one received halo cell on rank 1 after every
+  /// exchange; "allreduce" scales rank 1's local contribution before the
+  /// reduction.
+  std::string comm_perturb;
+};
+
 class DistributedKernels final : public core::SolverKernels {
  public:
-  /// Wraps `inner` for `comm.rank()`'s tile of `decomp`. `halo_depth` is the
-  /// mesh halo depth (exchange depth may be shallower per call). The
-  /// communicator, decomposition, and network spec must outlive this object.
-  ///
-  /// Every exchange is blocking. With `overlap_comm` (and an inner port
-  /// whose overlaps_comm() is true), the depth-1 single-field exchanges of
-  /// p, u or sd defer their charge: the consuming kernel's one launch record
-  /// is split at the tile's interior-cell fraction, and the charge settles
-  /// between the two parts, so the simulated wire time hides behind the
-  /// interior share. Every other exchange — and every exchange when the
-  /// flag is off — is charged in full as it happens.
+  /// Wraps `inner` for `comm.rank()`'s tile of `decomp` in `mode`.
+  /// `halo_depth` is the mesh halo depth (exchange depth may be shallower per
+  /// call). The communicator, decomposition, and network spec must outlive
+  /// this object. Throws std::invalid_argument for an elastic mode whose
+  /// port refuses per-row reductions and for an unknown perturbation target.
   DistributedKernels(std::unique_ptr<core::SolverKernels> inner,
                      comm::Communicator& comm,
                      const comm::BlockDecomposition& decomp, int halo_depth,
-                     const sim::NetworkSpec& net = sim::node_interconnect(),
-                     bool overlap_comm = true);
+                     const sim::NetworkSpec& net, const Mode& mode);
 
   // -- Forwarded with distribution -----------------------------------------
   void halo_update(unsigned fields, int depth) override;
@@ -103,40 +132,24 @@ class DistributedKernels final : public core::SolverKernels {
   const CommStats& comm_stats() const noexcept { return stats_; }
   core::SolverKernels& inner() noexcept { return *inner_; }
 
-  // -- Elastic mode ----------------------------------------------------------
-  /// Rank-count-invariant reductions: the inner port computes one partial
-  /// per interior row (set_row_reductions), and every reduction gathers the
-  /// partials in global row order and folds one pairwise tree over global
-  /// ny — identical for any row-strip split of the mesh. Requires a
-  /// row-strip decomposition (the driver enforces it) and a port that
-  /// honours set_row_reductions; throws std::invalid_argument otherwise.
-  /// Forces overlap off.
-  void set_elastic(bool on);
-
-  // -- Fault injection -------------------------------------------------------
-  /// Routes every halo exchange and allreduce through the reliable ack/retry
-  /// protocol under `spec`'s deterministic fault schedule. Numerics are
-  /// unchanged (exactly-once delivery); an unsurvivable schedule throws a
-  /// CommFaultError subclass. Forces overlap off.
-  void enable_faults(const comm::FaultSpec& spec);
   /// Step-boundary notification for step-scoped fault triggers.
-  void set_fault_step(int step);
-
-  /// Comm-phase perturbation for tl_verify --perturb: "halo_payload" scales
-  /// one received halo cell on rank 1 after every exchange; "allreduce"
-  /// scales rank 1's local contribution before the reduction. Throws
-  /// std::invalid_argument for unknown targets. Forces overlap off.
-  void set_comm_perturb(std::string_view target);
+  void set_fault_step(int step) { link_.set_step(step); }
 
   /// Seeds the comm tally from a checkpoint cursor (same-rank-count resume).
   void restore_comm_stats(const CommStats& stats) { stats_ = stats; }
 
  private:
+  /// The next rolling tag: one per field exchange and per reduction.
+  int take_tag();
   /// Exchanges one field (blocking) and charges its wire time, or, with
   /// `defer`, records the charge as the pending one.
   void exchange_field(core::FieldId id, int depth, bool defer);
+  /// Sums `values` over every rank through the link, charged as one
+  /// allreduce of their payload and metered as `wire_bytes` each way (a
+  /// block reduction meters its payload).
+  void allreduce(std::span<double> values, std::size_t wire_bytes);
+  /// A scalar allreduce, metered as 8 bytes per level of a ⌈log₂P⌉ tree.
   double allreduce_sum(double local);
-  void allreduce_block(double* values, std::size_t n);
   void meter_comm(const char* name, std::size_t sent, std::size_t received,
                   double ns);
   /// Gathers the inner port's k blocks of per-row partials to rank 0 in
@@ -167,21 +180,21 @@ class DistributedKernels final : public core::SolverKernels {
   void settle_pending();
 
   std::unique_ptr<core::SolverKernels> inner_;
-  comm::Communicator* comm_;
+  comm::Link link_;
   const comm::BlockDecomposition* decomp_;
   comm::HaloExchanger exchanger_;
   const sim::NetworkSpec* net_;
   CommStats stats_;
+  int rank_;
   int nranks_;
   int halo_depth_;
   int next_tag_ = 0;
-  bool overlap_;
-  double interior_fraction_;  // the tile's (nx-2)(ny-2)/(nx ny), 0 if thin
-  PendingCharge pending_;
-  bool elastic_ = false;
-  std::unique_ptr<comm::FaultyComm> fc_;
+  const bool overlap_;
+  const bool elastic_;
   bool perturb_halo_ = false;
   bool perturb_allreduce_ = false;
+  double interior_fraction_;  // the tile's (nx-2)(ny-2)/(nx ny), 0 if thin
+  PendingCharge pending_;
   std::vector<double> elastic_scratch_;
 };
 

@@ -72,12 +72,7 @@ ScenarioOutcome run_distributed(const Scenario& sc,
     driver.set_rank_sinks(std::move(sinks));
   }
 
-  dist::RunControl ctl;
-  ctl.faults = hooks.faults;
-  ctl.checkpoint_every = hooks.checkpoint_every;
-  ctl.on_checkpoint = hooks.on_checkpoint;
-  ctl.resume = hooks.resume;
-  dist::DistReport dreport = driver.run(ctl);
+  dist::DistReport dreport = driver.run(hooks.control);
 
   ScenarioOutcome outcome;
   outcome.run = std::move(dreport.run);

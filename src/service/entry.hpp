@@ -28,16 +28,10 @@ struct ScenarioHooks {
   /// Host threads each rank's port runs with (HostPool width).
   unsigned host_threads = 1;
 
-  // -- Elastic execution (distributed scenarios only; single-chunk runs have
-  // no communication to fault or re-decompose, so these are ignored there) --
-  /// active() schedules are injected into the MiniComm world; exchanges run
-  /// the reliable ack/retry protocol, so numerics are unchanged.
-  comm::FaultSpec faults;
-  /// > 0: capture a Snapshot every N steps into on_checkpoint.
-  int checkpoint_every = 0;
-  std::function<void(const dist::Snapshot&)> on_checkpoint;
-  /// Resume from this snapshot instead of step 1 (dist::RunControl::resume).
-  const dist::Snapshot* resume = nullptr;
+  /// Elastic-execution controls (checkpoint capture, resume, fault
+  /// injection) for distributed scenarios; single-chunk runs have no
+  /// communication to fault or re-decompose, so they ignore it.
+  dist::RunControl control;
 };
 
 /// What a scenario run yields: the step reports, the per-rank breakdown

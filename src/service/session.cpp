@@ -28,16 +28,17 @@ JobResult Session::run(const Job& job) {
     ScenarioHooks hooks;
     hooks.host_threads = config_.host_threads;
     if (job.scenario.settings.nranks > 1) {
-      hooks.faults = job.faults;
+      dist::RunControl& ctl = hooks.control;
+      ctl.faults = job.faults;
       // Each resume attempt advances the fault epoch: the schedule hash
       // changes, so a deterministic hard failure does not recur forever.
-      hooks.faults.epoch = job.resume_attempts;
+      ctl.faults.epoch = job.resume_attempts;
       if (job.resumable) {
-        hooks.checkpoint_every = 1;
-        hooks.on_checkpoint = [&last_snap](const dist::Snapshot& snap) {
+        ctl.checkpoint_every = 1;
+        ctl.on_checkpoint = [&last_snap](const dist::Snapshot& snap) {
           last_snap = std::make_shared<dist::Snapshot>(snap);
         };
-        hooks.resume = job.resume_from.get();
+        ctl.resume = job.resume_from.get();
       }
     }
     const ScenarioOutcome outcome = run_scenario(job.scenario, hooks);

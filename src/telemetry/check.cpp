@@ -178,8 +178,9 @@ struct Checker {
     }
   }
 
-  /// slower: a regression when `cur` exceeds `base` by more than rel_tol;
-  /// higher: a regression when it falls below `base` by more than that.
+  /// slower: a regression when cur/base - 1 exceeds rel_tol; higher: the
+  /// same rule in ratio terms, a regression when base/cur - 1 exceeds it, so
+  /// a rate that halves fails exactly where a time that doubles does.
   void tolerance(const std::string& metric, const util::JsonValue* b,
                  const util::JsonValue* c, bool higher) {
     if (!present(metric, b, c)) return;
@@ -195,10 +196,16 @@ struct Checker {
       }
       return;
     }
-    const double rel = (higher ? base - cur : cur - base) / base;
+    if (higher && cur <= 0.0) {
+      regression(metric, base, cur, "dropped to zero or below");
+      return;
+    }
+    const double rel = higher ? base / cur - 1.0 : (cur - base) / base;
     if (rel > opt.rel_tol) {
       regression(metric, base, cur,
-                 util::strf("%s by %s (tol %s)", higher ? "dropped" : "slower",
+                 util::strf(higher ? "dropped: baseline %s above current "
+                                     "(tol %s)"
+                                   : "slower by %s (tol %s)",
                             pct(rel).c_str(), pct(opt.rel_tol).c_str()));
     } else if (rel < -opt.rel_tol) {
       improvement(metric, base, cur,

@@ -13,8 +13,10 @@
 //   slower  a regression when larger than baseline by more than the
 //           relative tolerance (time-like metrics; improvements never fail,
 //           they are reported as such);
-//   higher  a regression when smaller than baseline by more than the
-//           relative tolerance (speedups, hidden fractions, rates).
+//   higher  the slower rule in ratio terms: a regression when
+//           baseline/current - 1 exceeds the relative tolerance, and always
+//           when current drops to zero or below (speedups, hidden
+//           fractions, rates).
 //
 // Fields not declared are informational. check() walks the baseline's
 // declaration: rows are matched by their key, and a row present on one side

@@ -366,7 +366,7 @@ ConformanceReport run_conformance(const VerifyOptions& options) {
               check_history(rep.run.steps.back().solve.rr_history,
                             ref.rr_history, spec, /*len_slack=*/1));
           // The overlap-identity twin is meaningless under comm perturbation:
-          // set_comm_perturb forces overlap off on both runs.
+          // DistributedDriver::run turns overlap off for perturbed runs.
           if (options.overlap && options.comm_perturb.empty()) {
             // Blocking twin with the same seeds: overlap only moves where an
             // exchange is charged, so every number it produces must be the

@@ -1,14 +1,18 @@
-// Unit tests for src/comm: the in-process message-passing substrate, block
-// decomposition, and halo exchange.
+// Unit tests for src/comm: the in-process message-passing substrate, the
+// comm link (clean and under a lossy fault schedule), block decomposition,
+// and halo exchange.
 
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
+#include <span>
 
 #include "comm/decomposition.hpp"
+#include "comm/fault.hpp"
 #include "comm/halo.hpp"
 #include "comm/minimpi.hpp"
 #include "util/buffer.hpp"
@@ -17,6 +21,20 @@
 namespace c = tl::comm;
 using tl::util::Buffer;
 using tl::util::Span2D;
+
+namespace {
+/// Drops, duplicates and delays at rates the retry budget survives: a
+/// payload is lost for good only if all 12 of its attempts drop (0.2^12).
+c::FaultSpec lossy_schedule() {
+  c::FaultSpec spec;
+  spec.seed = 11;
+  spec.drop = 0.2;
+  spec.duplicate = 0.2;
+  spec.delay = 0.2;
+  spec.max_attempts = 12;
+  return spec;
+}
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // MiniComm
@@ -70,19 +88,17 @@ TEST(MiniComm, SizeMismatchThrows) {
                std::runtime_error);
 }
 
-TEST(MiniComm, AllreduceSumMinMax) {
+TEST(MiniComm, AllreduceSum) {
   c::run_ranks(4, [](c::Communicator& comm) {
     const double v = static_cast<double>(comm.rank() + 1);
-    EXPECT_DOUBLE_EQ(comm.allreduce(v, c::Communicator::ReduceOp::kSum), 10.0);
-    EXPECT_DOUBLE_EQ(comm.allreduce(v, c::Communicator::ReduceOp::kMin), 1.0);
-    EXPECT_DOUBLE_EQ(comm.allreduce(v, c::Communicator::ReduceOp::kMax), 4.0);
+    EXPECT_DOUBLE_EQ(comm.allreduce(v), 10.0);
   });
 }
 
 TEST(MiniComm, AllreduceVector) {
   c::run_ranks(3, [](c::Communicator& comm) {
     double vals[2] = {1.0, static_cast<double>(comm.rank())};
-    comm.allreduce(vals, c::Communicator::ReduceOp::kSum);
+    comm.allreduce(vals);
     EXPECT_DOUBLE_EQ(vals[0], 3.0);
     EXPECT_DOUBLE_EQ(vals[1], 3.0);  // 0+1+2
   });
@@ -98,18 +114,6 @@ TEST(MiniComm, BroadcastFromNonZeroRoot) {
     comm.broadcast(data, 2);
     EXPECT_DOUBLE_EQ(data[0], 5.0);
     EXPECT_DOUBLE_EQ(data[1], 6.0);
-  });
-}
-
-TEST(MiniComm, GatherToRoot) {
-  c::run_ranks(4, [](c::Communicator& comm) {
-    const auto out = comm.gather(static_cast<double>(comm.rank() * 2), 1);
-    if (comm.rank() == 1) {
-      ASSERT_EQ(out.size(), 4u);
-      for (int r = 0; r < 4; ++r) EXPECT_DOUBLE_EQ(out[r], 2.0 * r);
-    } else {
-      EXPECT_TRUE(out.empty());
-    }
   });
 }
 
@@ -141,8 +145,9 @@ TEST(MiniComm, ManyRanksStress) {
     const int n = comm.size();
     double token[1] = {static_cast<double>(comm.rank())};
     for (int lap = 0; lap < 5; ++lap) {
-      comm.sendrecv(token, (comm.rank() + 1) % n, token,
-                    (comm.rank() + n - 1) % n, lap);
+      // Sends are buffered, so every rank may send before it receives.
+      comm.send(token, (comm.rank() + 1) % n, lap);
+      comm.recv(token, (comm.rank() + n - 1) % n, lap);
     }
     // After 5 laps the token originated 5 ranks upstream.
     EXPECT_DOUBLE_EQ(token[0],
@@ -175,16 +180,17 @@ TEST(MiniComm, OrderPreservedPerSourceUnderInterleaving) {
 }
 
 TEST(MiniComm, MismatchedTagsTimeOutInsteadOfDeadlocking) {
-  // A sendrecv pair that disagrees on the tag would block forever in a real
-  // MPI run. The World's recv-timeout deadlock guard turns it into a thrown
-  // std::runtime_error naming the stuck (source, tag) wait.
+  // A send/recv pair that disagrees on the tag would block forever in a
+  // real MPI run. The World's recv-timeout deadlock guard turns it into a
+  // thrown std::runtime_error naming the stuck (source, tag) wait.
   try {
     c::run_ranks(
         2,
         [](c::Communicator& comm) {
           double buf[1] = {static_cast<double>(comm.rank())};
           const int tag = comm.rank() == 0 ? 1 : 2;  // the bug under test
-          comm.sendrecv(buf, 1 - comm.rank(), buf, 1 - comm.rank(), tag);
+          comm.send(buf, 1 - comm.rank(), tag);
+          comm.recv(buf, 1 - comm.rank(), tag);
         },
         std::chrono::milliseconds{250});
     FAIL() << "mismatched tags should have timed out";
@@ -197,25 +203,37 @@ TEST(MiniComm, MismatchedTagsTimeOutInsteadOfDeadlocking) {
 TEST(MiniComm, AllreduceMatchesSerialReduction) {
   // The reduction is deterministic (accumulated in rank order 0..P-1), so a
   // serial fold over the same values must agree bit-for-bit — this is what
-  // makes R-rank vs 1-rank solver comparisons meaningful.
+  // makes R-rank vs 1-rank solver comparisons meaningful. The link's
+  // allreduce, the one the distributed solver runs, must give the same bits
+  // over a clean link and under a lossy fault schedule.
   constexpr int kRanks = 5;
   tl::util::Rng rng(20260806);
   double vals[kRanks];
   for (double& v : vals) v = rng.uniform(-10.0, 10.0);
 
-  double sum = vals[0], mn = vals[0], mx = vals[0];
-  for (int r = 1; r < kRanks; ++r) {
-    sum += vals[r];
-    mn = std::min(mn, vals[r]);
-    mx = std::max(mx, vals[r]);
-  }
+  double sum = vals[0];
+  for (int r = 1; r < kRanks; ++r) sum += vals[r];
 
+  std::atomic<std::uint64_t> injected{0};
   c::run_ranks(kRanks, [&](c::Communicator& comm) {
     const double v = vals[comm.rank()];
-    EXPECT_EQ(comm.allreduce(v, c::Communicator::ReduceOp::kSum), sum);
-    EXPECT_EQ(comm.allreduce(v, c::Communicator::ReduceOp::kMin), mn);
-    EXPECT_EQ(comm.allreduce(v, c::Communicator::ReduceOp::kMax), mx);
+    EXPECT_EQ(comm.allreduce(v), sum);
+
+    c::Link clean(comm);
+    double x = v;
+    clean.allreduce_sum(std::span<double>(&x, 1), /*gather_tag=*/4,
+                        /*bcast_tag=*/5);
+    EXPECT_EQ(x, sum) << "clean link, rank " << comm.rank();
+
+    c::Link lossy(comm, lossy_schedule());
+    double y = v;
+    lossy.allreduce_sum(std::span<double>(&y, 1), /*gather_tag=*/12,
+                        /*bcast_tag=*/13);
+    EXPECT_EQ(y, sum) << "lossy link, rank " << comm.rank();
+    const c::FaultStats& fs = lossy.stats();
+    injected += fs.dropped + fs.duplicated + fs.delayed;
   });
+  EXPECT_GT(injected.load(), 0u) << "the lossy schedule injected nothing";
 }
 
 TEST(MiniComm, BarrierUnderContention) {
@@ -480,9 +498,12 @@ TEST(Halo, ReflectTooSmallFieldThrows) {
 
 namespace {
 /// Reference: one global field, reflected. Decomposed: each rank owns a tile
-/// of the same field, exchanges + reflects, and we compare every tile cell
-/// (including its halo) to the global field.
-void check_distributed_halo(int gnx, int gny, int ranks, int h, int depth) {
+/// of the same field, exchanges + reflects over a link under `faults`, and
+/// we compare every tile cell (including its halo) to the global field.
+/// Returns the faults the link injected, summed over ranks.
+std::uint64_t check_distributed_halo(int gnx, int gny, int ranks, int h,
+                                     int depth,
+                                     const c::FaultSpec& faults = {}) {
   auto global = make_field(gnx, gny, h, [](int x, int y) {
     return std::sin(0.3 * x) + 1.7 * y;
   });
@@ -490,6 +511,7 @@ void check_distributed_halo(int gnx, int gny, int ranks, int h, int depth) {
   c::reflect_boundary(gspan, h, c::kAllFaces);
 
   const c::BlockDecomposition decomp(gnx, gny, ranks);
+  std::atomic<std::uint64_t> injected{0};
   c::run_ranks(ranks, [&](c::Communicator& comm) {
     const c::Tile& tile = decomp.tile(comm.rank());
     const int w = tile.nx() + 2 * h;
@@ -509,7 +531,10 @@ void check_distributed_halo(int gnx, int gny, int ranks, int h, int depth) {
       }
     }
     c::HaloExchanger ex(decomp, comm.rank(), h);
-    ex.exchange(comm, lspan, depth, /*tag=*/3);
+    c::Link link(comm, faults);
+    ex.exchange(link, lspan, depth, /*tag=*/3);
+    const c::FaultStats& fs = link.stats();
+    injected += fs.dropped + fs.duplicated + fs.delayed;
 
     for (int y = h - depth; y < h + tile.ny() + depth; ++y) {
       for (int x = h - depth; x < h + tile.nx() + depth; ++x) {
@@ -520,6 +545,7 @@ void check_distributed_halo(int gnx, int gny, int ranks, int h, int depth) {
       }
     }
   });
+  return injected.load();
 }
 }  // namespace
 
@@ -546,22 +572,30 @@ TEST(Halo, BadDepthThrows) {
 
 TEST(Halo, RandomisedExchangeMatchesGlobalBothDepths) {
   // Property form of the round-trip check: random mesh shapes and rank
-  // counts, both supported depths. Covers corner fills (x-then-y ordering),
-  // interior tiles with four neighbours, and tiles whose physical faces are
-  // reflected rather than exchanged.
+  // counts, both supported depths, each over a clean link and a lossy one.
+  // Covers corner fills (x-then-y ordering), interior tiles with four
+  // neighbours, and tiles whose physical faces are reflected rather than
+  // exchanged.
   tl::util::Rng rng(5);
+  std::uint64_t injected = 0;
   for (int trial = 0; trial < 12; ++trial) {
     const int gnx = 8 + static_cast<int>(rng.next_below(17));
     const int gny = 8 + static_cast<int>(rng.next_below(17));
     const int nranks = 1 + static_cast<int>(rng.next_below(6));
     const int depth = 1 + static_cast<int>(rng.next_below(2));
     check_distributed_halo(gnx, gny, nranks, /*h=*/2, depth);
+    injected += check_distributed_halo(gnx, gny, nranks, /*h=*/2, depth,
+                                       lossy_schedule());
   }
+  EXPECT_GT(injected, 0u) << "the lossy schedule injected nothing";
 }
 
 TEST(Halo, NineRankInteriorTileAllFaces) {
   // 3x3 grid: the centre tile exchanges on all four faces and reflects none.
   check_distributed_halo(24, 24, 9, /*h=*/2, /*depth=*/2);
+  EXPECT_GT(check_distributed_halo(24, 24, 9, /*h=*/2, /*depth=*/2,
+                                   lossy_schedule()),
+            0u);
 }
 
 TEST(Halo, TagOutOfRangeThrows) {

@@ -421,6 +421,19 @@ TEST(Checkpoint, ResumeFingerprintMismatchesAreRejected) {
   bad = s;
   bad.end_step = snap.completed_steps;  // nothing left to run
   EXPECT_THROW(d::check_resume_compatible(snap, bad), d::CheckpointError);
+
+  // A fused run resumes on the fused kernels only: the classic kernels
+  // accumulate in another order and cannot reproduce its uninterrupted twin.
+  d::Snapshot fused = snap;
+  fused.elastic = false;
+  fused.use_fused = true;
+  Settings fused_settings = s;
+  fused_settings.elastic = false;
+  fused_settings.use_fused = true;
+  EXPECT_NO_THROW(d::check_resume_compatible(fused, fused_settings));
+  bad = fused_settings;
+  bad.use_fused = false;
+  EXPECT_THROW(d::check_resume_compatible(fused, bad), d::CheckpointError);
 }
 
 // ===========================================================================

@@ -208,14 +208,13 @@ double distributed_cg_temperature(int gnx, int gny, int ranks) {
     exchange(core::FieldId::kU, 1, 2);
 
     // Distributed CG: local kernels + allreduce on every dot product.
-    using Op = comm::Communicator::ReduceOp;
-    double rro = cm.allreduce(k.cg_init(), Op::kSum);
+    double rro = cm.allreduce(k.cg_init());
     exchange(core::FieldId::kP, 1, 3);
     bool converged = false;
     for (int it = 0; it < proto.max_iters && !converged; ++it) {
-      const double pw = cm.allreduce(k.cg_calc_w(), Op::kSum);
+      const double pw = cm.allreduce(k.cg_calc_w());
       const double alpha = rro / pw;
-      const double rrn = cm.allreduce(k.cg_calc_ur(alpha), Op::kSum);
+      const double rrn = cm.allreduce(k.cg_calc_ur(alpha));
       if (rrn < proto.eps) {
         converged = true;
         break;
@@ -228,7 +227,7 @@ double distributed_cg_temperature(int gnx, int gny, int ranks) {
 
     k.finalise();
     const core::FieldSummary local = k.field_summary();
-    const double global_temp = cm.allreduce(local.temperature, Op::kSum);
+    const double global_temp = cm.allreduce(local.temperature);
     if (cm.rank() == 0) result = global_temp;
   });
   return result;

@@ -354,6 +354,15 @@ TEST(Check, BenchOverlapHiddenFractionIsHigherIsBetter) {
       telemetry::check(util::parse_json(base), util::parse_json(base)).pass());
   EXPECT_FALSE(
       telemetry::check(util::parse_json(base), util::parse_json(worse)).pass());
+  // higher is judged in ratio terms (baseline/current - 1), so even a loose
+  // tolerance bounds the drop: 0.75 -> 0.05 is 15x worse.
+  std::string collapsed(base);
+  collapsed.replace(at, 4, "0.05");
+  telemetry::CheckOptions loose;
+  loose.rel_tol = 3.0;
+  EXPECT_FALSE(telemetry::check(util::parse_json(base),
+                                util::parse_json(collapsed), loose)
+                   .pass());
 }
 
 TEST(Check, MissingDeclaredFieldIsARegression) {
