@@ -3,6 +3,7 @@
 #include <cstring>
 #include <fstream>
 
+#include "dist/driver.hpp"
 #include "util/string_util.hpp"
 
 namespace tl::dist {
@@ -375,8 +376,9 @@ void check_resume_compatible(const Snapshot& snap,
         "settings");
   }
   // The fused and classic kernels accumulate in different orders, so a
-  // switch between them cannot reproduce the uninterrupted run.
-  const bool use_fused = settings.use_fused && !settings.elastic;
+  // switch between them cannot reproduce the uninterrupted run. The kernel
+  // set follows from the settings alone, whatever the run's controls.
+  const bool use_fused = executed_settings(settings, RunControl{}).use_fused;
   if (snap.use_fused != use_fused) {
     throw CheckpointError(util::strf(
         "checkpoint resume: kernel-set mismatch (snapshot ran the %s "

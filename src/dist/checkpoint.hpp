@@ -52,7 +52,7 @@ struct RankCursor {
 struct Snapshot {
   // Configuration fingerprint: a resume must match all of these except
   // end_step (the resumed run may go further) and overlap_comm. use_fused is
-  // the kernel set the run executed (use_fused && !elastic).
+  // the kernel set the run executed (dist::executed_settings).
   int nx = 0;
   int ny = 0;
   int halo_depth = 0;
@@ -92,8 +92,9 @@ Snapshot load_snapshot(const std::string& path);
 
 /// Throws CheckpointError when `snap` cannot resume a run configured by
 /// `settings` (mesh/solver/tolerance/kernel-set fingerprint mismatch, or
-/// nothing left to run). The rank count may differ — that is the elastic
-/// resume path.
+/// nothing left to run). The kernel set compared is the one
+/// dist::executed_settings resolves. The rank count may differ — that is
+/// the elastic resume path.
 void check_resume_compatible(const Snapshot& snap,
                              const core::Settings& settings);
 

@@ -28,22 +28,16 @@ core::Mesh global_mesh_from(const core::Settings& s) {
   return mesh;
 }
 
-/// The flags a run executes, resolved once from its settings and controls.
-/// Elastic runs take the classic kernels: the fused paths would reorder the
-/// accumulation the elastic fold fixes. Overlap stays on only for a plain
-/// run: elastic runs charge every exchange in full, and fault-injected and
-/// perturbed runs keep the blocking path, where every exchange (and every
-/// corruption) settles as it happens.
-core::Settings executed_settings(const core::Settings& s,
+}  // namespace
+
+core::Settings executed_settings(const core::Settings& settings,
                                  const RunControl& ctl) {
-  core::Settings out = s;
-  out.use_fused = s.use_fused && !s.elastic;
-  out.overlap_comm = s.overlap_comm && !s.elastic && !ctl.faults.active() &&
-                     ctl.comm_perturb.empty();
+  core::Settings out = settings;
+  out.use_fused = settings.use_fused && !settings.elastic;
+  out.overlap_comm = settings.overlap_comm && !settings.elastic &&
+                     !ctl.faults.active() && ctl.comm_perturb.empty();
   return out;
 }
-
-}  // namespace
 
 core::Mesh tile_mesh(const core::Mesh& global, const comm::Tile& tile) {
   core::Mesh mesh(tile.nx(), tile.ny(), global.halo_depth);

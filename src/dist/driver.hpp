@@ -85,6 +85,16 @@ struct RunControl {
   std::string comm_perturb;
 };
 
+/// The flags a run executes, resolved once from its settings and controls.
+/// Elastic runs take the classic kernels: the fused paths would reorder the
+/// accumulation the elastic fold fixes. Overlap stays on only for a plain
+/// run: elastic runs charge every exchange in full, and fault-injected and
+/// perturbed runs keep the blocking path, where every exchange (and every
+/// corruption) settles as it happens. run() executes these settings, checks
+/// a resume against them and records them in its snapshots.
+core::Settings executed_settings(const core::Settings& settings,
+                                 const RunControl& ctl);
+
 class DistributedDriver {
  public:
   /// Throws std::invalid_argument for bad settings (including a
@@ -104,11 +114,8 @@ class DistributedDriver {
   DistReport run();
 
   /// As run(), under elastic-execution controls (checkpoint capture, halted
-  /// runs, snapshot resume, comm fault injection, comm perturbation). The
-  /// run executes the fused kernels only when settings.use_fused and not
-  /// settings.elastic, and overlaps comm only when settings.overlap_comm and
-  /// the run is neither elastic, fault-injected nor perturbed; snapshots
-  /// record these executed flags.
+  /// runs, snapshot resume, comm fault injection, comm perturbation), with
+  /// the flags executed_settings(settings, ctl) resolves.
   DistReport run(const RunControl& ctl);
 
   const comm::BlockDecomposition& decomposition() const noexcept {

@@ -133,8 +133,11 @@ void DistributedKernels::meter_comm(const char* name, std::size_t sent,
 }
 
 void DistributedKernels::sync_fault_stats() {
+  // Adds the link's tallies since the last sync, so the counts continue from
+  // whatever stats_ starts at: zero, or a restored checkpoint cursor.
   const comm::FaultStats& fs = link_.stats();
-  if (fs.retries > stats_.retries) {
+  const std::uint64_t new_retries = fs.retries - synced_.retries;
+  if (new_retries > 0) {
     // Trace-only breadcrumb (bytes = new retries): makes retry storms
     // visible in Chrome traces without touching the metered timeline.
     if (sim::TraceSink* sink = inner_->clock().trace_sink()) {
@@ -145,14 +148,15 @@ void DistributedKernels::sync_fault_stats() {
       ev.phase = "comm";
       ev.start_ns = inner_->clock().elapsed_ns();
       ev.duration_ns = 0.0;
-      ev.bytes = static_cast<std::size_t>(fs.retries - stats_.retries);
+      ev.bytes = static_cast<std::size_t>(new_retries);
       sink->on_event(ev);
     }
   }
-  stats_.retries = fs.retries;
-  stats_.dropped = fs.dropped;
-  stats_.duplicated = fs.duplicated;
-  stats_.delayed = fs.delayed;
+  stats_.retries += new_retries;
+  stats_.dropped += fs.dropped - synced_.dropped;
+  stats_.duplicated += fs.duplicated - synced_.duplicated;
+  stats_.delayed += fs.delayed - synced_.delayed;
+  synced_ = fs;
 }
 
 void DistributedKernels::perturb_halo_cell(core::FieldId id) {

@@ -185,6 +185,7 @@ class DistributedKernels final : public core::SolverKernels {
   comm::HaloExchanger exchanger_;
   const sim::NetworkSpec* net_;
   CommStats stats_;
+  comm::FaultStats synced_;  // the link's tallies at the last sync
   int rank_;
   int nranks_;
   int halo_depth_;

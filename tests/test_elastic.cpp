@@ -534,6 +534,70 @@ TEST(KillResume, SameRankCountRestoresClockAndCommCursors) {
   EXPECT_EQ(resumed.run.sim_total_seconds, full.run.sim_total_seconds);
 }
 
+TEST(KillResume, SameRankCountResumeContinuesTheFaultTallies) {
+  // The fault tallies are comm cursors too: a resume on the same rank count
+  // starts from the snapshot's counts, whether or not it injects faults.
+  Settings s = Settings::default_problem();
+  s.nx = s.ny = 32;
+  s.solver = SolverKind::kCg;
+  s.end_step = 2;
+  s.nranks = 2;
+  c::FaultSpec lossy;
+  lossy.seed = 5;
+  lossy.drop = 0.08;
+  lossy.duplicate = 0.05;
+  lossy.delay = 0.05;
+
+  d::Snapshot snap;
+  {
+    d::DistributedDriver first(s, reference_factory());
+    d::RunControl ctl;
+    ctl.halt_after_step = 1;
+    ctl.faults = lossy;
+    ctl.on_checkpoint = [&](const d::Snapshot& sn) { snap = sn; };
+    first.run(ctl);
+  }
+  ASSERT_EQ(snap.cursors.size(), 2u);
+  // The same snapshot with its fault tallies zeroed: resumed under the same
+  // schedule, it reports the second leg's faults alone.
+  d::Snapshot zeroed = snap;
+  for (d::RankCursor& cur : zeroed.cursors) {
+    cur.comm.retries = cur.comm.dropped = 0;
+    cur.comm.duplicated = cur.comm.delayed = 0;
+  }
+  auto resume = [&](const d::Snapshot& from, const c::FaultSpec& faults) {
+    d::DistributedDriver driver(s, reference_factory());
+    d::RunControl ctl;
+    ctl.resume = &from;
+    ctl.faults = faults;
+    return driver.run(ctl);
+  };
+  const d::DistReport clean = resume(snap, c::FaultSpec{});
+  const d::DistReport faulty = resume(snap, lossy);
+  const d::DistReport second_leg = resume(zeroed, lossy);
+
+  std::uint64_t saved_faults = 0;
+  std::uint64_t second_leg_faults = 0;
+  for (std::size_t r = 0; r < snap.cursors.size(); ++r) {
+    SCOPED_TRACE("rank " + std::to_string(r));
+    const d::CommStats& saved = snap.cursors[r].comm;
+    const d::CommStats& own = second_leg.ranks[r].comm;
+    saved_faults += saved.dropped + saved.duplicated + saved.delayed;
+    second_leg_faults += own.dropped + own.duplicated + own.delayed;
+    EXPECT_EQ(clean.ranks[r].comm.retries, saved.retries);
+    EXPECT_EQ(clean.ranks[r].comm.dropped, saved.dropped);
+    EXPECT_EQ(clean.ranks[r].comm.duplicated, saved.duplicated);
+    EXPECT_EQ(clean.ranks[r].comm.delayed, saved.delayed);
+    EXPECT_EQ(faulty.ranks[r].comm.retries, saved.retries + own.retries);
+    EXPECT_EQ(faulty.ranks[r].comm.dropped, saved.dropped + own.dropped);
+    EXPECT_EQ(faulty.ranks[r].comm.duplicated,
+              saved.duplicated + own.duplicated);
+    EXPECT_EQ(faulty.ranks[r].comm.delayed, saved.delayed + own.delayed);
+  }
+  EXPECT_GT(saved_faults, 0u) << "the first leg must inject faults";
+  EXPECT_GT(second_leg_faults, 0u) << "the second leg must inject faults";
+}
+
 TEST(KillResume, PeriodicCadenceCapturesEveryBoundary) {
   Settings s = elastic_problem(SolverKind::kCg, 2, 3);
   d::DistributedDriver driver(s, reference_factory());
