@@ -90,8 +90,9 @@ struct RunControl {
 /// accumulation the elastic fold fixes. Overlap stays on only for a plain
 /// run: elastic runs charge every exchange in full, and fault-injected and
 /// perturbed runs keep the blocking path, where every exchange (and every
-/// corruption) settles as it happens. run() executes these settings, checks
-/// a resume against them and records them in its snapshots.
+/// corruption) settles as it happens. run() executes these settings and
+/// records them in its snapshots; check_resume_compatible compares the
+/// kernel set they resolve.
 core::Settings executed_settings(const core::Settings& settings,
                                  const RunControl& ctl);
 
