@@ -193,7 +193,7 @@ double tile_compute_seconds(const bench::Harness& harness, sim::Model model,
   // Weak scaling predicts > 10k iterations at the largest meshes; keep the
   // driver's iteration cap above the scripted convergence point so the
   // phantom solve is never silently truncated.
-  s.max_iters = std::max(s.max_iters, outer + s.check_interval + 1);
+  s.max_iters = std::max(s.max_iters, outer + core::kCheckInterval + 1);
   core::PhantomScript script;
   script.eps = s.eps;
   if (solver == SolverKind::kCheby) {

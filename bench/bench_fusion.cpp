@@ -236,9 +236,7 @@ double measured_cg_seconds(bool use_fused, int mesh, int iters) {
   s.max_iters = iters;
   s.eps = 1e-300;  // never reached: both pipelines run the full budget
   s.use_fused = use_fused;
-  core::Driver driver(
-      s, std::make_unique<core::ReferenceKernels>(
-             core::Mesh(s.nx, s.ny, s.halo_depth)));
+  core::Driver driver(s, std::make_unique<core::ReferenceKernels>(s.mesh()));
   const auto t0 = std::chrono::steady_clock::now();
   driver.run();
   const auto t1 = std::chrono::steady_clock::now();

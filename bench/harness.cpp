@@ -41,7 +41,7 @@ int Harness::predicted_outer(SolverKind solver, int nx) const {
   int outer = models_.at(solver).predict_outer(nx);
   // Chebyshev needs at least the bootstrap plus one main-loop check window.
   if (solver == SolverKind::kCheby) {
-    outer = std::max(outer, proto_.cg_prep_iters + 1 + proto_.check_interval);
+    outer = std::max(outer, proto_.cg_prep_iters + 1 + core::kCheckInterval);
   }
   return outer;
 }

@@ -39,9 +39,8 @@ int main(int argc, char** argv) {
   for (const sim::DeviceId device : sim::kAllDevices) {
     for (const sim::Model model : sim::kAllModels) {
       if (!ports::is_supported(model, device)) continue;
-      core::Driver driver(
-          settings, ports::make_port(model, device,
-                                     core::Mesh(nx, nx, settings.halo_depth)));
+      core::Driver driver(settings,
+                          ports::make_port(model, device, settings.mesh()));
       entries.push_back({model, device, driver.run()});
     }
   }

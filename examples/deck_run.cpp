@@ -46,9 +46,7 @@ int main(int argc, char** argv) {
               settings.eps, settings.end_step);
 
   core::Driver driver(settings,
-                      ports::make_port(*model, *device,
-                                       core::Mesh(settings.nx, settings.ny,
-                                                  settings.halo_depth)));
+                      ports::make_port(*model, *device, settings.mesh()));
   for (int s = 0; s < settings.end_step; ++s) {
     const core::StepReport step = driver.run_step();
     std::printf(

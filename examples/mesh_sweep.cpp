@@ -39,8 +39,7 @@ int main(int argc, char** argv) {
     for (const int nx : meshes) {
       core::Settings s = core::Settings::default_problem();
       s.nx = s.ny = nx;
-      core::Driver driver(s, ports::make_port(model, *device,
-                                              core::Mesh(nx, nx, s.halo_depth)));
+      core::Driver driver(s, ports::make_port(model, *device, s.mesh()));
       const auto report = driver.run();
       row.push_back(util::strf("%.2f", report.sim_total_seconds * 1e3));
     }

@@ -6,21 +6,10 @@
 
 namespace tl::core {
 
-namespace {
-Mesh mesh_from_settings(const Settings& s) {
-  Mesh mesh(s.nx, s.ny, s.halo_depth);
-  mesh.x_min = s.x_min;
-  mesh.x_max = s.x_max;
-  mesh.y_min = s.y_min;
-  mesh.y_max = s.y_max;
-  return mesh;
-}
-}  // namespace
-
 Driver::Driver(const Settings& settings, std::unique_ptr<SolverKernels> kernels,
                DriverOptions options)
     : settings_(settings),
-      mesh_(mesh_from_settings(settings)),
+      mesh_(settings.mesh()),
       kernels_(std::move(kernels)) {
   settings_.validate();
   if (!kernels_) throw std::invalid_argument("Driver: null kernels");
@@ -59,8 +48,7 @@ StepReport run_timestep(SolverKernels& kernels, Chunk& chunk,
   kernels.init_coefficients(settings.coefficient, rx, ry);
   kernels.halo_update(kMaskU, 1);
 
-  report.solve = solve(settings.solver, kernels,
-                       SolveOptions::from_settings(settings));
+  report.solve = solve(settings.solver, kernels, settings);
 
   kernels.finalise();
   report.summary = kernels.field_summary();

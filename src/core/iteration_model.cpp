@@ -41,8 +41,7 @@ IterationModel calibrate_iteration_model(SolverKind solver,
     if (solver == SolverKind::kPpcg) {
       s.ppcg_inner_steps = recommended_ppcg_inner_steps(nx);
     }
-    Driver driver(s, std::make_unique<ReferenceKernels>(
-                         Mesh(s.nx, s.ny, s.halo_depth)));
+    Driver driver(s, std::make_unique<ReferenceKernels>(s.mesh()));
     const StepReport report = driver.run_step();
 
     CalibrationPoint point;

@@ -10,8 +10,10 @@
 // All methods operate on the port's own (possibly device-resident) field
 // storage. Scalars returned by reductions are host values.
 
+#include <array>
 #include <memory>
 #include <span>
+#include <utility>
 
 #include "core/fields.hpp"
 #include "core/settings.hpp"
@@ -29,6 +31,18 @@ enum FieldMask : unsigned {
   kMaskEnergy0 = 1u << 5,
 };
 int mask_field_count(unsigned mask);
+
+/// The field each mask bit names, in bit order. The distributed exchange
+/// walks this order, so every rank issues its tagged exchanges in the same
+/// sequence.
+inline constexpr std::array<std::pair<unsigned, FieldId>, 6> kMaskFields = {{
+    {kMaskU, FieldId::kU},
+    {kMaskP, FieldId::kP},
+    {kMaskSd, FieldId::kSd},
+    {kMaskR, FieldId::kR},
+    {kMaskDensity, FieldId::kDensity},
+    {kMaskEnergy0, FieldId::kEnergy0},
+}};
 
 struct FieldSummary {
   double volume = 0.0;

@@ -271,16 +271,12 @@ void ReferenceKernels::init_coefficients(Coefficient coefficient, double rx,
 
 void ReferenceKernels::halo_update(unsigned fields, int depth) {
   (void)depth;  // reflection always fills the full halo
-  auto reflect = [&](FieldId f) {
-    tl::comm::reflect_boundary(chunk_.field(f), mesh_.halo_depth,
-                               tl::comm::kAllFaces);
-  };
-  if (fields & kMaskU) reflect(FieldId::kU);
-  if (fields & kMaskP) reflect(FieldId::kP);
-  if (fields & kMaskSd) reflect(FieldId::kSd);
-  if (fields & kMaskR) reflect(FieldId::kR);
-  if (fields & kMaskDensity) reflect(FieldId::kDensity);
-  if (fields & kMaskEnergy0) reflect(FieldId::kEnergy0);
+  for (const auto& [mask, id] : kMaskFields) {
+    if ((fields & mask) != 0) {
+      tl::comm::reflect_boundary(chunk_.field(id), mesh_.halo_depth,
+                                 tl::comm::kAllFaces);
+    }
+  }
 }
 
 void ReferenceKernels::calc_residual() {

@@ -79,6 +79,15 @@ Settings Settings::from_config(const tl::util::IniConfig& cfg) {
   return s;
 }
 
+Mesh Settings::mesh() const {
+  Mesh m(nx, ny, halo_depth);
+  m.x_min = x_min;
+  m.x_max = x_max;
+  m.y_min = y_min;
+  m.y_max = y_max;
+  return m;
+}
+
 void Settings::validate() const {
   if (nx <= 0 || ny <= 0) throw std::invalid_argument("Settings: bad mesh");
   if (halo_depth < 1) throw std::invalid_argument("Settings: halo_depth < 1");

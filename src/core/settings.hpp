@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "core/mesh.hpp"
 #include "util/ini.hpp"
 
 namespace tl::core {
@@ -63,8 +64,6 @@ struct Settings {
   int max_iters = 10'000;
   int cg_prep_iters = 20;   // CG bootstrap before Chebyshev/PPCG eigen-est
   int ppcg_inner_steps = 10;
-  int check_interval = 20;  // Chebyshev true-residual check cadence
-  double eigen_safety = 0.10;  // widen the estimated spectrum by this factor
   bool use_fused = true;    // dispatch the fused kernels
   bool overlap_comm = true;  // hide halo wire time behind interior compute
                              // (multi-rank; ports with overlaps_comm())
@@ -86,6 +85,11 @@ struct Settings {
   static Settings from_config(const tl::util::IniConfig& cfg);
 
   void validate() const;  // throws std::invalid_argument on nonsense
+
+  /// The global single-chunk mesh: cell counts, halo depth and physical
+  /// extents. Every kernel set built for these settings takes this mesh, so
+  /// field_summary's cell area matches the decomposed run's tiles.
+  Mesh mesh() const;
 };
 
 /// PPCG inner smoothing steps scaled to the mesh: the polynomial degree must

@@ -45,26 +45,25 @@ FusedCgIter fused_cg_iter(SolverKernels& k, double rro, const CgFusedW& wf) {
   return s;
 }
 
-/// CG bootstrap shared by Chebyshev and PPCG: runs `prep` CG iterations,
-/// recording alpha/beta for the Lanczos spectrum estimate. Returns the
-/// current rr. May converge outright (tiny meshes) — stats reflect that.
-double cg_bootstrap(SolverKernels& k, const SolveOptions& opt, int prep,
-                    SolveStats& stats, std::vector<double>& alphas,
-                    std::vector<double>& betas) {
-  const bool fused = opt.use_fused;
+/// CG bootstrap shared by Chebyshev and PPCG: runs cg_prep_iters CG
+/// iterations, recording alpha/beta for the Lanczos spectrum estimate. Returns
+/// the current rr. May converge outright (tiny meshes) — stats reflect that.
+double cg_bootstrap(SolverKernels& k, const Settings& s, SolveStats& stats,
+                    std::vector<double>& alphas, std::vector<double>& betas) {
+  const bool fused = s.use_fused;
   double rro = k.cg_init();
   stats.initial_rr = rro;
   stats.rr_history.push_back(rro);
   k.halo_update(kMaskP, 1);
   double rrn = rro;
-  for (int it = 0; it < prep; ++it) {
+  for (int it = 0; it < s.cg_prep_iters; ++it) {
     double alpha = 0.0;
     double beta = 0.0;
     if (fused) {
-      const FusedCgIter s = fused_cg_iter(k, rro, k.cg_calc_w_fused());
-      alpha = s.alpha;
-      beta = s.beta;
-      rrn = s.rrn;
+      const FusedCgIter step = fused_cg_iter(k, rro, k.cg_calc_w_fused());
+      alpha = step.alpha;
+      beta = step.beta;
+      rrn = step.rrn;
     } else {
       const double pw = k.cg_calc_w();
       alpha = rro / pw;
@@ -76,7 +75,7 @@ double cg_bootstrap(SolverKernels& k, const SolveOptions& opt, int prep,
     ++stats.iterations;
     ++(fused ? stats.fused_iterations : stats.classic_iterations);
     stats.rr_history.push_back(rrn);
-    if (rrn < opt.eps) {
+    if (rrn < s.eps) {
       stats.converged = true;
       stats.converged_on_ur = true;
       stats.final_rr = rrn;
@@ -90,30 +89,30 @@ double cg_bootstrap(SolverKernels& k, const SolveOptions& opt, int prep,
 }
 
 /// r = u0 - A u and its squared norm: one pass on ports that fuse it.
-double residual_norm(SolverKernels& k, const SolveOptions& opt) {
-  if (opt.use_fused) return k.fused_residual_norm();
+double residual_norm(SolverKernels& k, const Settings& s) {
+  if (s.use_fused) return k.fused_residual_norm();
   k.calc_residual();
   return k.calc_2norm(NormTarget::kResidual);
 }
 
 }  // namespace
 
-SolveStats solve_cg(SolverKernels& k, const SolveOptions& opt) {
+SolveStats solve_cg(SolverKernels& k, const Settings& s) {
   SolveStats stats;
   stats.solver = SolverKind::kCg;
 
   double rro = k.cg_init();
   stats.initial_rr = rro;
   stats.rr_history.push_back(rro);
-  if (rro < opt.eps) {  // already solved (cold uniform problem)
+  if (rro < s.eps) {  // already solved (cold uniform problem)
     stats.converged = true;
     stats.final_rr = rro;
     return stats;
   }
   k.halo_update(kMaskP, 1);
 
-  const bool fused = opt.use_fused;
-  for (int it = 0; it < opt.max_iters; ++it) {
+  const bool fused = s.use_fused;
+  for (int it = 0; it < s.max_iters; ++it) {
     double rrn = 0.0;
     if (fused) {
       const CgFusedW wf = k.cg_calc_w_fused();
@@ -128,7 +127,7 @@ SolveStats solve_cg(SolverKernels& k, const SolveOptions& opt) {
     ++stats.iterations;
     ++(fused ? stats.fused_iterations : stats.classic_iterations);
     stats.rr_history.push_back(rrn);
-    if (rrn < opt.eps) {
+    if (rrn < s.eps) {
       stats.converged = true;
       stats.converged_on_ur = true;
       stats.final_rr = rrn;
@@ -142,29 +141,29 @@ SolveStats solve_cg(SolverKernels& k, const SolveOptions& opt) {
   return stats;
 }
 
-SolveStats solve_cheby(SolverKernels& k, const SolveOptions& opt) {
+SolveStats solve_cheby(SolverKernels& k, const Settings& s) {
   SolveStats stats;
   stats.solver = SolverKind::kCheby;
 
   std::vector<double> alphas, betas;
-  double rr = cg_bootstrap(k, opt, opt.cg_prep_iters, stats, alphas, betas);
+  double rr = cg_bootstrap(k, s, stats, alphas, betas);
   if (stats.converged) return stats;
 
   stats.spectrum =
-      clamp_spectrum(estimate_spectrum(alphas, betas, opt.eigen_safety));
+      clamp_spectrum(estimate_spectrum(alphas, betas, kEigenSafety));
   if (!stats.spectrum.valid) {
     throw std::runtime_error("Chebyshev: eigenvalue estimation failed");
   }
   const ChebyCoefficients coef =
-      cheby_coefficients(stats.spectrum.min, stats.spectrum.max, opt.max_iters);
+      cheby_coefficients(stats.spectrum.min, stats.spectrum.max, s.max_iters);
 
   // r is current after the bootstrap (cg_calc_ur left it there).
   k.cheby_init(coef.theta);
   k.halo_update(kMaskU, 1);
   ++stats.iterations;
 
-  const bool fused = opt.use_fused;
-  for (int it = 0; it < opt.max_iters && stats.iterations < opt.max_iters;
+  const bool fused = s.use_fused;
+  for (int it = 0; it < s.max_iters && stats.iterations < s.max_iters;
        ++it) {
     const double a = coef.alphas[static_cast<std::size_t>(it)];
     const double b = coef.betas[static_cast<std::size_t>(it)];
@@ -176,38 +175,38 @@ SolveStats solve_cheby(SolverKernels& k, const SolveOptions& opt) {
     k.halo_update(kMaskU, 1);
     ++stats.iterations;
     ++(fused ? stats.fused_iterations : stats.classic_iterations);
-    if ((it + 1) % opt.check_interval == 0) {
+    if ((it + 1) % kCheckInterval == 0) {
       // The iterate keeps r current, so the periodic check is a bare norm.
       rr = k.calc_2norm(NormTarget::kResidual);
       stats.rr_history.push_back(rr);
-      if (rr < opt.eps) {
+      if (rr < s.eps) {
         stats.converged = true;
         break;
       }
     }
   }
   // Authoritative final residual.
-  stats.final_rr = residual_norm(k, opt);
+  stats.final_rr = residual_norm(k, s);
   stats.rr_history.push_back(stats.final_rr);
-  stats.converged = stats.final_rr < opt.eps;
+  stats.converged = stats.final_rr < s.eps;
   return stats;
 }
 
-SolveStats solve_ppcg(SolverKernels& k, const SolveOptions& opt) {
+SolveStats solve_ppcg(SolverKernels& k, const Settings& s) {
   SolveStats stats;
   stats.solver = SolverKind::kPpcg;
 
   std::vector<double> alphas, betas;
-  double rro = cg_bootstrap(k, opt, opt.cg_prep_iters, stats, alphas, betas);
+  double rro = cg_bootstrap(k, s, stats, alphas, betas);
   if (stats.converged) return stats;
 
   stats.spectrum =
-      clamp_spectrum(estimate_spectrum(alphas, betas, opt.eigen_safety));
+      clamp_spectrum(estimate_spectrum(alphas, betas, kEigenSafety));
   if (!stats.spectrum.valid) {
     throw std::runtime_error("PPCG: eigenvalue estimation failed");
   }
   const ChebyCoefficients coef = cheby_coefficients(
-      stats.spectrum.min, stats.spectrum.max, opt.ppcg_inner_steps);
+      stats.spectrum.min, stats.spectrum.max, s.ppcg_inner_steps);
 
   // The bootstrap ends after cg_calc_p/halo(p) with rro current; continue
   // the outer CG with polynomially smoothed residuals (TeaLeaf's scheme:
@@ -218,8 +217,8 @@ SolveStats solve_ppcg(SolverKernels& k, const SolveOptions& opt) {
   // fused u/r/p sweep does not apply, and the extra dot products of the
   // fused w sweep would be wasted streams. The fused win for PPCG is the
   // bootstrap (above) and the inner smoothing (below).
-  const bool fused_inner = opt.use_fused;
-  for (int it = 0; it < opt.max_iters; ++it) {
+  const bool fused_inner = s.use_fused;
+  for (int it = 0; it < s.max_iters; ++it) {
     const double pw = k.cg_calc_w();
     if (pw == 0.0) throw std::runtime_error("PPCG breakdown: p.Ap == 0");
     const double alpha = rro / pw;
@@ -227,7 +226,7 @@ SolveStats solve_ppcg(SolverKernels& k, const SolveOptions& opt) {
     ++stats.iterations;
     ++stats.classic_iterations;  // outer PPCG stays on the classic kernels
     stats.rr_history.push_back(rrn);
-    if (rrn < opt.eps) {
+    if (rrn < s.eps) {
       stats.converged = true;
       stats.converged_on_ur = true;
       stats.final_rr = rrn;
@@ -237,7 +236,7 @@ SolveStats solve_ppcg(SolverKernels& k, const SolveOptions& opt) {
     // Inner Chebyshev smoothing of the residual.
     k.ppcg_init_sd(coef.theta);
     k.halo_update(kMaskSd, 1);
-    for (int j = 0; j < opt.ppcg_inner_steps; ++j) {
+    for (int j = 0; j < s.ppcg_inner_steps; ++j) {
       const double a = coef.alphas[static_cast<std::size_t>(j)];
       const double b = coef.betas[static_cast<std::size_t>(j)];
       if (fused_inner) {
@@ -251,7 +250,7 @@ SolveStats solve_ppcg(SolverKernels& k, const SolveOptions& opt) {
     }
     rrn = k.calc_2norm(NormTarget::kResidual);
     stats.rr_history.push_back(rrn);
-    if (rrn < opt.eps) {
+    if (rrn < s.eps) {
       stats.converged = true;
       stats.final_rr = rrn;
       return stats;
@@ -266,23 +265,23 @@ SolveStats solve_ppcg(SolverKernels& k, const SolveOptions& opt) {
   return stats;
 }
 
-SolveStats solve_jacobi(SolverKernels& k, const SolveOptions& opt) {
+SolveStats solve_jacobi(SolverKernels& k, const Settings& s) {
   // TeaLeaf's explicit baseline: slow (iterations scale with the condition
   // number, not its square root) but the simplest possible kernel pair.
   SolveStats stats;
   stats.solver = SolverKind::kJacobi;
 
-  double rr = residual_norm(k, opt);
+  double rr = residual_norm(k, s);
   stats.initial_rr = rr;
   stats.rr_history.push_back(rr);
-  if (rr < opt.eps) {
+  if (rr < s.eps) {
     stats.converged = true;
     stats.final_rr = rr;
     return stats;
   }
 
-  const bool fused = opt.use_fused;
-  for (int it = 0; it < opt.max_iters; ++it) {
+  const bool fused = s.use_fused;
+  for (int it = 0; it < s.max_iters; ++it) {
     if (fused) {
       k.jacobi_fused_copy_iterate();
     } else {
@@ -292,24 +291,24 @@ SolveStats solve_jacobi(SolverKernels& k, const SolveOptions& opt) {
     k.halo_update(kMaskU, 1);
     ++stats.iterations;
     ++(fused ? stats.fused_iterations : stats.classic_iterations);
-    if ((it + 1) % opt.check_interval == 0) {
-      rr = residual_norm(k, opt);
+    if ((it + 1) % kCheckInterval == 0) {
+      rr = residual_norm(k, s);
       stats.rr_history.push_back(rr);
-      if (rr < opt.eps) break;
+      if (rr < s.eps) break;
     }
   }
-  stats.final_rr = residual_norm(k, opt);
+  stats.final_rr = residual_norm(k, s);
   stats.rr_history.push_back(stats.final_rr);
-  stats.converged = stats.final_rr < opt.eps;
+  stats.converged = stats.final_rr < s.eps;
   return stats;
 }
 
-SolveStats solve(SolverKind kind, SolverKernels& k, const SolveOptions& opt) {
+SolveStats solve(SolverKind kind, SolverKernels& k, const Settings& s) {
   switch (kind) {
-    case SolverKind::kCg: return solve_cg(k, opt);
-    case SolverKind::kCheby: return solve_cheby(k, opt);
-    case SolverKind::kPpcg: return solve_ppcg(k, opt);
-    case SolverKind::kJacobi: return solve_jacobi(k, opt);
+    case SolverKind::kCg: return solve_cg(k, s);
+    case SolverKind::kCheby: return solve_cheby(k, s);
+    case SolverKind::kPpcg: return solve_ppcg(k, s);
+    case SolverKind::kJacobi: return solve_jacobi(k, s);
   }
   throw std::invalid_argument("solve: unsupported solver kind");
 }

@@ -14,28 +14,10 @@
 
 namespace tl::core {
 
-struct SolveOptions {
-  double eps = 1e-15;     // convergence: rr (squared 2-norm of r) < eps
-  int max_iters = 10'000;
-  int cg_prep_iters = 20;   // CG bootstrap length for eigen-estimation
-  int ppcg_inner_steps = 10;
-  int check_interval = 20;  // Chebyshev residual-check cadence
-  double eigen_safety = 0.10;
-  /// Dispatch the fused kernel paths (every kernel set implements them).
-  /// Off forces the classic kernel sequence (the fused-vs-unfused bench and
-  /// tests use this).
-  bool use_fused = true;
-
-  static SolveOptions from_settings(const Settings& s) {
-    return SolveOptions{s.eps,
-                        s.max_iters,
-                        s.cg_prep_iters,
-                        s.ppcg_inner_steps,
-                        s.check_interval,
-                        s.eigen_safety,
-                        s.use_fused};
-  }
-};
+/// Chebyshev and Jacobi true-residual check cadence, in iterations.
+inline constexpr int kCheckInterval = 20;
+/// Widening of the Lanczos spectrum estimate: [min (1 - s), max (1 + s)].
+inline constexpr double kEigenSafety = 0.10;
 
 struct SolveStats {
   SolverKind solver = SolverKind::kCg;
@@ -63,12 +45,12 @@ struct SolveStats {
   EigenEstimate spectrum;    // Chebyshev/PPCG only
 };
 
-SolveStats solve_cg(SolverKernels& k, const SolveOptions& opt);
-SolveStats solve_cheby(SolverKernels& k, const SolveOptions& opt);
-SolveStats solve_ppcg(SolverKernels& k, const SolveOptions& opt);
-SolveStats solve_jacobi(SolverKernels& k, const SolveOptions& opt);
+SolveStats solve_cg(SolverKernels& k, const Settings& s);
+SolveStats solve_cheby(SolverKernels& k, const Settings& s);
+SolveStats solve_ppcg(SolverKernels& k, const Settings& s);
+SolveStats solve_jacobi(SolverKernels& k, const Settings& s);
 
 /// Dispatch by kind.
-SolveStats solve(SolverKind kind, SolverKernels& k, const SolveOptions& opt);
+SolveStats solve(SolverKind kind, SolverKernels& k, const Settings& s);
 
 }  // namespace tl::core

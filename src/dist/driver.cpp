@@ -19,15 +19,6 @@ comm::BlockDecomposition default_decomp(const core::Settings& s) {
   return comm::BlockDecomposition(s.nx, s.ny, s.nranks, opt);
 }
 
-core::Mesh global_mesh_from(const core::Settings& s) {
-  core::Mesh mesh(s.nx, s.ny, s.halo_depth);
-  mesh.x_min = s.x_min;
-  mesh.x_max = s.x_max;
-  mesh.y_min = s.y_min;
-  mesh.y_max = s.y_max;
-  return mesh;
-}
-
 }  // namespace
 
 core::Settings executed_settings(const core::Settings& settings,
@@ -66,7 +57,7 @@ DistributedDriver::DistributedDriver(const core::Settings& settings,
                                      const sim::NetworkSpec& net)
     : settings_(settings),
       decomp_(std::move(decomp)),
-      global_mesh_(global_mesh_from(settings)),
+      global_mesh_(settings.mesh()),
       factory_(std::move(factory)),
       net_(&net) {
   settings_.validate();

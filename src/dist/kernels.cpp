@@ -11,17 +11,6 @@ namespace {
 
 using comm::Face;
 
-// Exchange order is fixed (bit order) so every rank issues the same tagged
-// exchanges in the same sequence.
-constexpr std::array<std::pair<unsigned, core::FieldId>, 6> kMaskFields = {{
-    {core::kMaskU, core::FieldId::kU},
-    {core::kMaskP, core::FieldId::kP},
-    {core::kMaskSd, core::FieldId::kSd},
-    {core::kMaskR, core::FieldId::kR},
-    {core::kMaskDensity, core::FieldId::kDensity},
-    {core::kMaskEnergy0, core::FieldId::kEnergy0},
-}};
-
 // Tag scheme: exchange_field consumes one rolling tag per field exchange,
 // and HaloExchanger derives the wire tag as tag * 8 + subtag with
 // subtag in [0, 4) — 0 left-edge data moving left, 1 right-edge moving
@@ -368,7 +357,7 @@ void DistributedKernels::halo_update(unsigned fields, int depth) {
   const bool defer = overlap_ && depth == 1 && inner_->overlaps_comm() &&
                      (fields == core::kMaskP || fields == core::kMaskU ||
                       fields == core::kMaskSd);
-  for (const auto& [mask, id] : kMaskFields) {
+  for (const auto& [mask, id] : core::kMaskFields) {
     if ((fields & mask) != 0) exchange_field(id, depth, defer);
   }
 }

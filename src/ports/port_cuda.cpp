@@ -1,7 +1,5 @@
 #include "ports/port_cuda.hpp"
 
-#include "comm/halo.hpp"
-
 namespace tl::ports {
 
 using core::FieldId;
@@ -109,15 +107,7 @@ void CudaPort::init_coefficients(core::Coefficient coefficient, double rx,
 
 void CudaPort::halo_update(unsigned fields, int depth) {
   rt_.launcher().run(hinfo(fields, depth), [&] {
-    auto reflect = [&](FieldId id) {
-      comm::reflect_boundary(device_span(id), h_, comm::kAllFaces);
-    };
-    if (fields & core::kMaskU) reflect(FieldId::kU);
-    if (fields & core::kMaskP) reflect(FieldId::kP);
-    if (fields & core::kMaskSd) reflect(FieldId::kSd);
-    if (fields & core::kMaskR) reflect(FieldId::kR);
-    if (fields & core::kMaskDensity) reflect(FieldId::kDensity);
-    if (fields & core::kMaskEnergy0) reflect(FieldId::kEnergy0);
+    reflect_fields(fields);
   });
 }
 
@@ -329,7 +319,7 @@ void CudaPort::cheby_init(double theta) {
              });
 }
 
-void CudaPort::cheby_iterate(double alpha, double beta) {
+void CudaPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
   double* u = buf(FieldId::kU).data();
   const double* u0 = buf(FieldId::kU0).data();
   const double* kx = buf(FieldId::kKx).data();
@@ -338,7 +328,7 @@ void CudaPort::cheby_iterate(double alpha, double beta) {
   double* p = buf(FieldId::kP).data();
   const std::size_t n = mesh_.interior_cells();
   const int width = width_, h = h_, nx = nx_;
-  rt_.launch(info(KernelId::kChebyIterate), Dim3(interior_blocks()),
+  rt_.launch(info(charge), Dim3(interior_blocks()),
              Dim3(kBlockSize), 0, [=](const ThreadCtx& ctx) {
                const std::size_t t = ctx.global_thread();
                if (t >= n) return;
@@ -371,7 +361,7 @@ void CudaPort::ppcg_init_sd(double theta) {
              });
 }
 
-void CudaPort::ppcg_inner(double alpha, double beta) {
+void CudaPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
   double* u = buf(FieldId::kU).data();
   double* r = buf(FieldId::kR).data();
   double* sd = buf(FieldId::kSd).data();
@@ -379,7 +369,7 @@ void CudaPort::ppcg_inner(double alpha, double beta) {
   const double* ky = buf(FieldId::kKy).data();
   const std::size_t n = mesh_.interior_cells();
   const int width = width_, h = h_, nx = nx_;
-  rt_.launch(info(KernelId::kPpcgInner), Dim3(interior_blocks()),
+  rt_.launch(info(charge), Dim3(interior_blocks()),
              Dim3(kBlockSize), 0, [=](const ThreadCtx& ctx) {
                const std::size_t t = ctx.global_thread();
                if (t >= n) return;
@@ -396,12 +386,12 @@ void CudaPort::ppcg_inner(double alpha, double beta) {
   }
 }
 
-void CudaPort::jacobi_copy_u() {
+void CudaPort::jacobi_copy_u_as(KernelId charge) {
   const double* u = buf(FieldId::kU).data();
   double* w = buf(FieldId::kW).data();
   // Full padded range: the iterate's stencil reads w in the halo.
   const std::size_t n = mesh_.padded_cells();
-  rt_.launch(info(KernelId::kJacobiCopyU),
+  rt_.launch(info(charge),
              Dim3(culike::Runtime::blocks_for(n, kBlockSize)),
              Dim3(kBlockSize), 0, [=](const ThreadCtx& ctx) {
                const std::size_t i = ctx.global_thread();
@@ -518,85 +508,6 @@ double CudaPort::fused_residual_norm() {
                block_reduce(ctx, value, partials);
              });
   return sum_partials(blocks);
-}
-
-void CudaPort::cheby_fused_iterate(double alpha, double beta) {
-  double* u = buf(FieldId::kU).data();
-  const double* u0 = buf(FieldId::kU0).data();
-  const double* kx = buf(FieldId::kKx).data();
-  const double* ky = buf(FieldId::kKy).data();
-  double* r = buf(FieldId::kR).data();
-  double* p = buf(FieldId::kP).data();
-  const std::size_t n = mesh_.interior_cells();
-  const int width = width_, h = h_, nx = nx_;
-  rt_.launch(info(KernelId::kChebyFusedIterate), Dim3(interior_blocks()),
-             Dim3(kBlockSize), 0, [=](const ThreadCtx& ctx) {
-               const std::size_t t = ctx.global_thread();
-               if (t >= n) return;
-               const std::size_t i =
-                   (h + t / nx) * static_cast<std::size_t>(width) + h + t % nx;
-               const double res = u0[i] - stencil(u, kx, ky, i, width);
-               r[i] = res;
-               p[i] = alpha * p[i] + beta * res;
-             });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) u[row + x] += p[row + x];
-  }
-}
-
-void CudaPort::ppcg_fused_inner(double alpha, double beta) {
-  double* u = buf(FieldId::kU).data();
-  double* r = buf(FieldId::kR).data();
-  double* sd = buf(FieldId::kSd).data();
-  const double* kx = buf(FieldId::kKx).data();
-  const double* ky = buf(FieldId::kKy).data();
-  const std::size_t n = mesh_.interior_cells();
-  const int width = width_, h = h_, nx = nx_;
-  rt_.launch(info(KernelId::kPpcgFusedInner), Dim3(interior_blocks()),
-             Dim3(kBlockSize), 0, [=](const ThreadCtx& ctx) {
-               const std::size_t t = ctx.global_thread();
-               if (t >= n) return;
-               const std::size_t i =
-                   (h + t / nx) * static_cast<std::size_t>(width) + h + t % nx;
-               r[i] -= stencil(sd, kx, ky, i, width);
-               u[i] += sd[i];
-             });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) {
-      sd[row + x] = alpha * sd[row + x] + beta * r[row + x];
-    }
-  }
-}
-
-void CudaPort::jacobi_fused_copy_iterate() {
-  double* u = buf(FieldId::kU).data();
-  const double* u0 = buf(FieldId::kU0).data();
-  double* w = buf(FieldId::kW).data();
-  const double* kx = buf(FieldId::kKx).data();
-  const double* ky = buf(FieldId::kKy).data();
-  // Copy over the full padded range (the stencil reads w in the halo) under
-  // the fused charge, then the iterate sweep.
-  const std::size_t n = mesh_.padded_cells();
-  rt_.launch(info(KernelId::kJacobiFusedCopyIterate),
-             Dim3(culike::Runtime::blocks_for(n, kBlockSize)),
-             Dim3(kBlockSize), 0, [=](const ThreadCtx& ctx) {
-               const std::size_t i = ctx.global_thread();
-               if (i >= n) return;
-               w[i] = u[i];
-             });
-  const std::size_t width = static_cast<std::size_t>(width_);
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width;
-    for (int x = h_; x < h_ + nx_; ++x) {
-      const std::size_t i = row + x;
-      const double diag = 1.0 + kx[i + 1] + kx[i] + ky[i + width] + ky[i];
-      u[i] = (u0[i] + kx[i + 1] * w[i + 1] + kx[i] * w[i - 1] +
-              ky[i + width] * w[i + width] + ky[i] * w[i - width]) /
-             diag;
-    }
-  }
 }
 
 void CudaPort::read_u(util::Span2D<double> out) {

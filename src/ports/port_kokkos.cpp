@@ -2,8 +2,6 @@
 
 #include <string>
 
-#include "comm/halo.hpp"
-
 namespace tl::ports {
 
 using core::FieldId;
@@ -139,15 +137,7 @@ void KokkosPort::init_coefficients(core::Coefficient coefficient, double rx,
 
 void KokkosPort::halo_update(unsigned fields, int depth) {
   ctx_.launcher().run(hinfo(fields, depth), [&] {
-    auto reflect = [&](FieldId id) {
-      comm::reflect_boundary(view(id).span(), h_, comm::kAllFaces);
-    };
-    if (fields & core::kMaskU) reflect(FieldId::kU);
-    if (fields & core::kMaskP) reflect(FieldId::kP);
-    if (fields & core::kMaskSd) reflect(FieldId::kSd);
-    if (fields & core::kMaskR) reflect(FieldId::kR);
-    if (fields & core::kMaskDensity) reflect(FieldId::kDensity);
-    if (fields & core::kMaskEnergy0) reflect(FieldId::kEnergy0);
+    reflect_fields(fields);
   });
 }
 
@@ -281,13 +271,13 @@ void KokkosPort::cheby_init(double theta) {
       });
 }
 
-void KokkosPort::cheby_iterate(double alpha, double beta) {
+void KokkosPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
   View u = view(FieldId::kU), u0 = view(FieldId::kU0);
   View kx = view(FieldId::kKx), ky = view(FieldId::kKy);
   View r = view(FieldId::kR), p = view(FieldId::kP);
   const Geom g{width_, h_, nx_, ny_};
   ctx_.parallel_for(
-      info(KernelId::kChebyIterate), flat_policy(), [=](std::int64_t i) {
+      info(charge), flat_policy(), [=](std::int64_t i) {
         int x, y;
         if (!g.interior(i, x, y)) return;
         const double res = u0(x, y) - stencil(u, kx, ky, x, y);
@@ -312,12 +302,12 @@ void KokkosPort::ppcg_init_sd(double theta) {
       });
 }
 
-void KokkosPort::ppcg_inner(double alpha, double beta) {
+void KokkosPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
   View u = view(FieldId::kU), r = view(FieldId::kR), sd = view(FieldId::kSd);
   View kx = view(FieldId::kKx), ky = view(FieldId::kKy);
   const Geom g{width_, h_, nx_, ny_};
   ctx_.parallel_for(
-      info(KernelId::kPpcgInner), flat_policy(), [=](std::int64_t i) {
+      info(charge), flat_policy(), [=](std::int64_t i) {
         int x, y;
         if (!g.interior(i, x, y)) return;
         r(x, y) -= stencil(sd, kx, ky, x, y);
@@ -330,11 +320,11 @@ void KokkosPort::ppcg_inner(double alpha, double beta) {
   }
 }
 
-void KokkosPort::jacobi_copy_u() {
+void KokkosPort::jacobi_copy_u_as(KernelId charge) {
   View u = view(FieldId::kU), w = view(FieldId::kW);
   // Full padded range: the iterate's stencil reads w in the halo.
   ctx_.parallel_for(
-      info(KernelId::kJacobiCopyU), flat_policy(), [=](std::int64_t i) {
+      info(charge), flat_policy(), [=](std::int64_t i) {
         w[static_cast<std::size_t>(i)] = u[static_cast<std::size_t>(i)];
       });
 }
@@ -400,64 +390,6 @@ double KokkosPort::fused_residual_norm() {
                        },
                        norm);
   return norm;
-}
-
-void KokkosPort::cheby_fused_iterate(double alpha, double beta) {
-  View u = view(FieldId::kU), u0 = view(FieldId::kU0);
-  View kx = view(FieldId::kKx), ky = view(FieldId::kKy);
-  View r = view(FieldId::kR), p = view(FieldId::kP);
-  const Geom g{width_, h_, nx_, ny_};
-  ctx_.parallel_for(
-      info(KernelId::kChebyFusedIterate), flat_policy(), [=](std::int64_t i) {
-        int x, y;
-        if (!g.interior(i, x, y)) return;
-        const double res = u0(x, y) - stencil(u, kx, ky, x, y);
-        r(x, y) = res;
-        p(x, y) = alpha * p(x, y) + beta * res;
-      });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    for (int x = h_; x < h_ + nx_; ++x) u(x, y) += p(x, y);
-  }
-}
-
-void KokkosPort::ppcg_fused_inner(double alpha, double beta) {
-  View u = view(FieldId::kU), r = view(FieldId::kR), sd = view(FieldId::kSd);
-  View kx = view(FieldId::kKx), ky = view(FieldId::kKy);
-  const Geom g{width_, h_, nx_, ny_};
-  ctx_.parallel_for(
-      info(KernelId::kPpcgFusedInner), flat_policy(), [=](std::int64_t i) {
-        int x, y;
-        if (!g.interior(i, x, y)) return;
-        r(x, y) -= stencil(sd, kx, ky, x, y);
-        u(x, y) += sd(x, y);
-      });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    for (int x = h_; x < h_ + nx_; ++x) {
-      sd(x, y) = alpha * sd(x, y) + beta * r(x, y);
-    }
-  }
-}
-
-void KokkosPort::jacobi_fused_copy_iterate() {
-  View u = view(FieldId::kU), u0 = view(FieldId::kU0), w = view(FieldId::kW);
-  View kx = view(FieldId::kKx), ky = view(FieldId::kKy);
-  // Copy over the full padded range (the stencil reads w in the halo), then
-  // iterate — one fused charge.
-  ctx_.parallel_for(
-      info(KernelId::kJacobiFusedCopyIterate), flat_policy(),
-      [=](std::int64_t i) {
-        w[static_cast<std::size_t>(i)] = u[static_cast<std::size_t>(i)];
-      });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    for (int x = h_; x < h_ + nx_; ++x) {
-      const double diag =
-          1.0 + kx(x + 1, y) + kx(x, y) + ky(x, y + 1) + ky(x, y);
-      u(x, y) = (u0(x, y) + kx(x + 1, y) * w(x + 1, y) +
-                 kx(x, y) * w(x - 1, y) + ky(x, y + 1) * w(x, y + 1) +
-                 ky(x, y) * w(x, y - 1)) /
-                diag;
-    }
-  }
 }
 
 void KokkosPort::read_u(util::Span2D<double> out) {
@@ -608,13 +540,14 @@ void KokkosHpPort::cheby_init(double theta) {
       });
 }
 
-void KokkosHpPort::cheby_iterate(double alpha, double beta) {
+void KokkosHpPort::cheby_iterate_as(KernelId charge, double alpha,
+                                    double beta) {
   View u = view(FieldId::kU), u0 = view(FieldId::kU0);
   View kx = view(FieldId::kKx), ky = view(FieldId::kKy);
   View r = view(FieldId::kR), p = view(FieldId::kP);
   const int h = h_, nx = nx_;
   ctx_.parallel_for_team(
-      info(KernelId::kChebyIterate), row_policy(), [=](const TeamMember& t) {
+      info(charge), row_policy(), [=](const TeamMember& t) {
         const int y = h + t.league_rank();
         kokkoslike::team_thread_range(t, nx, [&](int i) {
           const int x = h + i;
@@ -640,12 +573,12 @@ void KokkosHpPort::ppcg_init_sd(double theta) {
       });
 }
 
-void KokkosHpPort::ppcg_inner(double alpha, double beta) {
+void KokkosHpPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
   View u = view(FieldId::kU), r = view(FieldId::kR), sd = view(FieldId::kSd);
   View kx = view(FieldId::kKx), ky = view(FieldId::kKy);
   const int h = h_, nx = nx_;
   ctx_.parallel_for_team(
-      info(KernelId::kPpcgInner), row_policy(), [=](const TeamMember& t) {
+      info(charge), row_policy(), [=](const TeamMember& t) {
         const int y = h + t.league_rank();
         kokkoslike::team_thread_range(t, nx, [&](int i) {
           const int x = h + i;

@@ -36,10 +36,7 @@ class KokkosPort : public PortBase {
   double cg_calc_ur(double alpha) override;
   void cg_calc_p(double beta) override;
   void cheby_init(double theta) override;
-  void cheby_iterate(double alpha, double beta) override;
   void ppcg_init_sd(double theta) override;
-  void ppcg_inner(double alpha, double beta) override;
-  void jacobi_copy_u() override;
   void jacobi_iterate() override;
 
   // Fused variants (flat form, shared by the HP subclass): the triple dot
@@ -47,9 +44,6 @@ class KokkosPort : public PortBase {
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;
-  void cheby_fused_iterate(double alpha, double beta) override;
-  void ppcg_fused_inner(double alpha, double beta) override;
-  void jacobi_fused_copy_iterate() override;
 
   void read_u(util::Span2D<double> out) override;
   void download_energy(core::Chunk& chunk) override;
@@ -62,10 +56,16 @@ class KokkosPort : public PortBase {
   util::Span2D<double> field_view(core::FieldId id) override {
     // Views share one host allocation per field; the span stays valid for
     // the life of views_ (the shared state outlives every copy).
-    return {&view(id)(0, 0), width_, height_};
+    return view(id).span();
   }
 
  protected:
+  void cheby_iterate_as(core::KernelId charge, double alpha,
+                        double beta) override;
+  void ppcg_inner_as(core::KernelId charge, double alpha,
+                     double beta) override;
+  void jacobi_copy_u_as(core::KernelId charge) override;
+
   kokkoslike::View view(core::FieldId id) {
     return views_[static_cast<std::size_t>(id)];
   }
@@ -83,7 +83,9 @@ class KokkosHpPort final : public KokkosPort {
                std::uint64_t run_seed);
 
   // The performance-critical functors get hierarchical re-encodings; the
-  // setup/diagnostic kernels keep the flat form (as the paper did).
+  // setup/diagnostic kernels and the single-pass fused sweeps keep the flat
+  // form (as the paper did). The Chebyshev and PPCG bodies below serve both
+  // pipelines: PortBase charges them as classic or fused.
   void calc_residual() override;
   double calc_2norm(core::NormTarget target) override;
   double cg_init() override;
@@ -91,9 +93,13 @@ class KokkosHpPort final : public KokkosPort {
   double cg_calc_ur(double alpha) override;
   void cg_calc_p(double beta) override;
   void cheby_init(double theta) override;
-  void cheby_iterate(double alpha, double beta) override;
   void ppcg_init_sd(double theta) override;
-  void ppcg_inner(double alpha, double beta) override;
+
+ protected:
+  void cheby_iterate_as(core::KernelId charge, double alpha,
+                        double beta) override;
+  void ppcg_inner_as(core::KernelId charge, double alpha,
+                     double beta) override;
 
  private:
   kokkoslike::TeamPolicy row_policy() const { return {ny_, 1}; }

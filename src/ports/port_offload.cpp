@@ -1,7 +1,5 @@
 #include "ports/port_offload.hpp"
 
-#include "comm/halo.hpp"
-
 namespace tl::ports {
 
 using core::FieldId;
@@ -107,15 +105,7 @@ void OffloadPort::init_coefficients(core::Coefficient coefficient, double rx,
 void OffloadPort::halo_update(unsigned fields, int depth) {
   // Halo reflection runs on the device (data stays resident).
   rt_.target_region(hinfo(fields, depth), [&] {
-    auto reflect = [&](FieldId id) {
-      comm::reflect_boundary(f(id), h_, comm::kAllFaces);
-    };
-    if (fields & core::kMaskU) reflect(FieldId::kU);
-    if (fields & core::kMaskP) reflect(FieldId::kP);
-    if (fields & core::kMaskSd) reflect(FieldId::kSd);
-    if (fields & core::kMaskR) reflect(FieldId::kR);
-    if (fields & core::kMaskDensity) reflect(FieldId::kDensity);
-    if (fields & core::kMaskEnergy0) reflect(FieldId::kEnergy0);
+    reflect_fields(fields);
   });
 }
 
@@ -247,7 +237,7 @@ void OffloadPort::cheby_init(double theta) {
   });
 }
 
-void OffloadPort::cheby_iterate(double alpha, double beta) {
+void OffloadPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
   double* u = fp(FieldId::kU);
   const double* u0 = fp(FieldId::kU0);
   const double* kx = fp(FieldId::kKx);
@@ -255,7 +245,7 @@ void OffloadPort::cheby_iterate(double alpha, double beta) {
   double* r = fp(FieldId::kR);
   double* p = fp(FieldId::kP);
   const int width = width_;
-  pfor(info(KernelId::kChebyIterate), [=, this](std::int64_t idx) {
+  pfor(info(charge), [=, this](std::int64_t idx) {
     const std::int64_t i = pad_index(idx);
     const double res = u0[i] - stencil(u, kx, ky, i, width);
     r[i] = res;
@@ -278,14 +268,14 @@ void OffloadPort::ppcg_init_sd(double theta) {
   });
 }
 
-void OffloadPort::ppcg_inner(double alpha, double beta) {
+void OffloadPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
   double* u = fp(FieldId::kU);
   double* r = fp(FieldId::kR);
   double* sd = fp(FieldId::kSd);
   const double* kx = fp(FieldId::kKx);
   const double* ky = fp(FieldId::kKy);
   const int width = width_;
-  pfor(info(KernelId::kPpcgInner), [=, this](std::int64_t idx) {
+  pfor(info(charge), [=, this](std::int64_t idx) {
     const std::int64_t i = pad_index(idx);
     r[i] -= stencil(sd, kx, ky, i, width);
     u[i] += sd[i];
@@ -298,12 +288,12 @@ void OffloadPort::ppcg_inner(double alpha, double beta) {
   }
 }
 
-void OffloadPort::jacobi_copy_u() {
+void OffloadPort::jacobi_copy_u_as(KernelId charge) {
   const double* u = fp(FieldId::kU);
   double* w = fp(FieldId::kW);
   // Full padded range: the iterate's stencil reads w in the halo.
   const std::int64_t total = static_cast<std::int64_t>(mesh_.padded_cells());
-  rt_.target_region(info(KernelId::kJacobiCopyU), [&] {
+  rt_.target_region(info(charge), [&] {
     for (std::int64_t i = 0; i < total; ++i) w[i] = u[i];
   });
 }
@@ -376,71 +366,6 @@ double OffloadPort::fused_residual_norm() {
                    r[i] = res;
                    acc += res * res;
                  });
-}
-
-void OffloadPort::cheby_fused_iterate(double alpha, double beta) {
-  double* u = fp(FieldId::kU);
-  const double* u0 = fp(FieldId::kU0);
-  const double* kx = fp(FieldId::kKx);
-  const double* ky = fp(FieldId::kKy);
-  double* r = fp(FieldId::kR);
-  double* p = fp(FieldId::kP);
-  const int width = width_;
-  pfor(info(KernelId::kChebyFusedIterate), [=, this](std::int64_t idx) {
-    const std::int64_t i = pad_index(idx);
-    const double res = u0[i] - stencil(u, kx, ky, i, width);
-    r[i] = res;
-    p[i] = alpha * p[i] + beta * res;
-  });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::int64_t row = static_cast<std::int64_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) u[row + x] += p[row + x];
-  }
-}
-
-void OffloadPort::ppcg_fused_inner(double alpha, double beta) {
-  double* u = fp(FieldId::kU);
-  double* r = fp(FieldId::kR);
-  double* sd = fp(FieldId::kSd);
-  const double* kx = fp(FieldId::kKx);
-  const double* ky = fp(FieldId::kKy);
-  const int width = width_;
-  pfor(info(KernelId::kPpcgFusedInner), [=, this](std::int64_t idx) {
-    const std::int64_t i = pad_index(idx);
-    r[i] -= stencil(sd, kx, ky, i, width);
-    u[i] += sd[i];
-  });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::int64_t row = static_cast<std::int64_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) {
-      sd[row + x] = alpha * sd[row + x] + beta * r[row + x];
-    }
-  }
-}
-
-void OffloadPort::jacobi_fused_copy_iterate() {
-  double* u = fp(FieldId::kU);
-  const double* u0 = fp(FieldId::kU0);
-  double* w = fp(FieldId::kW);
-  const double* kx = fp(FieldId::kKx);
-  const double* ky = fp(FieldId::kKy);
-  const int width = width_;
-  // Copy over the full padded range (the stencil reads w in the halo), then
-  // iterate — one fused target region.
-  const std::int64_t total = static_cast<std::int64_t>(mesh_.padded_cells());
-  rt_.target_region(info(KernelId::kJacobiFusedCopyIterate), [&] {
-    for (std::int64_t i = 0; i < total; ++i) w[i] = u[i];
-    for (int y = h_; y < h_ + ny_; ++y) {
-      const std::int64_t row = static_cast<std::int64_t>(y) * width;
-      for (int x = h_; x < h_ + nx_; ++x) {
-        const std::int64_t i = row + x;
-        const double diag = 1.0 + kx[i + 1] + kx[i] + ky[i + width] + ky[i];
-        u[i] = (u0[i] + kx[i + 1] * w[i + 1] + kx[i] * w[i - 1] +
-                ky[i + width] * w[i + width] + ky[i] * w[i - width]) /
-               diag;
-      }
-    }
-  });
 }
 
 void OffloadPort::read_u(util::Span2D<double> out) {

@@ -2,8 +2,6 @@
 
 #include <vector>
 
-#include "comm/halo.hpp"
-
 namespace tl::ports {
 
 using core::FieldId;
@@ -67,15 +65,7 @@ void Omp3Port::init_coefficients(core::Coefficient coefficient, double rx,
 
 void Omp3Port::halo_update(unsigned fields, int depth) {
   rt_.launcher().run(hinfo(fields, depth), [&] {
-    auto reflect = [&](FieldId id) {
-      comm::reflect_boundary(f(id), h_, comm::kAllFaces);
-    };
-    if (fields & core::kMaskU) reflect(FieldId::kU);
-    if (fields & core::kMaskP) reflect(FieldId::kP);
-    if (fields & core::kMaskSd) reflect(FieldId::kSd);
-    if (fields & core::kMaskR) reflect(FieldId::kR);
-    if (fields & core::kMaskDensity) reflect(FieldId::kDensity);
-    if (fields & core::kMaskEnergy0) reflect(FieldId::kEnergy0);
+    reflect_fields(fields);
   });
 }
 
@@ -236,7 +226,7 @@ void Omp3Port::cheby_init(double theta) {
   });
 }
 
-void Omp3Port::cheby_iterate(double alpha, double beta) {
+void Omp3Port::cheby_iterate_as(KernelId charge, double alpha, double beta) {
   auto u = f(FieldId::kU);
   auto u0 = f(FieldId::kU0);
   auto kx = f(FieldId::kKx);
@@ -246,7 +236,7 @@ void Omp3Port::cheby_iterate(double alpha, double beta) {
   // Two sweeps inside one metered kernel: the residual/direction sweep must
   // complete before u is updated (the stencil reads neighbouring u).
   rt_.parallel_for(
-      info(KernelId::kChebyIterate), h_, h_ + ny_, [&](std::int64_t y) {
+      info(charge), h_, h_ + ny_, [&](std::int64_t y) {
         for (int x = h_; x < h_ + nx_; ++x) {
           const double diag =
               1.0 + kx(x + 1, y) + kx(x, y) + ky(x, y + 1) + ky(x, y);
@@ -274,13 +264,13 @@ void Omp3Port::ppcg_init_sd(double theta) {
   });
 }
 
-void Omp3Port::ppcg_inner(double alpha, double beta) {
+void Omp3Port::ppcg_inner_as(KernelId charge, double alpha, double beta) {
   auto u = f(FieldId::kU);
   auto r = f(FieldId::kR);
   auto sd = f(FieldId::kSd);
   auto kx = f(FieldId::kKx);
   auto ky = f(FieldId::kKy);
-  rt_.parallel_for(info(KernelId::kPpcgInner), h_, h_ + ny_, [&](std::int64_t y) {
+  rt_.parallel_for(info(charge), h_, h_ + ny_, [&](std::int64_t y) {
     for (int x = h_; x < h_ + nx_; ++x) {
       const double diag =
           1.0 + kx(x + 1, y) + kx(x, y) + ky(x, y + 1) + ky(x, y);
@@ -300,11 +290,11 @@ void Omp3Port::ppcg_inner(double alpha, double beta) {
   });
 }
 
-void Omp3Port::jacobi_copy_u() {
+void Omp3Port::jacobi_copy_u_as(KernelId charge) {
   auto u = f(FieldId::kU);
   auto w = f(FieldId::kW);
   // Full padded extent: the iterate's stencil reads w in the halo.
-  rt_.parallel_for(info(KernelId::kJacobiCopyU), 0, height_,
+  rt_.parallel_for(info(charge), 0, height_,
                    [&](std::int64_t y) {
                      for (int x = 0; x < width_; ++x) w(x, y) = u(x, y);
                    });
@@ -399,88 +389,6 @@ double Omp3Port::fused_residual_norm() {
           acc += res * res;
         }
       });
-}
-
-void Omp3Port::cheby_fused_iterate(double alpha, double beta) {
-  auto u = f(FieldId::kU);
-  auto u0 = f(FieldId::kU0);
-  auto kx = f(FieldId::kKx);
-  auto ky = f(FieldId::kKy);
-  auto r = f(FieldId::kR);
-  auto p = f(FieldId::kP);
-  // Same two-phase body as cheby_iterate, charged once at the fused rate.
-  rt_.parallel_for(
-      info(KernelId::kChebyFusedIterate), h_, h_ + ny_, [&](std::int64_t y) {
-        for (int x = h_; x < h_ + nx_; ++x) {
-          const double diag =
-              1.0 + kx(x + 1, y) + kx(x, y) + ky(x, y + 1) + ky(x, y);
-          const double au = diag * u(x, y) - kx(x + 1, y) * u(x + 1, y) -
-                            kx(x, y) * u(x - 1, y) - ky(x, y + 1) * u(x, y + 1) -
-                            ky(x, y) * u(x, y - 1);
-          const double res = u0(x, y) - au;
-          r(x, y) = res;
-          p(x, y) = alpha * p(x, y) + beta * res;
-        }
-      });
-  rt_.pool().parallel_for(h_, h_ + ny_, [&](std::int64_t yb, std::int64_t ye) {
-    for (std::int64_t y = yb; y < ye; ++y) {
-      for (int x = h_; x < h_ + nx_; ++x) u(x, y) += p(x, y);
-    }
-  });
-}
-
-void Omp3Port::ppcg_fused_inner(double alpha, double beta) {
-  auto u = f(FieldId::kU);
-  auto r = f(FieldId::kR);
-  auto sd = f(FieldId::kSd);
-  auto kx = f(FieldId::kKx);
-  auto ky = f(FieldId::kKy);
-  rt_.parallel_for(
-      info(KernelId::kPpcgFusedInner), h_, h_ + ny_, [&](std::int64_t y) {
-        for (int x = h_; x < h_ + nx_; ++x) {
-          const double diag =
-              1.0 + kx(x + 1, y) + kx(x, y) + ky(x, y + 1) + ky(x, y);
-          const double asd = diag * sd(x, y) - kx(x + 1, y) * sd(x + 1, y) -
-                             kx(x, y) * sd(x - 1, y) -
-                             ky(x, y + 1) * sd(x, y + 1) -
-                             ky(x, y) * sd(x, y - 1);
-          r(x, y) -= asd;
-          u(x, y) += sd(x, y);
-        }
-      });
-  rt_.pool().parallel_for(h_, h_ + ny_, [&](std::int64_t yb, std::int64_t ye) {
-    for (std::int64_t y = yb; y < ye; ++y) {
-      for (int x = h_; x < h_ + nx_; ++x) {
-        sd(x, y) = alpha * sd(x, y) + beta * r(x, y);
-      }
-    }
-  });
-}
-
-void Omp3Port::jacobi_fused_copy_iterate() {
-  auto u = f(FieldId::kU);
-  auto u0 = f(FieldId::kU0);
-  auto w = f(FieldId::kW);
-  auto kx = f(FieldId::kKx);
-  auto ky = f(FieldId::kKy);
-  // Copy (full padded extent, the stencil reads w in the halo) then iterate,
-  // both inside the single fused charge.
-  rt_.parallel_for(info(KernelId::kJacobiFusedCopyIterate), 0, height_,
-                   [&](std::int64_t y) {
-                     for (int x = 0; x < width_; ++x) w(x, y) = u(x, y);
-                   });
-  rt_.pool().parallel_for(h_, h_ + ny_, [&](std::int64_t yb, std::int64_t ye) {
-    for (std::int64_t y = yb; y < ye; ++y) {
-      for (int x = h_; x < h_ + nx_; ++x) {
-        const double diag =
-            1.0 + kx(x + 1, y) + kx(x, y) + ky(x, y + 1) + ky(x, y);
-        u(x, y) = (u0(x, y) + kx(x + 1, y) * w(x + 1, y) +
-                   kx(x, y) * w(x - 1, y) + ky(x, y + 1) * w(x, y + 1) +
-                   ky(x, y) * w(x, y - 1)) /
-                  diag;
-      }
-    }
-  });
 }
 
 void Omp3Port::read_u(util::Span2D<double> out) {

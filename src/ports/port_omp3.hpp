@@ -32,21 +32,17 @@ class Omp3Port final : public PortBase {
   double cg_calc_ur(double alpha) override;
   void cg_calc_p(double beta) override;
   void cheby_init(double theta) override;
-  void cheby_iterate(double alpha, double beta) override;
   void ppcg_init_sd(double theta) override;
-  void ppcg_inner(double alpha, double beta) override;
-  void jacobi_copy_u() override;
   void jacobi_iterate() override;
 
-  // Fused variants: the same loop bodies welded into one metered launch per
-  // solver step (the paper's ports fuse at source level; here the fusion is
-  // visible to the cost model through the fused catalogue entries).
+  // Fused variants: the single-pass CG and residual sweeps, welded into one
+  // metered launch per solver step (the paper's ports fuse at source level;
+  // here the fusion is visible to the cost model through the fused
+  // catalogue entries). The fused Chebyshev, PPCG and Jacobi steps run the
+  // classic bodies below under their fused charge (PortBase).
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;
-  void cheby_fused_iterate(double alpha, double beta) override;
-  void ppcg_fused_inner(double alpha, double beta) override;
-  void jacobi_fused_copy_iterate() override;
 
   // The one port whose simulated timeline hides an in-flight halo exchange
   // behind the consuming kernel's interior share (DESIGN.md §10).
@@ -61,6 +57,13 @@ class Omp3Port final : public PortBase {
   util::Span2D<double> field_view(core::FieldId id) override {
     return storage_.field(id);
   }
+
+ protected:
+  void cheby_iterate_as(core::KernelId charge, double alpha,
+                        double beta) override;
+  void ppcg_inner_as(core::KernelId charge, double alpha,
+                     double beta) override;
+  void jacobi_copy_u_as(core::KernelId charge) override;
 
  private:
   util::Span2D<double> f(core::FieldId id) { return storage_.field(id); }

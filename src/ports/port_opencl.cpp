@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "comm/halo.hpp"
-
 namespace tl::ports {
 
 using core::FieldId;
@@ -527,15 +525,7 @@ void OpenClPort::init_coefficients(core::Coefficient coefficient, double rx,
 void OpenClPort::halo_update(unsigned fields, int depth) {
   // Device-resident halo reflection kernel.
   ctx_.launcher().run(hinfo(fields, depth), [&] {
-    auto reflect = [&](FieldId id) {
-      comm::reflect_boundary(device_span(id), h_, comm::kAllFaces);
-    };
-    if (fields & core::kMaskU) reflect(FieldId::kU);
-    if (fields & core::kMaskP) reflect(FieldId::kP);
-    if (fields & core::kMaskSd) reflect(FieldId::kSd);
-    if (fields & core::kMaskR) reflect(FieldId::kR);
-    if (fields & core::kMaskDensity) reflect(FieldId::kDensity);
-    if (fields & core::kMaskEnergy0) reflect(FieldId::kEnergy0);
+    reflect_fields(fields);
   });
 }
 
@@ -655,7 +645,7 @@ void OpenClPort::cheby_init(double theta) {
   run_kernel("cheby_init", info(KernelId::kChebyInit));
 }
 
-void OpenClPort::cheby_iterate(double alpha, double beta) {
+void OpenClPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
   // Two enqueues inside one metered kernel cost (the fused iterate): the
   // LaunchInfo rides on the first; the second is part of the same charge.
   ocllike::Kernel& kp = kernels_.at("cheby_calc_p");
@@ -668,7 +658,7 @@ void OpenClPort::cheby_iterate(double alpha, double beta) {
   kp.set_arg(9, &buf(FieldId::kP));
   kp.set_arg(10, alpha);
   kp.set_arg(11, beta);
-  run_kernel("cheby_calc_p", info(KernelId::kChebyIterate));
+  run_kernel("cheby_calc_p", info(charge));
 
   // The u-update sweep (cheby_calc_u): its bytes are already counted in the
   // catalogue's fused iterate cost, so it runs in the same charge.
@@ -689,7 +679,7 @@ void OpenClPort::ppcg_init_sd(double theta) {
   run_kernel("ppcg_init_sd", info(KernelId::kPpcgInitSd));
 }
 
-void OpenClPort::ppcg_inner(double alpha, double beta) {
+void OpenClPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
   ocllike::Kernel& kr = kernels_.at("ppcg_inner_ru");
   set_geometry_args(kr, mesh_.interior_cells(), width_, h_, nx_);
   kr.set_arg(4, &buf(FieldId::kU));
@@ -697,7 +687,7 @@ void OpenClPort::ppcg_inner(double alpha, double beta) {
   kr.set_arg(6, &buf(FieldId::kSd));
   kr.set_arg(7, &buf(FieldId::kKx));
   kr.set_arg(8, &buf(FieldId::kKy));
-  run_kernel("ppcg_inner_ru", info(KernelId::kPpcgInner));
+  run_kernel("ppcg_inner_ru", info(charge));
 
   // Second sweep (ppcg_inner_sd) within the same fused-kernel charge.
   const double* r = buf(FieldId::kR).data();
@@ -710,14 +700,14 @@ void OpenClPort::ppcg_inner(double alpha, double beta) {
   }
 }
 
-void OpenClPort::jacobi_copy_u() {
+void OpenClPort::jacobi_copy_u_as(KernelId charge) {
   ocllike::Kernel& k = kernels_.at("jacobi_copy_u");
   set_geometry_args(k, mesh_.padded_cells(), width_, h_, nx_);
   k.set_arg(4, &buf(FieldId::kU));
   k.set_arg(5, &buf(FieldId::kW));
   const std::size_t global = (mesh_.padded_cells() + kWorkGroupSize - 1) /
                              kWorkGroupSize * kWorkGroupSize;
-  queue_.enqueue_nd_range(k, info(KernelId::kJacobiCopyU), global,
+  queue_.enqueue_nd_range(k, info(charge), global,
                           kWorkGroupSize);
   queue_.finish();
 }
@@ -776,78 +766,6 @@ double OpenClPort::fused_residual_norm() {
   k.set_arg(9, partials_.get());
   return run_reduction("fused_residual_norm",
                        info(KernelId::kFusedResidualNorm));
-}
-
-void OpenClPort::cheby_fused_iterate(double alpha, double beta) {
-  // Same two sweeps as cheby_iterate, enqueued under the fused charge.
-  ocllike::Kernel& kp = kernels_.at("cheby_calc_p");
-  set_geometry_args(kp, mesh_.interior_cells(), width_, h_, nx_);
-  kp.set_arg(4, &buf(FieldId::kU));
-  kp.set_arg(5, &buf(FieldId::kU0));
-  kp.set_arg(6, &buf(FieldId::kKx));
-  kp.set_arg(7, &buf(FieldId::kKy));
-  kp.set_arg(8, &buf(FieldId::kR));
-  kp.set_arg(9, &buf(FieldId::kP));
-  kp.set_arg(10, alpha);
-  kp.set_arg(11, beta);
-  run_kernel("cheby_calc_p", info(KernelId::kChebyFusedIterate));
-
-  double* u = buf(FieldId::kU).data();
-  const double* p = buf(FieldId::kP).data();
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) u[row + x] += p[row + x];
-  }
-}
-
-void OpenClPort::ppcg_fused_inner(double alpha, double beta) {
-  ocllike::Kernel& kr = kernels_.at("ppcg_inner_ru");
-  set_geometry_args(kr, mesh_.interior_cells(), width_, h_, nx_);
-  kr.set_arg(4, &buf(FieldId::kU));
-  kr.set_arg(5, &buf(FieldId::kR));
-  kr.set_arg(6, &buf(FieldId::kSd));
-  kr.set_arg(7, &buf(FieldId::kKx));
-  kr.set_arg(8, &buf(FieldId::kKy));
-  run_kernel("ppcg_inner_ru", info(KernelId::kPpcgFusedInner));
-
-  const double* r = buf(FieldId::kR).data();
-  double* sd = buf(FieldId::kSd).data();
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) {
-      sd[row + x] = alpha * sd[row + x] + beta * r[row + x];
-    }
-  }
-}
-
-void OpenClPort::jacobi_fused_copy_iterate() {
-  // Copy (full padded range) under the fused charge, then the iterate sweep.
-  ocllike::Kernel& k = kernels_.at("jacobi_copy_u");
-  set_geometry_args(k, mesh_.padded_cells(), width_, h_, nx_);
-  k.set_arg(4, &buf(FieldId::kU));
-  k.set_arg(5, &buf(FieldId::kW));
-  const std::size_t global = (mesh_.padded_cells() + kWorkGroupSize - 1) /
-                             kWorkGroupSize * kWorkGroupSize;
-  queue_.enqueue_nd_range(k, info(KernelId::kJacobiFusedCopyIterate), global,
-                          kWorkGroupSize);
-  queue_.finish();
-
-  double* u = buf(FieldId::kU).data();
-  const double* u0 = buf(FieldId::kU0).data();
-  const double* w = buf(FieldId::kW).data();
-  const double* kx = buf(FieldId::kKx).data();
-  const double* ky = buf(FieldId::kKy).data();
-  const std::size_t width = static_cast<std::size_t>(width_);
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width;
-    for (int x = h_; x < h_ + nx_; ++x) {
-      const std::size_t i = row + x;
-      const double diag = 1.0 + kx[i + 1] + kx[i] + ky[i + width] + ky[i];
-      u[i] = (u0[i] + kx[i + 1] * w[i + 1] + kx[i] * w[i - 1] +
-              ky[i + width] * w[i + width] + ky[i] * w[i - width]) /
-             diag;
-    }
-  }
 }
 
 void OpenClPort::read_u(util::Span2D<double> out) {

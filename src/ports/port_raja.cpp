@@ -1,7 +1,5 @@
 #include "ports/port_raja.hpp"
 
-#include "comm/halo.hpp"
-
 namespace tl::ports {
 
 using core::FieldId;
@@ -78,15 +76,7 @@ void RajaPort::init_coefficients(core::Coefficient coefficient, double rx,
 
 void RajaPort::halo_update(unsigned fields, int depth) {
   ctx_.launcher().run(hinfo(fields, depth), [&] {
-    auto reflect = [&](FieldId id) {
-      comm::reflect_boundary(f(id), h_, comm::kAllFaces);
-    };
-    if (fields & core::kMaskU) reflect(FieldId::kU);
-    if (fields & core::kMaskP) reflect(FieldId::kP);
-    if (fields & core::kMaskSd) reflect(FieldId::kSd);
-    if (fields & core::kMaskR) reflect(FieldId::kR);
-    if (fields & core::kMaskDensity) reflect(FieldId::kDensity);
-    if (fields & core::kMaskEnergy0) reflect(FieldId::kEnergy0);
+    reflect_fields(fields);
   });
 }
 
@@ -211,7 +201,7 @@ void RajaPort::cheby_init(double theta) {
                       });
 }
 
-void RajaPort::cheby_iterate(double alpha, double beta) {
+void RajaPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
   double* u = fp(FieldId::kU);
   const double* u0 = fp(FieldId::kU0);
   const double* kx = fp(FieldId::kKx);
@@ -219,7 +209,7 @@ void RajaPort::cheby_iterate(double alpha, double beta) {
   double* r = fp(FieldId::kR);
   double* p = fp(FieldId::kP);
   const int width = width_;
-  ctx_.forall<Policy>(info(KernelId::kChebyIterate), interior_,
+  ctx_.forall<Policy>(info(charge), interior_,
                       [=](std::int64_t i) {
                         const double res = u0[i] - stencil(u, kx, ky, i, width);
                         r[i] = res;
@@ -240,14 +230,14 @@ void RajaPort::ppcg_init_sd(double theta) {
                       [=](std::int64_t i) { sd[i] = r[i] * theta_inv; });
 }
 
-void RajaPort::ppcg_inner(double alpha, double beta) {
+void RajaPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
   double* u = fp(FieldId::kU);
   double* r = fp(FieldId::kR);
   double* sd = fp(FieldId::kSd);
   const double* kx = fp(FieldId::kKx);
   const double* ky = fp(FieldId::kKy);
   const int width = width_;
-  ctx_.forall<Policy>(info(KernelId::kPpcgInner), interior_,
+  ctx_.forall<Policy>(info(charge), interior_,
                       [=](std::int64_t i) {
                         r[i] -= stencil(sd, kx, ky, i, width);
                         u[i] += sd[i];
@@ -260,12 +250,12 @@ void RajaPort::ppcg_inner(double alpha, double beta) {
   }
 }
 
-void RajaPort::jacobi_copy_u() {
+void RajaPort::jacobi_copy_u_as(KernelId charge) {
   const double* u = fp(FieldId::kU);
   double* w = fp(FieldId::kW);
   // Full padded range: the iterate's stencil reads w in the halo.
   ctx_.forall<Policy>(
-      info(KernelId::kJacobiCopyU),
+      info(charge),
       RangeSegment{0, static_cast<std::int64_t>(mesh_.padded_cells())},
       [=](std::int64_t i) { w[i] = u[i]; });
 }
@@ -336,71 +326,6 @@ double RajaPort::fused_residual_norm() {
                         norm += res * res;
                       });
   return norm.get();
-}
-
-void RajaPort::cheby_fused_iterate(double alpha, double beta) {
-  double* u = fp(FieldId::kU);
-  const double* u0 = fp(FieldId::kU0);
-  const double* kx = fp(FieldId::kKx);
-  const double* ky = fp(FieldId::kKy);
-  double* r = fp(FieldId::kR);
-  double* p = fp(FieldId::kP);
-  const int width = width_;
-  ctx_.forall<Policy>(info(KernelId::kChebyFusedIterate), interior_,
-                      [=](std::int64_t i) {
-                        const double res = u0[i] - stencil(u, kx, ky, i, width);
-                        r[i] = res;
-                        p[i] = alpha * p[i] + beta * res;
-                      });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::int64_t row = static_cast<std::int64_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) u[row + x] += p[row + x];
-  }
-}
-
-void RajaPort::ppcg_fused_inner(double alpha, double beta) {
-  double* u = fp(FieldId::kU);
-  double* r = fp(FieldId::kR);
-  double* sd = fp(FieldId::kSd);
-  const double* kx = fp(FieldId::kKx);
-  const double* ky = fp(FieldId::kKy);
-  const int width = width_;
-  ctx_.forall<Policy>(info(KernelId::kPpcgFusedInner), interior_,
-                      [=](std::int64_t i) {
-                        r[i] -= stencil(sd, kx, ky, i, width);
-                        u[i] += sd[i];
-                      });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::int64_t row = static_cast<std::int64_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) {
-      sd[row + x] = alpha * sd[row + x] + beta * r[row + x];
-    }
-  }
-}
-
-void RajaPort::jacobi_fused_copy_iterate() {
-  double* u = fp(FieldId::kU);
-  const double* u0 = fp(FieldId::kU0);
-  double* w = fp(FieldId::kW);
-  const double* kx = fp(FieldId::kKx);
-  const double* ky = fp(FieldId::kKy);
-  const int width = width_;
-  // Copy over the full padded range (the stencil reads w in the halo), then
-  // iterate — one fused charge.
-  ctx_.forall<Policy>(
-      info(KernelId::kJacobiFusedCopyIterate),
-      RangeSegment{0, static_cast<std::int64_t>(mesh_.padded_cells())},
-      [=](std::int64_t i) { w[i] = u[i]; });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::int64_t row = static_cast<std::int64_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) {
-      const std::int64_t i = row + x;
-      const double diag = 1.0 + kx[i + 1] + kx[i] + ky[i + width] + ky[i];
-      u[i] = (u0[i] + kx[i + 1] * w[i + 1] + kx[i] * w[i - 1] +
-              ky[i + width] * w[i + width] + ky[i] * w[i - width]) /
-             diag;
-    }
-  }
 }
 
 void RajaPort::read_u(util::Span2D<double> out) {

@@ -33,10 +33,7 @@ class RajaPort final : public PortBase {
   double cg_calc_ur(double alpha) override;
   void cg_calc_p(double beta) override;
   void cheby_init(double theta) override;
-  void cheby_iterate(double alpha, double beta) override;
   void ppcg_init_sd(double theta) override;
-  void ppcg_inner(double alpha, double beta) override;
-  void jacobi_copy_u() override;
   void jacobi_iterate() override;
 
   // Fused variants: one forall carrying several ReduceSum objects (the
@@ -44,9 +41,6 @@ class RajaPort final : public PortBase {
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;
-  void cheby_fused_iterate(double alpha, double beta) override;
-  void ppcg_fused_inner(double alpha, double beta) override;
-  void jacobi_fused_copy_iterate() override;
 
   void read_u(util::Span2D<double> out) override;
   void download_energy(core::Chunk& chunk) override;
@@ -59,6 +53,13 @@ class RajaPort final : public PortBase {
   util::Span2D<double> field_view(core::FieldId id) override {
     return storage_.field(id);
   }
+
+ protected:
+  void cheby_iterate_as(core::KernelId charge, double alpha,
+                        double beta) override;
+  void ppcg_inner_as(core::KernelId charge, double alpha,
+                     double beta) override;
+  void jacobi_copy_u_as(core::KernelId charge) override;
 
  private:
   using Policy = rajalike::omp_parallel_for_exec;

@@ -30,11 +30,9 @@ namespace {
 /// Single-chunk run, exactly quickstart's classic path: core::Driver over
 /// the port, u read back from the port, energy from the host chunk.
 ScenarioOutcome run_single(const Scenario& sc, const ScenarioHooks& hooks) {
-  const core::Mesh mesh(sc.settings.nx, sc.settings.ny,
-                        sc.settings.halo_depth);
   core::Driver driver(sc.settings,
-                      ports::make_port(sc.model, sc.device, mesh, 1,
-                                       hooks.host_threads));
+                      ports::make_port(sc.model, sc.device, sc.settings.mesh(),
+                                       1, hooks.host_threads));
   if (hooks.sink_for_rank) {
     if (sim::TraceSink* sink = hooks.sink_for_rank(0)) {
       driver.kernels().attach_trace_sink(sink);

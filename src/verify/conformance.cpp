@@ -155,9 +155,8 @@ void append_replay_checks(std::vector<MetricResult>& out,
   }
   core::Driver phantom(
       s,
-      std::make_unique<core::PhantomKernels>(
-          model, device, core::Mesh(s.nx, s.ny, s.halo_depth), script,
-          opt.seed),
+      std::make_unique<core::PhantomKernels>(model, device, s.mesh(), script,
+                                             opt.seed),
       core::DriverOptions{.materialize_host_state = false});
   const core::RunReport replay = phantom.run();
   out.push_back(check_scalar(Metric::kReplaySeconds, live.sim_total_seconds,
@@ -287,9 +286,8 @@ ConformanceReport run_conformance(const VerifyOptions& options) {
   // Reference solves, one per solver.
   for (const SolverKind solver : options.solvers) {
     const core::Settings s = make_settings(options, solver);
-    const core::Mesh mesh(s.nx, s.ny, s.halo_depth);
     std::unique_ptr<core::SolverKernels> kernels =
-        std::make_unique<core::ReferenceKernels>(mesh);
+        std::make_unique<core::ReferenceKernels>(s.mesh());
     if (!options.perturb_kernel.empty()) {
       kernels = std::make_unique<PerturbingKernels>(
           std::move(kernels), options.perturb_kernel, options.perturb_factor);
@@ -380,9 +378,7 @@ ConformanceReport run_conformance(const VerifyOptions& options) {
           }
         } else {
           core::Driver driver(
-              s, ports::make_port(model, device,
-                                  core::Mesh(s.nx, s.ny, s.halo_depth),
-                                  options.seed));
+              s, ports::make_port(model, device, s.mesh(), options.seed));
           const core::RunReport run = driver.run();
           append_record_checks(cell.metrics, condense_run(driver, run),
                                ref.record, spec);

@@ -65,8 +65,7 @@ GoldenRecord compute_reference_record(core::SolverKind solver, int nx,
   s.nx = s.ny = nx;
   s.solver = solver;
   s.end_step = steps;
-  const core::Mesh mesh(nx, nx, s.halo_depth);
-  core::Driver driver(s, std::make_unique<core::ReferenceKernels>(mesh));
+  core::Driver driver(s, std::make_unique<core::ReferenceKernels>(s.mesh()));
   const core::RunReport report = driver.run();
   return condense_run(driver, report);
 }

@@ -85,7 +85,7 @@ ToleranceSpec ToleranceSpec::defaults(core::SolverKind solver, double eps) {
   // Residuals converge to < eps, so near convergence only the absolute
   // criterion is meaningful; early history entries are O(1) and covered by
   // the relative bound. Chebyshev's main loop accumulates the three-term
-  // recurrence for check_interval iterations between norm checks, so its
+  // recurrence for kCheckInterval iterations between norm checks, so its
   // histories drift a little further apart than CG's.
   const bool cheby = solver == core::SolverKind::kCheby;
   spec[Metric::kFinalResidual] = Tolerance{.abs = eps, .rel = 1e-6};

@@ -298,6 +298,29 @@ TEST(ServiceSession, MultiRankJobFailsExactlyLikeItsStandaloneTwin) {
   EXPECT_EQ(session.jobs_run(), 1u);
 }
 
+TEST(ServiceScenario, SingleChunkRunMeasuresTheDecksDomain) {
+  // The default problem scaled to a 20x20 domain. The single-chunk port must
+  // take its cell area from the deck's extents, as the decomposed run's tile
+  // meshes do, so 1 and 2 ranks report the same physics.
+  Scenario s = tiny_scenario(core::SolverKind::kCg, 32);
+  s.settings.x_max = s.settings.y_max = 20.0;
+  for (core::StateRegion& r : s.settings.states) {
+    r.x_min *= 2.0;
+    r.x_max *= 2.0;
+    r.y_min *= 2.0;
+    r.y_max *= 2.0;
+  }
+  const core::FieldSummary one = service::run_scenario(s).run.steps[0].summary;
+  s.settings.nranks = 2;
+  const core::FieldSummary two = service::run_scenario(s).run.steps[0].summary;
+  EXPECT_EQ(one.volume, 400.0);
+  EXPECT_EQ(two.volume, 400.0);
+  EXPECT_NEAR(one.mass, two.mass, 1e-10 * two.mass);
+  EXPECT_NEAR(one.internal_energy, two.internal_energy,
+              1e-10 * two.internal_energy);
+  EXPECT_NEAR(one.temperature, two.temperature, 1e-10 * two.temperature);
+}
+
 // -- ServiceConfig -----------------------------------------------------------
 
 TEST(ServiceConfig, ValidateRejectsNonsense) {
