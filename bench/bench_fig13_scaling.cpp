@@ -42,6 +42,7 @@
 
 #include "bench/harness.hpp"
 #include "comm/decomposition.hpp"
+#include "comm/halo.hpp"
 #include "core/driver.hpp"
 #include "core/phantom_kernels.hpp"
 #include "core/reference_kernels.hpp"
@@ -120,22 +121,6 @@ const comm::Tile& critical_tile(const comm::BlockDecomposition& d) {
     }
   }
   return *best;
-}
-
-/// One-direction wire bytes of a depth-1 exchange of one field, matching
-/// DistributedKernels' accounting: x strips span the tile height, y strips
-/// the full padded width.
-std::size_t halo_onedir_bytes(const comm::Tile& t, int halo_depth) {
-  std::size_t doubles = 0;
-  for (const comm::Face f : {comm::Face::kLeft, comm::Face::kRight}) {
-    if (t.has_neighbour(f)) doubles += static_cast<std::size_t>(t.ny());
-  }
-  for (const comm::Face f : {comm::Face::kBottom, comm::Face::kTop}) {
-    if (t.has_neighbour(f)) {
-      doubles += static_cast<std::size_t>(t.nx()) + 2u * halo_depth;
-    }
-  }
-  return doubles * sizeof(double);
 }
 
 // ---------------------------------------------------------------------------
@@ -239,9 +224,9 @@ ScalePoint modelled_point(const bench::Harness& harness, sim::Model model,
   if (ranks > 1) {
     const double halo_count = probe.halo_per_iter * p.iterations;
     const double allred_count = probe.allred_per_iter * p.iterations;
-    const std::size_t onedir = halo_onedir_bytes(crit, halo_depth);
-    const double halo_ns =
-        sim::halo_exchange_ns(net, onedir, neighbour_count(crit));
+    const comm::HaloWire wire = comm::halo_wire(crit, 1, halo_depth);
+    const std::size_t onedir = wire.doubles * sizeof(double);
+    const double halo_ns = sim::halo_exchange_ns(net, onedir, wire.messages);
     const double allred_ns = sim::allreduce_ns(net, sizeof(double), ranks);
     p.allred_s = allred_count * allred_ns * 1e-9;
     p.comm_s = halo_count * halo_ns * 1e-9 + p.allred_s;
@@ -535,10 +520,10 @@ int main(int argc, char** argv) {
                 kRankLadder.back());
     util::Table table({"Rank", "Tile", "Neighbours", "Halo MB", "Allreduces"});
     for (const comm::Tile& t : decomp.tiles()) {
-      const double mb = probe.halo_per_iter * iters * 2.0 *
-                        static_cast<double>(halo_onedir_bytes(
-                            t, core::Settings{}.halo_depth)) /
-                        1e6;
+      const double onedir_bytes = static_cast<double>(
+          comm::halo_wire(t, 1, core::Settings{}.halo_depth).doubles *
+          sizeof(double));
+      const double mb = probe.halo_per_iter * iters * 2.0 * onedir_bytes / 1e6;
       table.row({util::strf("%d", t.rank),
                  util::strf("%dx%d", t.nx(), t.ny()),
                  util::strf("%d", neighbour_count(t)), util::strf("%.2f", mb),

@@ -49,6 +49,19 @@ void reflect_boundary(Span2D<double> field, int halo_depth,
   }
 }
 
+HaloWire halo_wire(const Tile& tile, int depth, int halo_depth) {
+  HaloWire wire;
+  for (const Face f : kAllFaces) {
+    if (!tile.has_neighbour(f)) continue;
+    const bool x_face = f == Face::kLeft || f == Face::kRight;
+    wire.doubles += static_cast<std::size_t>(depth) *
+                    static_cast<std::size_t>(
+                        x_face ? tile.ny() : tile.nx() + 2 * halo_depth);
+    ++wire.messages;
+  }
+  return wire;
+}
+
 HaloExchanger::HaloExchanger(const BlockDecomposition& decomp, int rank,
                              int halo_depth)
     : tile_(decomp.tile(rank)), halo_depth_(halo_depth) {

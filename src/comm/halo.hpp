@@ -27,6 +27,16 @@ namespace tl::comm {
 void reflect_boundary(tl::util::Span2D<double> field, int halo_depth,
                       std::span<const Face> faces);
 
+/// What one exchange of `depth` layers of one field sends in each direction
+/// from `tile`: one strip per present neighbour, x strips spanning the tile
+/// height and y strips the full padded width (the corner relay). Receives
+/// mirror sends exactly.
+struct HaloWire {
+  std::size_t doubles = 0;
+  int messages = 0;
+};
+HaloWire halo_wire(const Tile& tile, int depth, int halo_depth);
+
 class HaloExchanger {
  public:
   HaloExchanger(const BlockDecomposition& decomp, int rank, int halo_depth);

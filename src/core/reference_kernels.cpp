@@ -7,8 +7,11 @@
 #include "comm/halo.hpp"
 #include "core/fused_rows.hpp"
 #include "core/isa.hpp"
+#include "util/stats.hpp"
 
 namespace tl::core {
+
+using util::pairwise_sum;
 
 namespace ref {
 
@@ -159,8 +162,8 @@ void cheby_init(const Mesh& m, double theta, CSpan r, Span p, Span u) {
   }
 }
 
-void cheby_iterate(const Mesh& m, double alpha, double beta, CSpan u0,
-                   CSpan kx, CSpan ky, Span u, Span r, Span p) {
+void cheby_calc_p(const Mesh& m, double alpha, double beta, CSpan u0,
+                  CSpan kx, CSpan ky, CSpan u, Span r, Span p) {
   const int h = m.halo_depth;
   for (int y = h; y < h + m.ny; ++y) {
     for (int x = h; x < h + m.nx; ++x) {
@@ -169,7 +172,10 @@ void cheby_iterate(const Mesh& m, double alpha, double beta, CSpan u0,
       p(x, y) = alpha * p(x, y) + beta * res;
     }
   }
-  // u update is a second sweep: the stencil above must see the pre-update u.
+}
+
+void cheby_calc_u(const Mesh& m, CSpan p, Span u) {
+  const int h = m.halo_depth;
   for (int y = h; y < h + m.ny; ++y) {
     for (int x = h; x < h + m.nx; ++x) u(x, y) += p(x, y);
   }
@@ -183,17 +189,20 @@ void ppcg_init_sd(const Mesh& m, double theta, CSpan r, Span sd) {
   }
 }
 
-void ppcg_inner(const Mesh& m, double alpha, double beta, CSpan kx, CSpan ky,
-                Span u, Span r, Span sd) {
+void ppcg_inner_ru(const Mesh& m, CSpan kx, CSpan ky, CSpan sd, Span u,
+                   Span r) {
   const int h = m.halo_depth;
-  // r -= A sd and u += sd first (stencil must see the pre-update sd), then
-  // the sd recurrence from the fresh residual.
   for (int y = h; y < h + m.ny; ++y) {
     for (int x = h; x < h + m.nx; ++x) {
       r(x, y) -= apply_stencil(sd, kx, ky, x, y);
       u(x, y) += sd(x, y);
     }
   }
+}
+
+void ppcg_inner_sd(const Mesh& m, double alpha, double beta, CSpan r,
+                   Span sd) {
+  const int h = m.halo_depth;
   for (int y = h; y < h + m.ny; ++y) {
     for (int x = h; x < h + m.nx; ++x) {
       sd(x, y) = alpha * sd(x, y) + beta * r(x, y);
@@ -225,20 +234,6 @@ void jacobi_iterate(const Mesh& m, CSpan u0, CSpan w, CSpan kx, CSpan ky,
 }
 
 }  // namespace ref
-
-namespace {
-
-/// In-place pairwise tree fold over `n` row partials.
-double pairwise_sum(double* p, std::int64_t n) {
-  for (std::int64_t width = 1; width < n; width *= 2) {
-    for (std::int64_t i = 0; i + width < n; i += 2 * width) {
-      p[i] += p[i + width];
-    }
-  }
-  return n > 0 ? p[0] : 0.0;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // ReferenceKernels
@@ -432,10 +427,12 @@ void ReferenceKernels::cheby_init(double theta) {
 }
 
 void ReferenceKernels::cheby_iterate(double alpha, double beta) {
-  ref::cheby_iterate(mesh_, alpha, beta, chunk_.field(FieldId::kU0),
-                     chunk_.field(FieldId::kKx), chunk_.field(FieldId::kKy),
-                     chunk_.field(FieldId::kU), chunk_.field(FieldId::kR),
-                     chunk_.field(FieldId::kP));
+  ref::cheby_calc_p(mesh_, alpha, beta, chunk_.field(FieldId::kU0),
+                    chunk_.field(FieldId::kKx), chunk_.field(FieldId::kKy),
+                    chunk_.field(FieldId::kU), chunk_.field(FieldId::kR),
+                    chunk_.field(FieldId::kP));
+  ref::cheby_calc_u(mesh_, chunk_.field(FieldId::kP),
+                    chunk_.field(FieldId::kU));
 }
 
 void ReferenceKernels::ppcg_init_sd(double theta) {
@@ -444,9 +441,11 @@ void ReferenceKernels::ppcg_init_sd(double theta) {
 }
 
 void ReferenceKernels::ppcg_inner(double alpha, double beta) {
-  ref::ppcg_inner(mesh_, alpha, beta, chunk_.field(FieldId::kKx),
-                  chunk_.field(FieldId::kKy), chunk_.field(FieldId::kU),
-                  chunk_.field(FieldId::kR), chunk_.field(FieldId::kSd));
+  ref::ppcg_inner_ru(mesh_, chunk_.field(FieldId::kKx),
+                     chunk_.field(FieldId::kKy), chunk_.field(FieldId::kSd),
+                     chunk_.field(FieldId::kU), chunk_.field(FieldId::kR));
+  ref::ppcg_inner_sd(mesh_, alpha, beta, chunk_.field(FieldId::kR),
+                     chunk_.field(FieldId::kSd));
 }
 
 void ReferenceKernels::jacobi_copy_u() {

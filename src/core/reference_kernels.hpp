@@ -129,12 +129,22 @@ double cg_calc_ur(const Mesh& m, double alpha, CSpan p, CSpan w, Span u, Span r)
 void cg_calc_p(const Mesh& m, double beta, CSpan r, Span p);
 
 void cheby_init(const Mesh& m, double theta, CSpan r, Span p, Span u);
-void cheby_iterate(const Mesh& m, double alpha, double beta, CSpan u0, CSpan kx,
-                   CSpan ky, Span u, Span r, Span p);
+/// The Chebyshev iterate is these two sweeps in order: the u update must
+/// follow the whole residual sweep, whose stencil reads neighbouring u.
+/// r = u0 - A u; p = alpha p + beta r.
+void cheby_calc_p(const Mesh& m, double alpha, double beta, CSpan u0,
+                  CSpan kx, CSpan ky, CSpan u, Span r, Span p);
+/// u += p.
+void cheby_calc_u(const Mesh& m, CSpan p, Span u);
 
 void ppcg_init_sd(const Mesh& m, double theta, CSpan r, Span sd);
-void ppcg_inner(const Mesh& m, double alpha, double beta, CSpan kx, CSpan ky,
-                Span u, Span r, Span sd);
+/// The PPCG inner step is these two sweeps in order: the stencil must see
+/// the pre-update sd, and the recurrence reads the fresh residual.
+/// r -= A sd; u += sd.
+void ppcg_inner_ru(const Mesh& m, CSpan kx, CSpan ky, CSpan sd, Span u,
+                   Span r);
+/// sd = alpha sd + beta r.
+void ppcg_inner_sd(const Mesh& m, double alpha, double beta, CSpan r, Span sd);
 
 void jacobi_copy_u(const Mesh& m, CSpan u, Span w);
 void jacobi_iterate(const Mesh& m, CSpan u0, CSpan w, CSpan kx, CSpan ky,

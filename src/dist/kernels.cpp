@@ -5,6 +5,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "util/stats.hpp"
+
 namespace tl::dist {
 
 namespace {
@@ -51,18 +53,6 @@ double interior_fraction(const comm::Tile& tile) {
   if (nx <= 2 || ny <= 2) return 0.0;
   return (static_cast<double>(nx - 2) * static_cast<double>(ny - 2)) /
          (static_cast<double>(nx) * static_cast<double>(ny));
-}
-
-/// In-place pairwise tree fold over `n` row partials — the same tree the
-/// ports fold locally, here applied to the *global* row vector so the result
-/// is invariant under any row-strip split.
-double pairwise_sum(double* p, std::int64_t n) {
-  for (std::int64_t width = 1; width < n; width *= 2) {
-    for (std::int64_t i = 0; i + width < n; i += 2 * width) {
-      p[i] += p[i + width];
-    }
-  }
-  return n > 0 ? p[0] : 0.0;
 }
 
 }  // namespace
@@ -173,28 +163,10 @@ void DistributedKernels::exchange_field(core::FieldId id, int depth,
   sync_fault_stats();
   if (perturb_halo_ && rank_ == 1) perturb_halo_cell(id);
 
-  // Wire accounting: a strip of `depth` layers per present neighbour; x
-  // strips span the tile height, y strips the full padded width (corner
-  // propagation). Receives mirror sends exactly.
-  const comm::Tile& tile = exchanger_.tile();
-  std::size_t doubles = 0;
-  int messages = 0;
-  for (const Face f : {Face::kLeft, Face::kRight}) {
-    if (tile.has_neighbour(f)) {
-      doubles += static_cast<std::size_t>(depth) *
-                 static_cast<std::size_t>(tile.ny());
-      ++messages;
-    }
-  }
-  for (const Face f : {Face::kBottom, Face::kTop}) {
-    if (tile.has_neighbour(f)) {
-      doubles += static_cast<std::size_t>(depth) *
-                 static_cast<std::size_t>(field.nx());
-      ++messages;
-    }
-  }
-  const std::size_t bytes = doubles * sizeof(double);
-  const double ns = sim::halo_exchange_ns(*net_, bytes, messages);
+  const comm::HaloWire wire =
+      comm::halo_wire(exchanger_.tile(), depth, halo_depth_);
+  const std::size_t bytes = wire.doubles * sizeof(double);
+  const double ns = sim::halo_exchange_ns(*net_, bytes, wire.messages);
   ++stats_.halo_exchanges;
   if (defer) {
     pending_ = PendingCharge{true, id, inner_->clock().elapsed_ns(), ns, bytes};
@@ -269,9 +241,11 @@ void DistributedKernels::elastic_combine(int k, double* out) {
   }
   const int gny = decomp_->global_ny();
   const std::size_t gny_z = static_cast<std::size_t>(gny);
+  // The tree the ports fold locally, applied to the *global* row vector, so
+  // the result is invariant under any row-strip split.
   const auto fold = [&] {
     for (int j = 0; j < k; ++j) {
-      out[j] = pairwise_sum(
+      out[j] = util::pairwise_sum(
           elastic_scratch_.data() + static_cast<std::size_t>(j) * gny_z, gny);
     }
   };

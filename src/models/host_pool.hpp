@@ -24,6 +24,8 @@
 #include <type_traits>
 #include <vector>
 
+#include "util/stats.hpp"
+
 namespace models {
 
 class HostPool {
@@ -76,7 +78,7 @@ class HostPool {
                                                  partials_.data()};
     run_chunks(begin, end, g, &invoke_reduce<std::remove_reference_t<Body>>,
                &ctx);
-    return combine_pairwise(partials_.data(), nchunks);
+    return tl::util::pairwise_sum(partials_.data(), nchunks);
   }
 
  private:
@@ -97,17 +99,6 @@ class HostPool {
                             std::int64_t chunk_index) {
     auto* c = static_cast<ReduceCtx<Body>*>(ctx);
     c->partials[chunk_index] = (*c->body)(b, e);
-  }
-
-  /// In-place tree fold: (p0+p1) + (p2+p3), ... — pairing depends only on
-  /// the chunk count.
-  static double combine_pairwise(double* p, std::int64_t n) noexcept {
-    for (std::int64_t width = 1; width < n; width *= 2) {
-      for (std::int64_t i = 0; i + width < n; i += 2 * width) {
-        p[i] += p[i + width];
-      }
-    }
-    return n > 0 ? p[0] : 0.0;
   }
 
   void run_chunks(std::int64_t begin, std::int64_t end, std::int64_t grain,

@@ -10,8 +10,9 @@
 //   - `update to/from`: explicit mid-scope consistency;
 //   - per-region synchronous launch overhead — the paper's observed
 //     "overhead dependent upon the number of target invocations", which the
-//     OpenMP 4.5 `nowait` directive was expected to hide (modelled by the
-//     fuse_regions knob used in the ablation bench);
+//     OpenMP 4.5 `nowait` directive was expected to hide
+//     (bench_micro_models' BM_OffloadPerRegionOverhead prices one kernel's
+//     bytes split across 1 to 64 regions against a single region);
 //   - reductions through the directive reduction clause.
 
 #include <cstdint>

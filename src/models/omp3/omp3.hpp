@@ -24,7 +24,6 @@ class Runtime {
         pool_(std::make_unique<models::HostPool>(threads)) {}
 
   models::Launcher& launcher() noexcept { return launcher_; }
-  models::HostPool& pool() noexcept { return *pool_; }
 
   /// `#pragma omp parallel for schedule(static)` — body(i) per index.
   template <typename Body>

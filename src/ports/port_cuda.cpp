@@ -38,7 +38,6 @@ CudaPort::CudaPort(sim::DeviceId device, const core::Mesh& mesh,
   }
   partials_ = std::make_unique<culike::DeviceBuffer>(
       4 * culike::Runtime::blocks_for(mesh.padded_cells(), kBlockSize));
-  host_scratch_.resize(mesh.padded_cells());
 }
 
 double CudaPort::sum_partials(unsigned blocks) const {
@@ -49,13 +48,7 @@ double CudaPort::sum_partials(unsigned blocks) const {
 
 void CudaPort::upload_state(const core::Chunk& chunk) {
   for (const FieldId id : {FieldId::kDensity, FieldId::kEnergy0}) {
-    const auto src = chunk.field(id);
-    for (int y = 0; y < height_; ++y) {
-      for (int x = 0; x < width_; ++x) {
-        host_scratch_[static_cast<std::size_t>(y) * width_ + x] = src(x, y);
-      }
-    }
-    rt_.memcpy_htod(buf(id), host_scratch_);
+    rt_.memcpy_htod(buf(id), padded_span(chunk.field(id)));
   }
 }
 
@@ -103,12 +96,6 @@ void CudaPort::init_coefficients(core::Coefficient coefficient, double rx,
                kx[i] = rx * (wl + wc) / (2.0 * wl * wc);
                ky[i] = ry * (wb + wc) / (2.0 * wb * wc);
              });
-}
-
-void CudaPort::halo_update(unsigned fields, int depth) {
-  rt_.launcher().run(hinfo(fields, depth), [&] {
-    reflect_fields(fields);
-  });
 }
 
 void CudaPort::calc_residual() {
@@ -319,8 +306,8 @@ void CudaPort::cheby_init(double theta) {
              });
 }
 
-void CudaPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
-  double* u = buf(FieldId::kU).data();
+void CudaPort::cheby_calc_p_as(KernelId charge, double alpha, double beta) {
+  const double* u = buf(FieldId::kU).data();
   const double* u0 = buf(FieldId::kU0).data();
   const double* kx = buf(FieldId::kKx).data();
   const double* ky = buf(FieldId::kKy).data();
@@ -338,11 +325,6 @@ void CudaPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
                r[i] = res;
                p[i] = alpha * p[i] + beta * res;
              });
-  // Second sweep of the fused iterate (same metered charge).
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) u[row + x] += p[row + x];
-  }
 }
 
 void CudaPort::ppcg_init_sd(double theta) {
@@ -361,10 +343,10 @@ void CudaPort::ppcg_init_sd(double theta) {
              });
 }
 
-void CudaPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
+void CudaPort::ppcg_inner_ru_as(KernelId charge) {
   double* u = buf(FieldId::kU).data();
   double* r = buf(FieldId::kR).data();
-  double* sd = buf(FieldId::kSd).data();
+  const double* sd = buf(FieldId::kSd).data();
   const double* kx = buf(FieldId::kKx).data();
   const double* ky = buf(FieldId::kKy).data();
   const std::size_t n = mesh_.interior_cells();
@@ -378,12 +360,6 @@ void CudaPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
                r[i] -= stencil(sd, kx, ky, i, width);
                u[i] += sd[i];
              });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) {
-      sd[row + x] = alpha * sd[row + x] + beta * r[row + x];
-    }
-  }
 }
 
 void CudaPort::jacobi_copy_u_as(KernelId charge) {
@@ -511,22 +487,12 @@ double CudaPort::fused_residual_norm() {
 }
 
 void CudaPort::read_u(util::Span2D<double> out) {
-  rt_.memcpy_dtoh(host_scratch_, buf(FieldId::kU));
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      out(x, y) = host_scratch_[static_cast<std::size_t>(y) * width_ + x];
-    }
-  }
+  rt_.memcpy_dtoh(padded_span(out), buf(FieldId::kU));
 }
 
 void CudaPort::download_energy(core::Chunk& chunk) {
-  rt_.memcpy_dtoh(host_scratch_, buf(FieldId::kEnergy));
-  auto dst = chunk.field(FieldId::kEnergy);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      dst(x, y) = host_scratch_[static_cast<std::size_t>(y) * width_ + x];
-    }
-  }
+  rt_.memcpy_dtoh(padded_span(chunk.field(FieldId::kEnergy)),
+                  buf(FieldId::kEnergy));
 }
 
 }  // namespace tl::ports

@@ -23,7 +23,6 @@ class CudaPort final : public PortBase {
   void init_u() override;
   void init_coefficients(core::Coefficient coefficient, double rx,
                          double ry) override;
-  void halo_update(unsigned fields, int depth) override;
   void calc_residual() override;
   double calc_2norm(core::NormTarget target) override;
   void finalise() override;
@@ -37,28 +36,25 @@ class CudaPort final : public PortBase {
   void jacobi_iterate() override;
 
   // Fused variants: the triple dot runs like field_summary (block reduction
-  // plus companion partial sections). The two-sweep steps run their classic
-  // loop bodies under the fused charge (PortBase).
+  // plus companion partial sections). The fused Chebyshev, PPCG and Jacobi
+  // steps launch the first-sweep kernels below under the fused charge;
+  // PortBase runs their second sweeps.
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;
 
   void read_u(util::Span2D<double> out) override;
   void download_energy(core::Chunk& chunk) override;
-  const sim::SimClock& clock() const override { return rt_.launcher().clock(); }
-  void begin_run(std::uint64_t run_seed) override {
-    rt_.launcher().begin_run(run_seed);
-  }
   util::Span2D<double> field_view(core::FieldId id) override {
     // Emulation shortcut: "device" buffers are host-visible (port_base notes).
     return device_span(id);
   }
 
  protected:
-  void cheby_iterate_as(core::KernelId charge, double alpha,
-                        double beta) override;
-  void ppcg_inner_as(core::KernelId charge, double alpha,
-                     double beta) override;
+  models::Launcher& launcher() const override { return rt_.launcher(); }
+  void cheby_calc_p_as(core::KernelId charge, double alpha,
+                       double beta) override;
+  void ppcg_inner_ru_as(core::KernelId charge) override;
   void jacobi_copy_u_as(core::KernelId charge) override;
 
  private:
@@ -81,7 +77,6 @@ class CudaPort final : public PortBase {
   std::array<std::unique_ptr<culike::DeviceBuffer>, core::kAllFields.size()>
       buffers_;
   std::unique_ptr<culike::DeviceBuffer> partials_;
-  std::vector<double> host_scratch_;
 };
 
 }  // namespace tl::ports

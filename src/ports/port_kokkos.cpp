@@ -96,11 +96,8 @@ KokkosPort::KokkosPort(sim::Model model, sim::DeviceId device,
 
 void KokkosPort::upload_state(const core::Chunk& chunk) {
   for (const FieldId id : {FieldId::kDensity, FieldId::kEnergy0}) {
-    const auto src = chunk.field(id);
-    View dst = view(id);
-    for (int y = 0; y < height_; ++y) {
-      for (int x = 0; x < width_; ++x) dst(x, y) = src(x, y);
-    }
+    const View dst = view(id);
+    copy_field(chunk.field(id), dst.span());
     ctx_.deep_copy_to_device(dst);
   }
 }
@@ -133,12 +130,6 @@ void KokkosPort::init_coefficients(core::Coefficient coefficient, double rx,
         kx(x, y) = rx * (wl + wc) / (2.0 * wl * wc);
         ky(x, y) = ry * (wb + wc) / (2.0 * wb * wc);
       });
-}
-
-void KokkosPort::halo_update(unsigned fields, int depth) {
-  ctx_.launcher().run(hinfo(fields, depth), [&] {
-    reflect_fields(fields);
-  });
 }
 
 void KokkosPort::calc_residual() {
@@ -271,7 +262,7 @@ void KokkosPort::cheby_init(double theta) {
       });
 }
 
-void KokkosPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
+void KokkosPort::cheby_calc_p_as(KernelId charge, double alpha, double beta) {
   View u = view(FieldId::kU), u0 = view(FieldId::kU0);
   View kx = view(FieldId::kKx), ky = view(FieldId::kKy);
   View r = view(FieldId::kR), p = view(FieldId::kP);
@@ -284,10 +275,6 @@ void KokkosPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
         r(x, y) = res;
         p(x, y) = alpha * p(x, y) + beta * res;
       });
-  // Second sweep of the fused iterate (metered once per the catalogue).
-  for (int y = h_; y < h_ + ny_; ++y) {
-    for (int x = h_; x < h_ + nx_; ++x) u(x, y) += p(x, y);
-  }
 }
 
 void KokkosPort::ppcg_init_sd(double theta) {
@@ -302,7 +289,7 @@ void KokkosPort::ppcg_init_sd(double theta) {
       });
 }
 
-void KokkosPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
+void KokkosPort::ppcg_inner_ru_as(KernelId charge) {
   View u = view(FieldId::kU), r = view(FieldId::kR), sd = view(FieldId::kSd);
   View kx = view(FieldId::kKx), ky = view(FieldId::kKy);
   const Geom g{width_, h_, nx_, ny_};
@@ -313,11 +300,6 @@ void KokkosPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
         r(x, y) -= stencil(sd, kx, ky, x, y);
         u(x, y) += sd(x, y);
       });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    for (int x = h_; x < h_ + nx_; ++x) {
-      sd(x, y) = alpha * sd(x, y) + beta * r(x, y);
-    }
-  }
 }
 
 void KokkosPort::jacobi_copy_u_as(KernelId charge) {
@@ -393,20 +375,15 @@ double KokkosPort::fused_residual_norm() {
 }
 
 void KokkosPort::read_u(util::Span2D<double> out) {
-  View u = view(FieldId::kU);
+  const View u = view(FieldId::kU);
   ctx_.deep_copy_to_host(u);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) out(x, y) = u(x, y);
-  }
+  copy_field(u.span(), out);
 }
 
 void KokkosPort::download_energy(core::Chunk& chunk) {
-  View energy = view(FieldId::kEnergy);
+  const View energy = view(FieldId::kEnergy);
   ctx_.deep_copy_to_host(energy);
-  auto dst = chunk.field(FieldId::kEnergy);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) dst(x, y) = energy(x, y);
-  }
+  copy_field(energy.span(), chunk.field(FieldId::kEnergy));
 }
 
 // ---------------------------------------------------------------------------
@@ -540,8 +517,8 @@ void KokkosHpPort::cheby_init(double theta) {
       });
 }
 
-void KokkosHpPort::cheby_iterate_as(KernelId charge, double alpha,
-                                    double beta) {
+void KokkosHpPort::cheby_calc_p_as(KernelId charge, double alpha,
+                                   double beta) {
   View u = view(FieldId::kU), u0 = view(FieldId::kU0);
   View kx = view(FieldId::kKx), ky = view(FieldId::kKy);
   View r = view(FieldId::kR), p = view(FieldId::kP);
@@ -556,9 +533,6 @@ void KokkosHpPort::cheby_iterate_as(KernelId charge, double alpha,
           p(x, y) = alpha * p(x, y) + beta * res;
         });
       });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    for (int x = h_; x < h_ + nx_; ++x) u(x, y) += p(x, y);
-  }
 }
 
 void KokkosHpPort::ppcg_init_sd(double theta) {
@@ -573,7 +547,7 @@ void KokkosHpPort::ppcg_init_sd(double theta) {
       });
 }
 
-void KokkosHpPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
+void KokkosHpPort::ppcg_inner_ru_as(KernelId charge) {
   View u = view(FieldId::kU), r = view(FieldId::kR), sd = view(FieldId::kSd);
   View kx = view(FieldId::kKx), ky = view(FieldId::kKy);
   const int h = h_, nx = nx_;
@@ -586,11 +560,6 @@ void KokkosHpPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
           u(x, y) += sd(x, y);
         });
       });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    for (int x = h_; x < h_ + nx_; ++x) {
-      sd(x, y) = alpha * sd(x, y) + beta * r(x, y);
-    }
-  }
 }
 
 }  // namespace tl::ports

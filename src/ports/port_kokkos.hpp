@@ -26,7 +26,6 @@ class KokkosPort : public PortBase {
   void init_u() override;
   void init_coefficients(core::Coefficient coefficient, double rx,
                          double ry) override;
-  void halo_update(unsigned fields, int depth) override;
   void calc_residual() override;
   double calc_2norm(core::NormTarget target) override;
   void finalise() override;
@@ -41,18 +40,14 @@ class KokkosPort : public PortBase {
 
   // Fused variants (flat form, shared by the HP subclass): the triple dot
   // rides a custom init/join functor, the same machinery as field_summary.
+  // The fused Chebyshev, PPCG and Jacobi steps charge the first sweeps below
+  // at the fused rate; PortBase runs their second sweeps.
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;
 
   void read_u(util::Span2D<double> out) override;
   void download_energy(core::Chunk& chunk) override;
-  const sim::SimClock& clock() const override {
-    return ctx_.launcher().clock();
-  }
-  void begin_run(std::uint64_t run_seed) override {
-    ctx_.launcher().begin_run(run_seed);
-  }
   util::Span2D<double> field_view(core::FieldId id) override {
     // Views share one host allocation per field; the span stays valid for
     // the life of views_ (the shared state outlives every copy).
@@ -60,10 +55,10 @@ class KokkosPort : public PortBase {
   }
 
  protected:
-  void cheby_iterate_as(core::KernelId charge, double alpha,
-                        double beta) override;
-  void ppcg_inner_as(core::KernelId charge, double alpha,
-                     double beta) override;
+  models::Launcher& launcher() const override { return ctx_.launcher(); }
+  void cheby_calc_p_as(core::KernelId charge, double alpha,
+                       double beta) override;
+  void ppcg_inner_ru_as(core::KernelId charge) override;
   void jacobi_copy_u_as(core::KernelId charge) override;
 
   kokkoslike::View view(core::FieldId id) {
@@ -84,8 +79,8 @@ class KokkosHpPort final : public KokkosPort {
 
   // The performance-critical functors get hierarchical re-encodings; the
   // setup/diagnostic kernels and the single-pass fused sweeps keep the flat
-  // form (as the paper did). The Chebyshev and PPCG bodies below serve both
-  // pipelines: PortBase charges them as classic or fused.
+  // form (as the paper did). The Chebyshev and PPCG first sweeps below serve
+  // both pipelines: PortBase charges them as classic or fused.
   void calc_residual() override;
   double calc_2norm(core::NormTarget target) override;
   double cg_init() override;
@@ -96,10 +91,9 @@ class KokkosHpPort final : public KokkosPort {
   void ppcg_init_sd(double theta) override;
 
  protected:
-  void cheby_iterate_as(core::KernelId charge, double alpha,
-                        double beta) override;
-  void ppcg_inner_as(core::KernelId charge, double alpha,
-                     double beta) override;
+  void cheby_calc_p_as(core::KernelId charge, double alpha,
+                       double beta) override;
+  void ppcg_inner_ru_as(core::KernelId charge) override;
 
  private:
   kokkoslike::TeamPolicy row_policy() const { return {ny_, 1}; }

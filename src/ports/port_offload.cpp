@@ -40,11 +40,7 @@ double OffloadPort::preduce(const sim::LaunchInfo& info, Body&& body) {
 
 void OffloadPort::upload_state(const core::Chunk& chunk) {
   for (const FieldId id : {FieldId::kDensity, FieldId::kEnergy0}) {
-    const auto src = chunk.field(id);
-    auto dst = f(id);
-    for (int y = 0; y < height_; ++y) {
-      for (int x = 0; x < width_; ++x) dst(x, y) = src(x, y);
-    }
+    copy_field(chunk.field(id), f(id));
   }
   // Open the step's data region: inputs map `to`, work arrays `alloc`;
   // energy comes back with an explicit `update from` in download_energy.
@@ -99,13 +95,6 @@ void OffloadPort::init_coefficients(core::Coefficient coefficient, double rx,
         ky[i] = ry * (wb + wc) / (2.0 * wb * wc);
       }
     }
-  });
-}
-
-void OffloadPort::halo_update(unsigned fields, int depth) {
-  // Halo reflection runs on the device (data stays resident).
-  rt_.target_region(hinfo(fields, depth), [&] {
-    reflect_fields(fields);
   });
 }
 
@@ -237,8 +226,8 @@ void OffloadPort::cheby_init(double theta) {
   });
 }
 
-void OffloadPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
-  double* u = fp(FieldId::kU);
+void OffloadPort::cheby_calc_p_as(KernelId charge, double alpha, double beta) {
+  const double* u = fp(FieldId::kU);
   const double* u0 = fp(FieldId::kU0);
   const double* kx = fp(FieldId::kKx);
   const double* ky = fp(FieldId::kKy);
@@ -251,11 +240,6 @@ void OffloadPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
     r[i] = res;
     p[i] = alpha * p[i] + beta * res;
   });
-  // Second sweep of the fused iterate (within the same metered kernel).
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::int64_t row = static_cast<std::int64_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) u[row + x] += p[row + x];
-  }
 }
 
 void OffloadPort::ppcg_init_sd(double theta) {
@@ -268,10 +252,10 @@ void OffloadPort::ppcg_init_sd(double theta) {
   });
 }
 
-void OffloadPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
+void OffloadPort::ppcg_inner_ru_as(KernelId charge) {
   double* u = fp(FieldId::kU);
   double* r = fp(FieldId::kR);
-  double* sd = fp(FieldId::kSd);
+  const double* sd = fp(FieldId::kSd);
   const double* kx = fp(FieldId::kKx);
   const double* ky = fp(FieldId::kKy);
   const int width = width_;
@@ -280,12 +264,6 @@ void OffloadPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
     r[i] -= stencil(sd, kx, ky, i, width);
     u[i] += sd[i];
   });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::int64_t row = static_cast<std::int64_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) {
-      sd[row + x] = alpha * sd[row + x] + beta * r[row + x];
-    }
-  }
 }
 
 void OffloadPort::jacobi_copy_u_as(KernelId charge) {
@@ -370,19 +348,12 @@ double OffloadPort::fused_residual_norm() {
 
 void OffloadPort::read_u(util::Span2D<double> out) {
   rt_.update_from(fp(FieldId::kU), padded_bytes());
-  const auto u = f(FieldId::kU);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) out(x, y) = u(x, y);
-  }
+  copy_field(f(FieldId::kU), out);
 }
 
 void OffloadPort::download_energy(core::Chunk& chunk) {
   rt_.update_from(fp(FieldId::kEnergy), padded_bytes());
-  const auto src = f(FieldId::kEnergy);
-  auto dst = chunk.field(FieldId::kEnergy);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) dst(x, y) = src(x, y);
-  }
+  copy_field(f(FieldId::kEnergy), chunk.field(FieldId::kEnergy));
 }
 
 }  // namespace tl::ports

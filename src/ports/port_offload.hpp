@@ -28,7 +28,6 @@ class OffloadPort final : public PortBase {
   void init_u() override;
   void init_coefficients(core::Coefficient coefficient, double rx,
                          double ry) override;
-  void halo_update(unsigned fields, int depth) override;
   void calc_residual() override;
   double calc_2norm(core::NormTarget target) override;
   void finalise() override;
@@ -43,35 +42,29 @@ class OffloadPort final : public PortBase {
 
   // Fused variants: the multi-sum sweeps follow field_summary's shape — one
   // region, reduction clause on the primary sum, extra scalars riding along.
+  // The fused Chebyshev, PPCG and Jacobi steps charge the first sweeps below
+  // at the fused rate; PortBase runs their second sweeps.
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;
 
   void read_u(util::Span2D<double> out) override;
   void download_energy(core::Chunk& chunk) override;
-  const sim::SimClock& clock() const override {
-    return rt_.launcher().clock();
-  }
-  void begin_run(std::uint64_t run_seed) override {
-    rt_.launcher().begin_run(run_seed);
-  }
   util::Span2D<double> field_view(core::FieldId id) override {
     return storage_.field(id);
   }
 
  protected:
-  void cheby_iterate_as(core::KernelId charge, double alpha,
-                        double beta) override;
-  void ppcg_inner_as(core::KernelId charge, double alpha,
-                     double beta) override;
+  models::Launcher& launcher() const override { return rt_.launcher(); }
+  void cheby_calc_p_as(core::KernelId charge, double alpha,
+                       double beta) override;
+  void ppcg_inner_ru_as(core::KernelId charge) override;
   void jacobi_copy_u_as(core::KernelId charge) override;
 
  private:
   double* fp(core::FieldId id) { return storage_.field(id).data(); }
   util::Span2D<double> f(core::FieldId id) { return storage_.field(id); }
-  std::span<double> fspan(core::FieldId id) {
-    return {storage_.field(id).data(), mesh_.padded_cells()};
-  }
+  std::span<double> fspan(core::FieldId id) { return padded_span(f(id)); }
 
   /// Directive front-end dispatch: `#pragma omp target teams distribute
   /// parallel for collapse(2)` vs `#pragma acc kernels loop independent

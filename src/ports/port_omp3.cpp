@@ -15,15 +15,8 @@ Omp3Port::Omp3Port(sim::Model model, sim::DeviceId device,
       storage_(mesh) {}
 
 void Omp3Port::upload_state(const core::Chunk& chunk) {
-  const auto sd_ = chunk.field(FieldId::kDensity);
-  const auto se = chunk.field(FieldId::kEnergy0);
-  auto dd = f(FieldId::kDensity);
-  auto de = f(FieldId::kEnergy0);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      dd(x, y) = sd_(x, y);
-      de(x, y) = se(x, y);
-    }
+  for (const FieldId id : {FieldId::kDensity, FieldId::kEnergy0}) {
+    copy_field(chunk.field(id), f(id));
   }
   // Host model: data is already resident; the transfer is free but counted.
   rt_.launcher().charge_transfer(
@@ -61,12 +54,6 @@ void Omp3Port::init_coefficients(core::Coefficient coefficient, double rx,
           ky(x, y) = ry * (wb + wc) / (2.0 * wb * wc);
         }
       });
-}
-
-void Omp3Port::halo_update(unsigned fields, int depth) {
-  rt_.launcher().run(hinfo(fields, depth), [&] {
-    reflect_fields(fields);
-  });
 }
 
 void Omp3Port::calc_residual() {
@@ -226,15 +213,13 @@ void Omp3Port::cheby_init(double theta) {
   });
 }
 
-void Omp3Port::cheby_iterate_as(KernelId charge, double alpha, double beta) {
+void Omp3Port::cheby_calc_p_as(KernelId charge, double alpha, double beta) {
   auto u = f(FieldId::kU);
   auto u0 = f(FieldId::kU0);
   auto kx = f(FieldId::kKx);
   auto ky = f(FieldId::kKy);
   auto r = f(FieldId::kR);
   auto p = f(FieldId::kP);
-  // Two sweeps inside one metered kernel: the residual/direction sweep must
-  // complete before u is updated (the stencil reads neighbouring u).
   rt_.parallel_for(
       info(charge), h_, h_ + ny_, [&](std::int64_t y) {
         for (int x = h_; x < h_ + nx_; ++x) {
@@ -248,11 +233,6 @@ void Omp3Port::cheby_iterate_as(KernelId charge, double alpha, double beta) {
           p(x, y) = alpha * p(x, y) + beta * res;
         }
       });
-  rt_.pool().parallel_for(h_, h_ + ny_, [&](std::int64_t yb, std::int64_t ye) {
-    for (std::int64_t y = yb; y < ye; ++y) {
-      for (int x = h_; x < h_ + nx_; ++x) u(x, y) += p(x, y);
-    }
-  });
 }
 
 void Omp3Port::ppcg_init_sd(double theta) {
@@ -264,7 +244,7 @@ void Omp3Port::ppcg_init_sd(double theta) {
   });
 }
 
-void Omp3Port::ppcg_inner_as(KernelId charge, double alpha, double beta) {
+void Omp3Port::ppcg_inner_ru_as(KernelId charge) {
   auto u = f(FieldId::kU);
   auto r = f(FieldId::kR);
   auto sd = f(FieldId::kSd);
@@ -279,13 +259,6 @@ void Omp3Port::ppcg_inner_as(KernelId charge, double alpha, double beta) {
                          ky(x, y) * sd(x, y - 1);
       r(x, y) -= asd;
       u(x, y) += sd(x, y);
-    }
-  });
-  rt_.pool().parallel_for(h_, h_ + ny_, [&](std::int64_t yb, std::int64_t ye) {
-    for (std::int64_t y = yb; y < ye; ++y) {
-      for (int x = h_; x < h_ + nx_; ++x) {
-        sd(x, y) = alpha * sd(x, y) + beta * r(x, y);
-      }
     }
   });
 }
@@ -392,20 +365,13 @@ double Omp3Port::fused_residual_norm() {
 }
 
 void Omp3Port::read_u(util::Span2D<double> out) {
-  const auto u = f(FieldId::kU);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) out(x, y) = u(x, y);
-  }
+  copy_field(f(FieldId::kU), out);
   rt_.launcher().charge_transfer(
       {.name = "read_u", .bytes = padded_bytes(), .to_device = false});
 }
 
 void Omp3Port::download_energy(core::Chunk& chunk) {
-  const auto src = f(FieldId::kEnergy);
-  auto dst = chunk.field(FieldId::kEnergy);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) dst(x, y) = src(x, y);
-  }
+  copy_field(f(FieldId::kEnergy), chunk.field(FieldId::kEnergy));
   rt_.launcher().charge_transfer(
       {.name = "download_energy", .bytes = padded_bytes(), .to_device = false});
 }

@@ -271,17 +271,6 @@ std::map<std::string, ocllike::KernelFn> program_source() {
     p[i] = alpha * p[i] + beta * res;
   };
 
-  src["cheby_calc_u"] = [](const NDItem& item,
-                           const std::vector<KernelArg>& args) {
-    const Unpack a{args};
-    if (item.global_id >= static_cast<std::size_t>(a.n(0))) return;
-    const std::size_t i = static_cast<std::size_t>(pad_index(
-        static_cast<std::int64_t>(item.global_id), a.n(1), a.n(2), a.n(3)));
-    Buffer& u = a.b(4);
-    Buffer& p = a.b(5);
-    u[i] += p[i];
-  };
-
   src["ppcg_init_sd"] = [](const NDItem& item,
                            const std::vector<KernelArg>& args) {
     const Unpack a{args};
@@ -404,18 +393,6 @@ std::map<std::string, ocllike::KernelFn> program_source() {
     wg_reduce(item, value, a.b(9));
   };
 
-  src["ppcg_inner_sd"] = [](const NDItem& item,
-                            const std::vector<KernelArg>& args) {
-    const Unpack a{args};
-    if (item.global_id >= static_cast<std::size_t>(a.n(0))) return;
-    const std::size_t i = static_cast<std::size_t>(pad_index(
-        static_cast<std::int64_t>(item.global_id), a.n(1), a.n(2), a.n(3)));
-    Buffer& r = a.b(4);
-    Buffer& sd = a.b(5);
-    const double alpha = a.d(6), beta = a.d(7);
-    sd[i] = alpha * sd[i] + beta * r[i];
-  };
-
   return src;
 }
 
@@ -442,14 +419,13 @@ OpenClPort::OpenClPort(sim::DeviceId device, const core::Mesh& mesh,
       (mesh.padded_cells() + kWorkGroupSize - 1) / kWorkGroupSize;
   partials_ = std::make_unique<Buffer>(
       ctx_, 4 * std::max(group_count(), padded_groups));
-  host_scratch_.resize(mesh.padded_cells());
 
   for (const char* name :
        {"init_u", "init_coef", "calc_residual", "calc_2norm", "finalise",
         "field_summary", "cg_init", "cg_calc_w", "cg_calc_ur", "cg_calc_p",
-        "cheby_init", "cheby_calc_p", "cheby_calc_u", "ppcg_init_sd",
-        "ppcg_inner_ru", "ppcg_inner_sd", "jacobi_copy_u", "jacobi_iterate",
-        "cg_calc_w_fused", "cg_fused_ur_p", "fused_residual_norm"}) {
+        "cheby_init", "cheby_calc_p", "ppcg_init_sd", "ppcg_inner_ru",
+        "jacobi_copy_u", "jacobi_iterate", "cg_calc_w_fused", "cg_fused_ur_p",
+        "fused_residual_norm"}) {
     kernels_.emplace(name, ocllike::Kernel(program_, name));
   }
 }
@@ -473,13 +449,7 @@ double OpenClPort::run_reduction(const std::string& name,
 
 void OpenClPort::upload_state(const core::Chunk& chunk) {
   for (const FieldId id : {FieldId::kDensity, FieldId::kEnergy0}) {
-    const auto src = chunk.field(id);
-    for (int y = 0; y < height_; ++y) {
-      for (int x = 0; x < width_; ++x) {
-        host_scratch_[static_cast<std::size_t>(y) * width_ + x] = src(x, y);
-      }
-    }
-    queue_.enqueue_write(buf(id), host_scratch_);
+    queue_.enqueue_write(buf(id), padded_span(chunk.field(id)));
   }
 }
 
@@ -520,13 +490,6 @@ void OpenClPort::init_coefficients(core::Coefficient coefficient, double rx,
       kWorkGroupSize * kWorkGroupSize;
   queue_.enqueue_nd_range(k, info(KernelId::kInitCoef), global, kWorkGroupSize);
   queue_.finish();
-}
-
-void OpenClPort::halo_update(unsigned fields, int depth) {
-  // Device-resident halo reflection kernel.
-  ctx_.launcher().run(hinfo(fields, depth), [&] {
-    reflect_fields(fields);
-  });
 }
 
 namespace {
@@ -645,9 +608,7 @@ void OpenClPort::cheby_init(double theta) {
   run_kernel("cheby_init", info(KernelId::kChebyInit));
 }
 
-void OpenClPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
-  // Two enqueues inside one metered kernel cost (the fused iterate): the
-  // LaunchInfo rides on the first; the second is part of the same charge.
+void OpenClPort::cheby_calc_p_as(KernelId charge, double alpha, double beta) {
   ocllike::Kernel& kp = kernels_.at("cheby_calc_p");
   set_geometry_args(kp, mesh_.interior_cells(), width_, h_, nx_);
   kp.set_arg(4, &buf(FieldId::kU));
@@ -659,15 +620,6 @@ void OpenClPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
   kp.set_arg(10, alpha);
   kp.set_arg(11, beta);
   run_kernel("cheby_calc_p", info(charge));
-
-  // The u-update sweep (cheby_calc_u): its bytes are already counted in the
-  // catalogue's fused iterate cost, so it runs in the same charge.
-  double* u = buf(FieldId::kU).data();
-  const double* p = buf(FieldId::kP).data();
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) u[row + x] += p[row + x];
-  }
 }
 
 void OpenClPort::ppcg_init_sd(double theta) {
@@ -679,7 +631,7 @@ void OpenClPort::ppcg_init_sd(double theta) {
   run_kernel("ppcg_init_sd", info(KernelId::kPpcgInitSd));
 }
 
-void OpenClPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
+void OpenClPort::ppcg_inner_ru_as(KernelId charge) {
   ocllike::Kernel& kr = kernels_.at("ppcg_inner_ru");
   set_geometry_args(kr, mesh_.interior_cells(), width_, h_, nx_);
   kr.set_arg(4, &buf(FieldId::kU));
@@ -688,16 +640,6 @@ void OpenClPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
   kr.set_arg(7, &buf(FieldId::kKx));
   kr.set_arg(8, &buf(FieldId::kKy));
   run_kernel("ppcg_inner_ru", info(charge));
-
-  // Second sweep (ppcg_inner_sd) within the same fused-kernel charge.
-  const double* r = buf(FieldId::kR).data();
-  double* sd = buf(FieldId::kSd).data();
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::size_t row = static_cast<std::size_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) {
-      sd[row + x] = alpha * sd[row + x] + beta * r[row + x];
-    }
-  }
 }
 
 void OpenClPort::jacobi_copy_u_as(KernelId charge) {
@@ -769,22 +711,12 @@ double OpenClPort::fused_residual_norm() {
 }
 
 void OpenClPort::read_u(util::Span2D<double> out) {
-  queue_.enqueue_read(buf(FieldId::kU), host_scratch_);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      out(x, y) = host_scratch_[static_cast<std::size_t>(y) * width_ + x];
-    }
-  }
+  queue_.enqueue_read(buf(FieldId::kU), padded_span(out));
 }
 
 void OpenClPort::download_energy(core::Chunk& chunk) {
-  queue_.enqueue_read(buf(FieldId::kEnergy), host_scratch_);
-  auto dst = chunk.field(FieldId::kEnergy);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) {
-      dst(x, y) = host_scratch_[static_cast<std::size_t>(y) * width_ + x];
-    }
-  }
+  queue_.enqueue_read(buf(FieldId::kEnergy),
+                      padded_span(chunk.field(FieldId::kEnergy)));
 }
 
 }  // namespace tl::ports

@@ -24,7 +24,6 @@ class OpenClPort final : public PortBase {
   void init_u() override;
   void init_coefficients(core::Coefficient coefficient, double rx,
                          double ry) override;
-  void halo_update(unsigned fields, int depth) override;
   void calc_residual() override;
   double calc_2norm(core::NormTarget target) override;
   void finalise() override;
@@ -38,29 +37,24 @@ class OpenClPort final : public PortBase {
   void jacobi_iterate() override;
 
   // Fused variants: the triple-dot sweep runs like field_summary (one
-  // work-group reduction plus companion partial sections). The two-sweep
-  // steps run their classic kernels under the fused charge (PortBase).
+  // work-group reduction plus companion partial sections). The fused
+  // Chebyshev, PPCG and Jacobi steps enqueue the first-sweep kernels below
+  // under the fused charge; PortBase runs their second sweeps.
   core::CgFusedW cg_calc_w_fused() override;
   double cg_fused_ur_p(double alpha, double beta_prev) override;
   double fused_residual_norm() override;
 
   void read_u(util::Span2D<double> out) override;
   void download_energy(core::Chunk& chunk) override;
-  const sim::SimClock& clock() const override {
-    return ctx_.launcher().clock();
-  }
-  void begin_run(std::uint64_t run_seed) override {
-    ctx_.launcher().begin_run(run_seed);
-  }
   util::Span2D<double> field_view(core::FieldId id) override {
     return device_span(id);
   }
 
  protected:
-  void cheby_iterate_as(core::KernelId charge, double alpha,
-                        double beta) override;
-  void ppcg_inner_as(core::KernelId charge, double alpha,
-                     double beta) override;
+  models::Launcher& launcher() const override { return ctx_.launcher(); }
+  void cheby_calc_p_as(core::KernelId charge, double alpha,
+                       double beta) override;
+  void ppcg_inner_ru_as(core::KernelId charge) override;
   void jacobi_copy_u_as(core::KernelId charge) override;
 
  private:
@@ -85,13 +79,12 @@ class OpenClPort final : public PortBase {
   void run_kernel(const std::string& name, const sim::LaunchInfo& info);
   double run_reduction(const std::string& name, const sim::LaunchInfo& info);
 
-  ocllike::Context ctx_;
+  mutable ocllike::Context ctx_;
   ocllike::CommandQueue queue_;
   ocllike::Program program_;
   std::map<std::string, ocllike::Kernel> kernels_;
   std::array<std::unique_ptr<ocllike::Buffer>, core::kAllFields.size()> buffers_;
   std::unique_ptr<ocllike::Buffer> partials_;
-  std::vector<double> host_scratch_;
 };
 
 }  // namespace tl::ports

@@ -28,11 +28,7 @@ RajaPort::RajaPort(sim::Model model, sim::DeviceId device,
 
 void RajaPort::upload_state(const core::Chunk& chunk) {
   for (const FieldId id : {FieldId::kDensity, FieldId::kEnergy0}) {
-    const auto src = chunk.field(id);
-    auto dst = f(id);
-    for (int y = 0; y < height_; ++y) {
-      for (int x = 0; x < width_; ++x) dst(x, y) = src(x, y);
-    }
+    copy_field(chunk.field(id), f(id));
   }
   ctx_.launcher().charge_transfer(
       {.name = "upload_state", .bytes = 2 * padded_bytes(), .to_device = true});
@@ -72,12 +68,6 @@ void RajaPort::init_coefficients(core::Coefficient coefficient, double rx,
                         kx[i] = rx * (wl + wc) / (2.0 * wl * wc);
                         ky[i] = ry * (wb + wc) / (2.0 * wb * wc);
                       });
-}
-
-void RajaPort::halo_update(unsigned fields, int depth) {
-  ctx_.launcher().run(hinfo(fields, depth), [&] {
-    reflect_fields(fields);
-  });
 }
 
 void RajaPort::calc_residual() {
@@ -201,8 +191,8 @@ void RajaPort::cheby_init(double theta) {
                       });
 }
 
-void RajaPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
-  double* u = fp(FieldId::kU);
+void RajaPort::cheby_calc_p_as(KernelId charge, double alpha, double beta) {
+  const double* u = fp(FieldId::kU);
   const double* u0 = fp(FieldId::kU0);
   const double* kx = fp(FieldId::kKx);
   const double* ky = fp(FieldId::kKy);
@@ -215,11 +205,6 @@ void RajaPort::cheby_iterate_as(KernelId charge, double alpha, double beta) {
                         r[i] = res;
                         p[i] = alpha * p[i] + beta * res;
                       });
-  // Second sweep of the fused iterate (metered once per the catalogue).
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::int64_t row = static_cast<std::int64_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) u[row + x] += p[row + x];
-  }
 }
 
 void RajaPort::ppcg_init_sd(double theta) {
@@ -230,10 +215,10 @@ void RajaPort::ppcg_init_sd(double theta) {
                       [=](std::int64_t i) { sd[i] = r[i] * theta_inv; });
 }
 
-void RajaPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
+void RajaPort::ppcg_inner_ru_as(KernelId charge) {
   double* u = fp(FieldId::kU);
   double* r = fp(FieldId::kR);
-  double* sd = fp(FieldId::kSd);
+  const double* sd = fp(FieldId::kSd);
   const double* kx = fp(FieldId::kKx);
   const double* ky = fp(FieldId::kKy);
   const int width = width_;
@@ -242,12 +227,6 @@ void RajaPort::ppcg_inner_as(KernelId charge, double alpha, double beta) {
                         r[i] -= stencil(sd, kx, ky, i, width);
                         u[i] += sd[i];
                       });
-  for (int y = h_; y < h_ + ny_; ++y) {
-    const std::int64_t row = static_cast<std::int64_t>(y) * width_;
-    for (int x = h_; x < h_ + nx_; ++x) {
-      sd[row + x] = alpha * sd[row + x] + beta * r[row + x];
-    }
-  }
 }
 
 void RajaPort::jacobi_copy_u_as(KernelId charge) {
@@ -329,20 +308,13 @@ double RajaPort::fused_residual_norm() {
 }
 
 void RajaPort::read_u(util::Span2D<double> out) {
-  const auto u = f(FieldId::kU);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) out(x, y) = u(x, y);
-  }
+  copy_field(f(FieldId::kU), out);
   ctx_.launcher().charge_transfer(
       {.name = "read_u", .bytes = padded_bytes(), .to_device = false});
 }
 
 void RajaPort::download_energy(core::Chunk& chunk) {
-  const auto src = f(FieldId::kEnergy);
-  auto dst = chunk.field(FieldId::kEnergy);
-  for (int y = 0; y < height_; ++y) {
-    for (int x = 0; x < width_; ++x) dst(x, y) = src(x, y);
-  }
+  copy_field(f(FieldId::kEnergy), chunk.field(FieldId::kEnergy));
   ctx_.launcher().charge_transfer(
       {.name = "download_energy", .bytes = padded_bytes(), .to_device = false});
 }

@@ -113,8 +113,8 @@ void MetricsRegistry::combine(const MetricsRegistry& other) {
 MetricsRegistry MetricsRegistry::combine_all(
     std::span<MetricsRegistry> parts) {
   if (parts.empty()) return {};
-  // Same tree fold as HostPool::combine_pairwise: (p0+p1) + (p2+p3), ... —
-  // pairing is a function of parts.size() only.
+  // Same tree as util::pairwise_sum: (p0+p1) + (p2+p3), ... — pairing is a
+  // function of parts.size() only.
   const std::size_t n = parts.size();
   for (std::size_t width = 1; width < n; width *= 2) {
     for (std::size_t i = 0; i + width < n; i += 2 * width) {

@@ -2,10 +2,24 @@
 // Small statistics helpers used by the benchmark harnesses (run-to-run
 // variance of the OpenCL CPU port, iteration-count power-law fits, ...).
 
+#include <cstdint>
 #include <span>
 #include <vector>
 
 namespace tl::util {
+
+/// In-place pairwise tree fold of `n` partials: (p0+p1) + (p2+p3), ... The
+/// pairing depends only on `n`, so every deterministic reduction that folds
+/// its per-chunk or per-row partials here gets the same bits at any thread
+/// count or row split.
+inline double pairwise_sum(double* p, std::int64_t n) noexcept {
+  for (std::int64_t width = 1; width < n; width *= 2) {
+    for (std::int64_t i = 0; i + width < n; i += 2 * width) {
+      p[i] += p[i + width];
+    }
+  }
+  return n > 0 ? p[0] : 0.0;
+}
 
 struct Summary {
   std::size_t count = 0;

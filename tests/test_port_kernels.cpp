@@ -176,8 +176,14 @@ TEST_P(PortKernels, CgChain) {
   lk.check_u("u after 5 CG iterations");
 }
 
-TEST_P(PortKernels, ChebyChain) {
-  LockstepChecker lk(GetParam());
+// The Chebyshev, PPCG and Jacobi chains run once through the classic entry
+// points and once through the fused ones (the default pipeline), so a port's
+// fused step is checked against the reference one call at a time too.
+
+namespace {
+
+void cheby_chain(const Pair& pair, bool fused) {
+  LockstepChecker lk(pair);
   lk.apply([](core::SolverKernels& k) {
     k.cg_init();
     k.halo_update(core::kMaskP, 1);
@@ -194,7 +200,11 @@ TEST_P(PortKernels, ChebyChain) {
     const double alpha = rho_new * rho;
     const double beta = 2.0 * rho_new / delta;
     lk.apply([&](core::SolverKernels& k) {
-      k.cheby_iterate(alpha, beta);
+      if (fused) {
+        k.cheby_fused_iterate(alpha, beta);
+      } else {
+        k.cheby_iterate(alpha, beta);
+      }
       k.halo_update(core::kMaskU, 1);
     });
     rho = rho_new;
@@ -206,8 +216,8 @@ TEST_P(PortKernels, ChebyChain) {
   lk.check_u("u after 4 Chebyshev iterations");
 }
 
-TEST_P(PortKernels, PpcgChain) {
-  LockstepChecker lk(GetParam());
+void ppcg_chain(const Pair& pair, bool fused) {
+  LockstepChecker lk(pair);
   lk.apply([](core::SolverKernels& k) {
     k.cg_init();
     k.halo_update(core::kMaskP, 1);
@@ -223,7 +233,11 @@ TEST_P(PortKernels, PpcgChain) {
     const double alpha = 0.4 + 0.05 * j;
     const double beta = 0.3 / theta;
     lk.apply([&](core::SolverKernels& k) {
-      k.ppcg_inner(alpha, beta);
+      if (fused) {
+        k.ppcg_fused_inner(alpha, beta);
+      } else {
+        k.ppcg_inner(alpha, beta);
+      }
       k.halo_update(core::kMaskSd, 1);
     });
     lk.check("ppcg residual norm", [](core::SolverKernels& k) {
@@ -233,12 +247,16 @@ TEST_P(PortKernels, PpcgChain) {
   lk.check_u("u after 4 PPCG inner steps");
 }
 
-TEST_P(PortKernels, JacobiChain) {
-  LockstepChecker lk(GetParam());
+void jacobi_chain(const Pair& pair, bool fused) {
+  LockstepChecker lk(pair);
   for (int it = 0; it < 4; ++it) {
-    lk.apply([](core::SolverKernels& k) {
-      k.jacobi_copy_u();
-      k.jacobi_iterate();
+    lk.apply([&](core::SolverKernels& k) {
+      if (fused) {
+        k.jacobi_fused_copy_iterate();
+      } else {
+        k.jacobi_copy_u();
+        k.jacobi_iterate();
+      }
       k.halo_update(core::kMaskU, 1);
     });
     lk.check("jacobi residual norm", [](core::SolverKernels& k) {
@@ -248,6 +266,15 @@ TEST_P(PortKernels, JacobiChain) {
   }
   lk.check_u("u after 4 Jacobi iterations");
 }
+
+}  // namespace
+
+TEST_P(PortKernels, ChebyChain) { cheby_chain(GetParam(), false); }
+TEST_P(PortKernels, ChebyFusedChain) { cheby_chain(GetParam(), true); }
+TEST_P(PortKernels, PpcgChain) { ppcg_chain(GetParam(), false); }
+TEST_P(PortKernels, PpcgFusedChain) { ppcg_chain(GetParam(), true); }
+TEST_P(PortKernels, JacobiChain) { jacobi_chain(GetParam(), false); }
+TEST_P(PortKernels, JacobiFusedChain) { jacobi_chain(GetParam(), true); }
 
 TEST_P(PortKernels, FinaliseWritesEnergyBack) {
   LockstepChecker lk(GetParam());
