@@ -310,6 +310,7 @@ std::string artifact_json(const std::string& mode, int hetero_mesh,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"smoke", "report", "mesh"});
   const bool smoke = cli.has("smoke");
   const std::string report_path = cli.get_or("report", "BENCH_elastic.json");
   const int hetero_mesh =

@@ -23,7 +23,8 @@
 
 int main(int argc, char** argv) {
   using namespace tl;
-  const bench::BenchOptions opts = bench::parse_bench_options(argc, argv);
+  const bench::BenchOptions opts =
+      bench::parse_bench_options(tl::util::Cli(argc, argv));
   bench::Harness harness(opts.smoke ? bench::smoke_ladder()
                                     : std::vector<int>{});
 

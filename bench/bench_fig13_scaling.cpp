@@ -36,6 +36,7 @@
 #include <array>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -50,11 +51,9 @@
 #include "ports/registry.hpp"
 #include "sim/network.hpp"
 #include "telemetry/check.hpp"
-#include "telemetry/collectors.hpp"
 #include "telemetry/report.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
-#include "util/metrics.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
@@ -179,16 +178,8 @@ double tile_compute_seconds(const bench::Harness& harness, sim::Model model,
   // driver's iteration cap above the scripted convergence point so the
   // phantom solve is never silently truncated.
   s.max_iters = std::max(s.max_iters, outer + core::kCheckInterval + 1);
-  core::PhantomScript script;
-  script.eps = s.eps;
-  if (solver == SolverKind::kCheby) {
-    script.converge_after_ur = s.cg_prep_iters;
-    script.converge_after_cheby = std::max(1, outer - s.cg_prep_iters - 1);
-    script.converge_on_ur = false;
-  } else {
-    script.converge_after_ur = outer;
-    script.converge_on_ur = (solver == SolverKind::kCg);
-  }
+  const core::PhantomScript script =
+      core::replay_script(s, outer, solver == SolverKind::kCg);
   core::Driver driver(
       s,
       std::make_unique<core::PhantomKernels>(
@@ -350,6 +341,45 @@ void collect_cells(std::vector<OverlapCell>& out, const char* scaling,
   }
 }
 
+/// One point of a solver's scaling curve: strong (else weak) scaling,
+/// global mesh edge, rank count, overlapped (else blocking) halo exchange.
+using PointFn =
+    std::function<ScalePoint(bool strong, int nx, int ranks, bool overlap)>;
+
+/// The strong and weak rank ladders, each blocking and overlapped, for every
+/// solver: printed, written to the CSV and collected for the overlap gates.
+/// `points_for(solver)` supplies the mode's point function (measured under
+/// --smoke, modelled otherwise). Returns whether blocking strong scaling
+/// stayed monotone.
+bool run_ladders(const std::function<PointFn(SolverKind)>& points_for,
+                 int strong_mesh, int weak_base, util::CsvWriter& csv,
+                 sim::Model model, sim::DeviceId device,
+                 std::vector<OverlapCell>& cells) {
+  bool monotone = true;
+  for (const SolverKind solver : core::kAllSolvers) {
+    const PointFn point = points_for(solver);
+    for (const bool strong : {true, false}) {
+      const char* scaling = strong ? "strong" : "weak";
+      std::vector<ScalePoint> blocking, overlap;
+      for (const int ranks : kRankLadder) {
+        const int nx = strong ? strong_mesh
+                              : static_cast<int>(std::lround(
+                                    weak_base *
+                                    std::sqrt(static_cast<double>(ranks))));
+        blocking.push_back(point(strong, nx, ranks, /*overlap=*/false));
+        overlap.push_back(point(strong, nx, ranks, /*overlap=*/true));
+      }
+      print_section(scaling, "blocking", solver, blocking, csv, model, device);
+      print_section(scaling, "overlap", solver, overlap, csv, model, device);
+      collect_cells(cells, scaling, solver, blocking, overlap);
+      for (std::size_t i = 1; strong && i < blocking.size(); ++i) {
+        if (blocking[i].total() > blocking[i - 1].total()) monotone = false;
+      }
+    }
+  }
+  return monotone;
+}
+
 void write_overlap_json(const std::vector<OverlapCell>& cells, bool smoke,
                         const std::string& path) {
   std::FILE* f = std::fopen(path.c_str(), "w");
@@ -390,7 +420,8 @@ void write_overlap_json(const std::vector<OverlapCell>& cells, bool smoke,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const bench::BenchOptions opts = bench::parse_bench_options(argc, argv);
+  const bench::BenchOptions opts =
+      bench::parse_bench_options(cli, {"model", "device"});
   const bool smoke = opts.smoke;
   const std::string& trace_path = opts.trace_path;
 
@@ -433,82 +464,38 @@ int main(int argc, char** argv) {
     // Real distributed solves: the same src/dist code path tl_verify --ranks
     // checks, here timed and tallied, once blocking and once overlapped.
     // Trace sinks ride the largest overlapped CG run (overlap events shown).
-    for (const SolverKind solver : core::kAllSolvers) {
-      std::vector<ScalePoint> strong, strong_ov;
-      for (const int ranks : kRankLadder) {
-        const bool traced =
-            solver == SolverKind::kCg && ranks == kRankLadder.back();
-        strong.push_back(measured_point(*model, *device, solver, strong_mesh,
-                                        ranks, /*overlap=*/false, nullptr,
-                                        nullptr));
-        strong_ov.push_back(measured_point(
-            *model, *device, solver, strong_mesh, ranks, /*overlap=*/true,
-            traced && want_stream ? &trace_sinks : nullptr,
-            traced ? &comm_table : nullptr, traced ? &report_run : nullptr));
-      }
-      print_section("strong", "blocking", solver, strong, csv, *model,
-                    *device);
-      print_section("strong", "overlap", solver, strong_ov, csv, *model,
-                    *device);
-      collect_cells(overlap_cells, "strong", solver, strong, strong_ov);
-      for (std::size_t i = 1; i < strong.size(); ++i) {
-        if (strong[i].total() > strong[i - 1].total()) monotone = false;
-      }
-      std::vector<ScalePoint> weak, weak_ov;
-      for (const int ranks : kRankLadder) {
-        const int nx = static_cast<int>(
-            std::lround(weak_base * std::sqrt(static_cast<double>(ranks))));
-        weak.push_back(measured_point(*model, *device, solver, nx, ranks,
-                                      /*overlap=*/false, nullptr, nullptr));
-        weak_ov.push_back(measured_point(*model, *device, solver, nx, ranks,
-                                         /*overlap=*/true, nullptr, nullptr));
-      }
-      print_section("weak", "blocking", solver, weak, csv, *model, *device);
-      print_section("weak", "overlap", solver, weak_ov, csv, *model, *device);
-      collect_cells(overlap_cells, "weak", solver, weak, weak_ov);
-    }
+    monotone = run_ladders(
+        [&](SolverKind solver) -> PointFn {
+          return [&, solver](bool strong, int nx, int ranks, bool overlap) {
+            const bool traced = strong && overlap &&
+                                solver == SolverKind::kCg &&
+                                ranks == kRankLadder.back();
+            return measured_point(
+                *model, *device, solver, nx, ranks, overlap,
+                traced && want_stream ? &trace_sinks : nullptr,
+                traced ? &comm_table : nullptr,
+                traced ? &report_run : nullptr);
+          };
+        },
+        strong_mesh, weak_base, csv, *model, *device, overlap_cells);
   } else {
     bench::Harness harness;
     harness.print_calibration();
-    for (const SolverKind solver : core::kAllSolvers) {
-      const ProbeCounts probe = probe_comm_counts(solver);
-      std::printf("probe [%s]: %.2f halo exchanges (%.2f overlapped) + %.2f "
-                  "allreduces per outer iteration (measured at %d^2 x 4 "
-                  "ranks)\n",
-                  std::string(core::solver_name(solver)).c_str(),
-                  probe.halo_per_iter, probe.overlapped_per_iter,
-                  probe.allred_per_iter, kProbeMesh);
-      std::vector<ScalePoint> strong, strong_ov;
-      for (const int ranks : kRankLadder) {
-        strong.push_back(modelled_point(harness, *model, *device, solver,
-                                        strong_mesh, ranks, probe, net,
-                                        /*overlap=*/false));
-        strong_ov.push_back(modelled_point(harness, *model, *device, solver,
-                                           strong_mesh, ranks, probe, net,
-                                           /*overlap=*/true));
-      }
-      std::printf("\n");
-      print_section("strong", "blocking", solver, strong, csv, *model,
-                    *device);
-      print_section("strong", "overlap", solver, strong_ov, csv, *model,
-                    *device);
-      collect_cells(overlap_cells, "strong", solver, strong, strong_ov);
-      for (std::size_t i = 1; i < strong.size(); ++i) {
-        if (strong[i].total() > strong[i - 1].total()) monotone = false;
-      }
-      std::vector<ScalePoint> weak, weak_ov;
-      for (const int ranks : kRankLadder) {
-        const int nx = static_cast<int>(
-            std::lround(weak_base * std::sqrt(static_cast<double>(ranks))));
-        weak.push_back(modelled_point(harness, *model, *device, solver, nx,
-                                      ranks, probe, net, /*overlap=*/false));
-        weak_ov.push_back(modelled_point(harness, *model, *device, solver, nx,
-                                         ranks, probe, net, /*overlap=*/true));
-      }
-      print_section("weak", "blocking", solver, weak, csv, *model, *device);
-      print_section("weak", "overlap", solver, weak_ov, csv, *model, *device);
-      collect_cells(overlap_cells, "weak", solver, weak, weak_ov);
-    }
+    monotone = run_ladders(
+        [&](SolverKind solver) -> PointFn {
+          const ProbeCounts probe = probe_comm_counts(solver);
+          std::printf("probe [%s]: %.2f halo exchanges (%.2f overlapped) + "
+                      "%.2f allreduces per outer iteration (measured at %d^2 "
+                      "x 4 ranks)\n\n",
+                      std::string(core::solver_name(solver)).c_str(),
+                      probe.halo_per_iter, probe.overlapped_per_iter,
+                      probe.allred_per_iter, kProbeMesh);
+          return [&, solver, probe](bool, int nx, int ranks, bool overlap) {
+            return modelled_point(harness, *model, *device, solver, nx, ranks,
+                                  probe, net, overlap);
+          };
+        },
+        strong_mesh, weak_base, csv, *model, *device, overlap_cells);
     // Per-rank comm bytes at the largest strong-scaling point (CG): the
     // analytic mirror of the smoke mode's measured table.
     const ProbeCounts probe = probe_comm_counts(SolverKind::kCg);
@@ -579,8 +566,8 @@ int main(int argc, char** argv) {
       std::printf("report: --report is only recorded in --smoke mode (full "
                   "mode prices comm analytically; no event stream exists)\n");
     } else {
-      // The largest overlapped CG smoke run, replayed from the per-rank
-      // recordings into the aggregator + registry the report is built from.
+      // The largest overlapped CG smoke run, its per-rank recordings handed
+      // to the report in rank order.
       telemetry::ReportContext ctx;
       ctx.source = "bench_fig13_scaling";
       ctx.model = std::string(sim::model_id(*model));
@@ -592,22 +579,11 @@ int main(int argc, char** argv) {
       ctx.use_fused = core::Settings::default_problem().use_fused;
       ctx.overlap_comm = true;
       telemetry::ReportBuilder builder(std::move(ctx));
-      util::Aggregator agg;
-      sim::AggregatingSink agg_sink(agg);
-      telemetry::RegistrySink reg_sink(builder.registry());
       for (const sim::RecordingSink& sink : trace_sinks) {
-        for (const sim::TraceEvent& ev : sink.events()) {
-          agg_sink.on_event(ev);
-          reg_sink.on_event(ev);
-        }
+        for (const sim::TraceEvent& ev : sink.events()) builder.on_event(ev);
       }
-      const double achieved =
-          agg.total_ns() > 0.0
-              ? static_cast<double>(agg.total_bytes()) / agg.total_ns()
-              : 0.0;
-      builder.add_run(report_run, achieved);
+      builder.add_run(report_run, builder.profile().bandwidth_gbs());
       for (const dist::RankReport& r : comm_table) builder.add_rank(r);
-      builder.add_profiles(agg);
       if (builder.write(opts.report_path)) {
         std::printf("report: tl-report-1 written to %s (+ %s)\n",
                     opts.report_path.c_str(),

@@ -69,7 +69,8 @@ void print_launch_factor_histogram(const bench::Harness& harness, int mesh) {
 
 int main(int argc, char** argv) {
   using namespace tl;
-  const bench::BenchOptions opts = bench::parse_bench_options(argc, argv);
+  const bench::BenchOptions opts =
+      bench::parse_bench_options(tl::util::Cli(argc, argv));
   bench::Harness harness(opts.smoke ? bench::smoke_ladder()
                                      : std::vector<int>{});
   bench::run_device_figure(harness, sim::DeviceId::kCpuSandyBridge,

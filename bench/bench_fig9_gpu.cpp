@@ -11,7 +11,8 @@
 #include "sim/device.hpp"
 
 int main(int argc, char** argv) {
-  const bench::BenchOptions opts = bench::parse_bench_options(argc, argv);
+  const bench::BenchOptions opts =
+      bench::parse_bench_options(tl::util::Cli(argc, argv));
   bench::Harness harness(opts.smoke ? bench::smoke_ladder()
                                      : std::vector<int>{});
   bench::run_device_figure(harness, tl::sim::DeviceId::kGpuK20X,

@@ -349,7 +349,8 @@ int run_isa_leg(std::optional<IsaLeg>& out) {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
-  const bench::BenchOptions opts = bench::parse_bench_options(argc, argv);
+  const bench::BenchOptions opts =
+      bench::parse_bench_options(cli, {"sim-only"});
   const bool smoke = opts.smoke;
   const bool sim_only = cli.has("sim-only");
 

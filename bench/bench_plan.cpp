@@ -282,6 +282,7 @@ void write_artifact(const std::vector<EvalCell>& cells, double tie_tol,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"data-dir", "tie-tol", "report"});
   const std::string dir = cli.get_or("data-dir", ".");
   const double tie_tol = cli.get_double_or("tie-tol", 0.005);
   const std::string report_path = cli.get_or("report", "BENCH_plan.json");

@@ -204,6 +204,9 @@ double planner_threshold(const tune::ModelCatalog& catalog) {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"smoke", "planner", "jobs", "min-throughput", "report",
+                      "workers", "large-workers", "capacity", "batch",
+                      "aging"});
   const bool smoke = cli.has("smoke");
   const bool with_planner = cli.has("planner");
   const long jobs_requested =

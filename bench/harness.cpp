@@ -7,11 +7,8 @@
 #include "core/driver.hpp"
 #include "core/phantom_kernels.hpp"
 #include "ports/registry.hpp"
-#include "telemetry/collectors.hpp"
 #include "telemetry/report.hpp"
-#include "util/cli.hpp"
 #include "util/csv.hpp"
-#include "util/metrics.hpp"
 #include "util/string_util.hpp"
 #include "util/table.hpp"
 
@@ -61,21 +58,8 @@ SolveResult Harness::modelled_solve(sim::Model model, sim::DeviceId device,
 
   const int outer = solver == SolverKind::kJacobi ? kJacobiModelledIters
                                                   : predicted_outer(solver, nx);
-  core::PhantomScript script;
-  script.eps = s.eps;
-  if (solver == SolverKind::kCheby) {
-    script.converge_after_ur = s.cg_prep_iters;
-    script.converge_after_cheby =
-        std::max(1, outer - s.cg_prep_iters - 1);
-    script.converge_on_ur = false;
-  } else if (solver == SolverKind::kJacobi) {
-    script.converge_after_ur = 0;
-    script.converge_after_jacobi = outer;
-    script.converge_on_ur = false;
-  } else {
-    script.converge_after_ur = outer;
-    script.converge_on_ur = (solver == SolverKind::kCg);
-  }
+  const core::PhantomScript script =
+      core::replay_script(s, outer, solver == SolverKind::kCg);
 
   auto kernels = std::make_unique<core::PhantomKernels>(
       model, device, core::Mesh(nx, nx, s.halo_depth), script, run_seed);
@@ -130,8 +114,11 @@ std::string fmt_seconds(double s) { return util::strf("%.1f", s); }
 
 std::vector<int> smoke_ladder() { return {24, 32, 48}; }
 
-BenchOptions parse_bench_options(int argc, const char* const* argv) {
-  const util::Cli cli(argc, argv);
+BenchOptions parse_bench_options(const util::Cli& cli,
+                                 std::vector<std::string_view> extra) {
+  extra.insert(extra.end(),
+               {"profile", "trace", "trace-model", "smoke", "report"});
+  cli.reject_unknown(extra);
   BenchOptions opts;
   opts.profile = cli.has("profile");
   opts.trace_path = cli.get_or("trace", "");
@@ -153,16 +140,11 @@ void write_figure_report(const Harness& harness, sim::Model model,
   ctx.steps = static_cast<int>(core::kAllSolvers.size());
   telemetry::ReportBuilder builder(std::move(ctx));
 
-  util::Aggregator agg;
-  sim::AggregatingSink agg_sink(agg);
-  telemetry::RegistrySink reg_sink(builder.registry());
-  sim::TeeSink tee({&agg_sink, &reg_sink});
-
   double total_seconds = 0.0;
   std::uint64_t total_launches = 0;
   for (const SolverKind solver : core::kAllSolvers) {
     const SolveResult r = harness.modelled_solve(model, device, solver, mesh,
-                                                 1, &tee);
+                                                 1, &builder);
     builder.add_solve(telemetry::SolveRow{
         .label = std::string(core::solver_name(solver)),
         .solver = std::string(core::solver_name(solver)),
@@ -177,13 +159,8 @@ void write_figure_report(const Harness& harness, sim::Model model,
     total_seconds += r.seconds;
     total_launches += r.launches;
   }
-  builder.set_totals(total_seconds,
-                     agg.total_ns() > 0.0
-                         ? static_cast<double>(agg.total_bytes()) /
-                               agg.total_ns()
-                         : 0.0,
+  builder.set_totals(total_seconds, builder.profile().bandwidth_gbs(),
                      total_launches);
-  builder.add_profiles(agg);
   if (builder.write(path)) {
     std::printf("\nreport: tl-report-1 written to %s (+ %s)\n", path.c_str(),
                 telemetry::ReportBuilder::openmetrics_path(path).c_str());
@@ -198,17 +175,16 @@ namespace {
 /// (the paper-style table: PPCG time concentrated in ppcg_inner, etc.).
 void print_model_profile(const Harness& harness, sim::Model model,
                          sim::DeviceId device, int mesh) {
-  util::Aggregator agg;
-  sim::AggregatingSink sink(agg);
+  sim::ProfileSink prof;
   for (const SolverKind solver : core::kAllSolvers) {
-    harness.modelled_solve(model, device, solver, mesh, 1, &sink);
+    harness.modelled_solve(model, device, solver, mesh, 1, &prof);
   }
   std::printf("\n-- per-kernel profile: %s (CG + Chebyshev + PPCG, %llu "
               "events, %.1f s total) --\n",
               std::string(sim::model_name(model)).c_str(),
-              static_cast<unsigned long long>(agg.total_events()),
-              agg.total_ns() * 1e-9);
-  std::fputs(util::format_profile_table(agg.profiles()).c_str(), stdout);
+              static_cast<unsigned long long>(prof.total_events()),
+              prof.total_ns() * 1e-9);
+  std::fputs(sim::format_profile_table(prof.profiles()).c_str(), stdout);
 }
 
 /// Writes a Chrome trace of one model's three solves, one process row per

@@ -9,6 +9,7 @@
 
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/iteration_model.hpp"
@@ -16,6 +17,7 @@
 #include "sim/device.hpp"
 #include "sim/model_id.hpp"
 #include "sim/trace.hpp"
+#include "util/cli.hpp"
 
 namespace bench {
 
@@ -112,8 +114,10 @@ inline constexpr int kSmokeMesh = 512;
 std::vector<int> smoke_ladder();
 
 /// Parses --profile / --trace=FILE / --trace-model=ID / --smoke /
-/// --report=FILE from argv.
-BenchOptions parse_bench_options(int argc, const char* const* argv);
+/// --report=FILE. Any other flag not named in `extra` (the bench's own
+/// flags, read from the same `cli`) exits 2.
+BenchOptions parse_bench_options(const tl::util::Cli& cli,
+                                 std::vector<std::string_view> extra = {});
 
 /// Meters `model`'s three solves (CG, Chebyshev, PPCG) at `mesh` on
 /// `device` and writes the tl-report-1 run report to `path` (sibling `.om`

@@ -18,13 +18,20 @@ using namespace tl;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"nx", "solver"});
   const int nx = static_cast<int>(cli.get_long_or("nx", 64));
 
   core::Settings settings = core::Settings::default_problem();
   settings.nx = settings.ny = nx;
+  // The paper's three solvers only (Jacobi appears in no paper figure).
   const std::string solver_id = cli.get_or("solver", "cg");
-  if (solver_id == "cheby") settings.solver = core::SolverKind::kCheby;
-  else if (solver_id == "ppcg") settings.solver = core::SolverKind::kPpcg;
+  const auto solver = core::parse_solver(solver_id);
+  if (!solver || *solver == core::SolverKind::kJacobi) {
+    std::fprintf(stderr, "unknown --solver '%s' (cg|cheby|ppcg)\n",
+                 solver_id.c_str());
+    return 2;
+  }
+  settings.solver = *solver;
 
   std::printf("comparing all supported ports, %dx%d, %s solver\n\n", nx, nx,
               std::string(core::solver_name(settings.solver)).c_str());

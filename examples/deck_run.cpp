@@ -18,6 +18,7 @@ using namespace tl;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"model", "device"});
   if (cli.positional().empty()) {
     std::fprintf(stderr, "usage: %s <deck.in> [--model m] [--device d]\n",
                  cli.program().c_str());

@@ -19,6 +19,7 @@ using namespace tl;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"nx", "ranks"});
   const int nx = static_cast<int>(cli.get_long_or("nx", 64));
   const int ranks = static_cast<int>(cli.get_long_or("ranks", 4));
 

@@ -17,6 +17,7 @@ using namespace tl;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"device", "max-nx"});
   const auto device = sim::parse_device(cli.get_or("device", "cpu"));
   if (!device) {
     std::fprintf(stderr, "unknown --device\n");

@@ -32,10 +32,8 @@
 #include "ports/registry.hpp"
 #include "service/entry.hpp"
 #include "sim/trace.hpp"
-#include "telemetry/collectors.hpp"
 #include "telemetry/report.hpp"
 #include "util/cli.hpp"
-#include "util/metrics.hpp"
 #include "util/string_util.hpp"
 #include "verify/conformance.hpp"
 #include "verify/report.hpp"
@@ -44,6 +42,8 @@ using namespace tl;
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"nx", "steps", "ranks", "solver", "model", "device",
+                      "profile", "trace", "report", "verify"});
   const int nx = static_cast<int>(cli.get_long_or("nx", 128));
   const int steps = static_cast<int>(cli.get_long_or("steps", 1));
   const int ranks = static_cast<int>(cli.get_long_or("ranks", 1));
@@ -54,14 +54,12 @@ int main(int argc, char** argv) {
   settings.nranks = ranks;
 
   const std::string solver_id = cli.get_or("solver", "cg");
-  if (solver_id == "cg") settings.solver = core::SolverKind::kCg;
-  else if (solver_id == "cheby") settings.solver = core::SolverKind::kCheby;
-  else if (solver_id == "ppcg") settings.solver = core::SolverKind::kPpcg;
-  else if (solver_id == "jacobi") settings.solver = core::SolverKind::kJacobi;
-  else {
+  const auto solver = core::parse_solver(solver_id);
+  if (!solver) {
     std::fprintf(stderr, "unknown --solver '%s'\n", solver_id.c_str());
     return 1;
   }
+  settings.solver = *solver;
 
   const auto model = sim::parse_model(cli.get_or("model", "kokkos"));
   const auto device = sim::parse_device(cli.get_or("device", "cpu"));
@@ -150,20 +148,21 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (profile) {
-    util::Aggregator agg;
-    for (const sim::RecordingSink& sink : rank_sinks) {
-      for (const sim::TraceEvent& ev : sink.events()) {
-        agg.add(util::LaunchSample{.name = ev.name,
-                                   .duration_ns = ev.duration_ns,
-                                   .bytes = ev.bytes,
-                                   .launch_factor = ev.launch_factor});
-      }
+  // Hands the recorded per-rank streams to `sink` in rank order, so every
+  // fold sees the same deterministic sequence.
+  const auto replay = [&rank_sinks](sim::TraceSink& sink) {
+    for (const sim::RecordingSink& recording : rank_sinks) {
+      for (const sim::TraceEvent& ev : recording.events()) sink.on_event(ev);
     }
+  };
+
+  if (profile) {
+    sim::ProfileSink prof;
+    replay(prof);
     std::printf("\nper-kernel profile (%llu events%s):\n%s",
-                static_cast<unsigned long long>(agg.total_events()),
+                static_cast<unsigned long long>(prof.total_events()),
                 ranks > 1 ? ", all ranks" : "",
-                util::format_profile_table(agg.profiles()).c_str());
+                sim::format_profile_table(prof.profiles()).c_str());
   }
   if (!trace_path.empty()) {
     const std::string label = std::string(sim::model_id(*model)) + "/" +
@@ -196,20 +195,9 @@ int main(int argc, char** argv) {
     ctx.overlap_comm = settings.overlap_comm;
     telemetry::ReportBuilder builder(std::move(ctx));
 
-    // Replay the recorded per-rank event streams into the registry (rank
-    // order: deterministic) and the kernel-profile aggregator.
-    util::Aggregator agg;
-    sim::AggregatingSink agg_sink(agg);
-    telemetry::RegistrySink reg_sink(builder.registry());
-    for (const sim::RecordingSink& sink : rank_sinks) {
-      for (const sim::TraceEvent& ev : sink.events()) {
-        agg_sink.on_event(ev);
-        reg_sink.on_event(ev);
-      }
-    }
+    replay(builder);
     builder.add_run(report, report.achieved_bandwidth_gbs);
     for (const dist::RankReport& r : rank_reports) builder.add_rank(r);
-    builder.add_profiles(agg);
     if (builder.write(report_path)) {
       std::printf(
           "report: tl-report-1 written to %s (+ %s)\n", report_path.c_str(),

@@ -2,6 +2,28 @@
 
 namespace tl::core {
 
+PhantomScript replay_script(const Settings& settings, int iterations,
+                            bool converges_on_ur) {
+  PhantomScript script;
+  script.eps = settings.eps;
+  if (settings.solver == SolverKind::kCheby &&
+      iterations > settings.cg_prep_iters) {
+    script.converge_after_ur = settings.cg_prep_iters;
+    script.converge_after_cheby = iterations - settings.cg_prep_iters - 1;
+    script.converge_on_ur = false;
+  } else if (settings.solver == SolverKind::kJacobi) {
+    // Jacobi never calls cg_calc_ur; it converges on the norm check, always
+    // at a check-interval boundary.
+    script.converge_after_ur = 0;
+    script.converge_after_jacobi = iterations;
+    script.converge_on_ur = false;
+  } else {
+    script.converge_after_ur = iterations;
+    script.converge_on_ur = converges_on_ur;
+  }
+  return script;
+}
+
 PhantomKernels::PhantomKernels(tl::sim::Model model, tl::sim::DeviceId device,
                                const Mesh& mesh, const PhantomScript& script,
                                std::uint64_t run_seed)

@@ -37,6 +37,15 @@ struct PhantomScript {
   double eps = 1e-15;
 };
 
+/// The script that replays a solve of `settings.solver` ending after
+/// `iterations` outer iterations (SolveStats::iterations): Chebyshev past
+/// its CG bootstrap converges on the norm check after the remaining iterate
+/// calls, Jacobi after `iterations` sweeps, and CG, PPCG or a bootstrap
+/// that converged outright after `iterations` cg_calc_ur calls — signalled
+/// by that call's return itself when `converges_on_ur` (CG's usual exit).
+PhantomScript replay_script(const Settings& settings, int iterations,
+                            bool converges_on_ur);
+
 class PhantomKernels final : public SolverKernels {
  public:
   PhantomKernels(tl::sim::Model model, tl::sim::DeviceId device,

@@ -239,8 +239,8 @@ void jacobi_iterate(const Mesh& m, CSpan u0, CSpan w, CSpan kx, CSpan ky,
 // ReferenceKernels
 // ---------------------------------------------------------------------------
 
-ReferenceKernels::ReferenceKernels(const Mesh& mesh, unsigned pool_threads)
-    : mesh_(mesh), chunk_(mesh), pool_(pool_threads) {}
+ReferenceKernels::ReferenceKernels(const Mesh& mesh)
+    : mesh_(mesh), chunk_(mesh) {}
 
 void ReferenceKernels::upload_state(const Chunk& chunk) {
   const auto src_d = chunk.field(FieldId::kDensity);
@@ -493,26 +493,14 @@ void ReferenceKernels::download_energy(Chunk& chunk) {
 // ---------------------------------------------------------------------------
 // Fused kernels: the measured hot path.
 //
-// Traversal: the interior rows are split into tiles whose working set
-// (nfields rows of the padded width) fits in half of an assumed 256 KiB L2;
-// tiles are claimed from the HostPool with the tile height as the grain.
-// The row sweeps themselves come from the ISA dispatch table in
-// core/isa.hpp (the widest of scalar / SSE2 / AVX2 the CPU runs, picked
-// once from CPUID); every table entry accumulates dots in four fixed chains
-// c = (index in row) & 3 combined as (c0 + c2) + (c1 + c3), so all ISAs
-// produce the same bits. Row sums land in per-row slots combined by a
-// pairwise tree over the row index — the result depends only on the mesh,
-// never on thread count, tile schedule, or dispatched ISA.
+// Traversal: one pass over the interior rows in order. The row sweeps come
+// from the ISA dispatch table in core/isa.hpp (the widest of scalar / SSE2 /
+// AVX2 the CPU runs, picked once from CPUID); every table entry accumulates
+// dots in four fixed chains c = (index in row) & 3 combined as
+// (c0 + c2) + (c1 + c3), so all ISAs produce the same bits. Row sums land in
+// per-row slots combined by a pairwise tree over the row index — the result
+// depends only on the mesh, never on the dispatched ISA.
 // ---------------------------------------------------------------------------
-
-int ReferenceKernels::tile_rows(int nfields) const {
-  constexpr std::size_t kL2Bytes = 256u * 1024u;
-  const std::size_t row_bytes = static_cast<std::size_t>(mesh_.padded_nx()) *
-                                static_cast<std::size_t>(nfields) *
-                                sizeof(double);
-  const std::size_t rows = (kL2Bytes / 2) / std::max<std::size_t>(row_bytes, 1);
-  return static_cast<int>(std::clamp<std::size_t>(rows, 1, 64));
-}
 
 CgFusedW ReferenceKernels::cg_calc_w_fused() {
   const int h = mesh_.halo_depth;
@@ -526,20 +514,15 @@ CgFusedW ReferenceKernels::cg_calc_w_fused() {
   row_b_.assign(static_cast<std::size_t>(mesh_.ny), 0.0);
   const isa::RowKernelTable& t = *isa::active_row_table();
 
-  pool_.parallel_for(
-      h, h + mesh_.ny,
-      [&](std::int64_t yb, std::int64_t ye) {
-        for (std::int64_t y = yb; y < ye; ++y) {
-          const std::size_t b = static_cast<std::size_t>(y) * width +
-                                static_cast<std::size_t>(h);
-          const fused::RowDots dots = t.w_row(
-              p_, kx_, ky_, w_, b, b + static_cast<std::size_t>(nx), width);
-          const std::size_t slot = static_cast<std::size_t>(y - h);
-          row_a_[slot] = dots.pw;
-          row_b_[slot] = dots.ww;
-        }
-      },
-      tile_rows(4));
+  for (int y = h; y < h + mesh_.ny; ++y) {
+    const std::size_t b = static_cast<std::size_t>(y) * width +
+                          static_cast<std::size_t>(h);
+    const fused::RowDots dots = t.w_row(
+        p_, kx_, ky_, w_, b, b + static_cast<std::size_t>(nx), width);
+    const std::size_t slot = static_cast<std::size_t>(y - h);
+    row_a_[slot] = dots.pw;
+    row_b_[slot] = dots.ww;
+  }
 
   CgFusedW out;
   out.pw = pairwise_sum(row_a_.data(), mesh_.ny);
@@ -558,18 +541,13 @@ double ReferenceKernels::cg_fused_ur_p(double alpha, double beta_prev) {
   row_a_.assign(static_cast<std::size_t>(mesh_.ny), 0.0);
   const isa::RowKernelTable& t = *isa::active_row_table();
 
-  pool_.parallel_for(
-      h, h + mesh_.ny,
-      [&](std::int64_t yb, std::int64_t ye) {
-        for (std::int64_t y = yb; y < ye; ++y) {
-          const std::size_t b = static_cast<std::size_t>(y) * width +
-                                static_cast<std::size_t>(h);
-          row_a_[static_cast<std::size_t>(y - h)] = t.urp_row(
-              u_, r_, p_, w_, b, b + static_cast<std::size_t>(nx), alpha,
-              beta_prev);
-        }
-      },
-      tile_rows(4));
+  for (int y = h; y < h + mesh_.ny; ++y) {
+    const std::size_t b = static_cast<std::size_t>(y) * width +
+                          static_cast<std::size_t>(h);
+    row_a_[static_cast<std::size_t>(y - h)] = t.urp_row(
+        u_, r_, p_, w_, b, b + static_cast<std::size_t>(nx), alpha,
+        beta_prev);
+  }
 
   return pairwise_sum(row_a_.data(), mesh_.ny);
 }
@@ -586,18 +564,13 @@ double ReferenceKernels::fused_residual_norm() {
   row_a_.assign(static_cast<std::size_t>(mesh_.ny), 0.0);
   const isa::RowKernelTable& t = *isa::active_row_table();
 
-  pool_.parallel_for(
-      h, h + mesh_.ny,
-      [&](std::int64_t yb, std::int64_t ye) {
-        for (std::int64_t y = yb; y < ye; ++y) {
-          const std::size_t b = static_cast<std::size_t>(y) * width +
-                                static_cast<std::size_t>(h);
-          row_a_[static_cast<std::size_t>(y - h)] = t.residual_row(
-              u_, u0_, kx_, ky_, r_, b, b + static_cast<std::size_t>(nx),
-              width);
-        }
-      },
-      tile_rows(5));
+  for (int y = h; y < h + mesh_.ny; ++y) {
+    const std::size_t b = static_cast<std::size_t>(y) * width +
+                          static_cast<std::size_t>(h);
+    row_a_[static_cast<std::size_t>(y - h)] = t.residual_row(
+        u_, u0_, kx_, ky_, r_, b, b + static_cast<std::size_t>(nx),
+        width);
+  }
 
   return pairwise_sum(row_a_.data(), mesh_.ny);
 }
@@ -620,17 +593,12 @@ void ReferenceKernels::cheby_fused_iterate(double alpha, double beta) {
   double* un_ = data(FieldId::kW);
   const isa::RowKernelTable& t = *isa::active_row_table();
 
-  pool_.parallel_for(
-      h, h + mesh_.ny,
-      [&](std::int64_t yb, std::int64_t ye) {
-        for (std::int64_t y = yb; y < ye; ++y) {
-          const std::size_t b = static_cast<std::size_t>(y) * width +
-                                static_cast<std::size_t>(h);
-          t.cheby_row(u_, u0_, kx_, ky_, r_, p_, un_, b,
-                      b + static_cast<std::size_t>(nx), width, alpha, beta);
-        }
-      },
-      tile_rows(7));
+  for (int y = h; y < h + mesh_.ny; ++y) {
+    const std::size_t b = static_cast<std::size_t>(y) * width +
+                          static_cast<std::size_t>(h);
+    t.cheby_row(u_, u0_, kx_, ky_, r_, p_, un_, b,
+                b + static_cast<std::size_t>(nx), width, alpha, beta);
+  }
 
   chunk_.swap_fields(FieldId::kU, FieldId::kW);
 }
@@ -651,17 +619,12 @@ void ReferenceKernels::ppcg_fused_inner(double alpha, double beta) {
   double* sn_ = data(FieldId::kW);
   const isa::RowKernelTable& t = *isa::active_row_table();
 
-  pool_.parallel_for(
-      h, h + mesh_.ny,
-      [&](std::int64_t yb, std::int64_t ye) {
-        for (std::int64_t y = yb; y < ye; ++y) {
-          const std::size_t b = static_cast<std::size_t>(y) * width +
-                                static_cast<std::size_t>(h);
-          t.ppcg_row(sd_, kx_, ky_, u_, r_, sn_, b,
-                     b + static_cast<std::size_t>(nx), width, alpha, beta);
-        }
-      },
-      tile_rows(6));
+  for (int y = h; y < h + mesh_.ny; ++y) {
+    const std::size_t b = static_cast<std::size_t>(y) * width +
+                          static_cast<std::size_t>(h);
+    t.ppcg_row(sd_, kx_, ky_, u_, r_, sn_, b,
+               b + static_cast<std::size_t>(nx), width, alpha, beta);
+  }
 
   chunk_.swap_fields(FieldId::kSd, FieldId::kW);
 }
@@ -682,17 +645,12 @@ void ReferenceKernels::jacobi_fused_copy_iterate() {
   double* u_ = data(FieldId::kU);
   const isa::RowKernelTable& t = *isa::active_row_table();
 
-  pool_.parallel_for(
-      h, h + mesh_.ny,
-      [&](std::int64_t yb, std::int64_t ye) {
-        for (std::int64_t y = yb; y < ye; ++y) {
-          const std::size_t b = static_cast<std::size_t>(y) * width +
-                                static_cast<std::size_t>(h);
-          t.jacobi_row(u0_, w_, kx_, ky_, u_, b,
-                       b + static_cast<std::size_t>(nx), width);
-        }
-      },
-      tile_rows(5));
+  for (int y = h; y < h + mesh_.ny; ++y) {
+    const std::size_t b = static_cast<std::size_t>(y) * width +
+                          static_cast<std::size_t>(h);
+    t.jacobi_row(u0_, w_, kx_, ky_, u_, b,
+                 b + static_cast<std::size_t>(nx), width);
+  }
 }
 
 }  // namespace tl::core

@@ -7,24 +7,20 @@
 // it in the unit tests.
 //
 // The classic kernels stay deliberately simple (readable double loops over
-// spans). The fused kernels are the measured hot path: cache-blocked row
-// tiles swept through a HostPool with raw-pointer, lane-split inner loops,
-// and reductions sliced per row and combined by a pairwise tree in row
-// order — bit-identical for any pool thread count.
+// spans). The fused kernels are the measured hot path: one in-order pass
+// over the rows with raw-pointer, lane-split inner loops, and reductions
+// sliced per row and combined by a pairwise tree in row order.
 
 #include <vector>
 
 #include "core/kernels_api.hpp"
 #include "core/mesh.hpp"
-#include "models/host_pool.hpp"
 
 namespace tl::core {
 
 class ReferenceKernels final : public SolverKernels {
  public:
-  /// `pool_threads` sizes the HostPool behind the fused sweeps; the default
-  /// keeps the oracle serial. Results do not depend on the choice.
-  explicit ReferenceKernels(const Mesh& mesh, unsigned pool_threads = 1);
+  explicit ReferenceKernels(const Mesh& mesh);
 
   void upload_state(const Chunk& chunk) override;
   void init_u() override;
@@ -78,14 +74,11 @@ class ReferenceKernels final : public SolverKernels {
   }
 
  private:
-  /// Row-tile height for a fused sweep touching `nfields` fields.
-  int tile_rows(int nfields) const;
   double* data(FieldId f) { return chunk_.field(f).data(); }
 
   Mesh mesh_;
   Chunk chunk_;
   tl::sim::SimClock clock_;
-  models::HostPool pool_;
   // Per-row reduction slots for the fused kernels (pw/rw/ww reuse all three;
   // single-sum kernels use the first).
   std::vector<double> row_a_, row_b_, row_c_;

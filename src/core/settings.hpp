@@ -5,7 +5,9 @@
 
 #include <algorithm>
 #include <array>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/mesh.hpp"
@@ -28,6 +30,16 @@ constexpr std::string_view solver_name(SolverKind s) {
     case SolverKind::kJacobi: return "Jacobi";
   }
   return "?";
+}
+
+/// The command-line and job-file solver id (cg|cheby|ppcg|jacobi);
+/// nullopt for anything else.
+constexpr std::optional<SolverKind> parse_solver(std::string_view id) {
+  if (id == "cg") return SolverKind::kCg;
+  if (id == "cheby") return SolverKind::kCheby;
+  if (id == "ppcg") return SolverKind::kPpcg;
+  if (id == "jacobi") return SolverKind::kJacobi;
+  return std::nullopt;
 }
 
 /// Diffusion coefficient from cell density (TeaLeaf tl_coefficient).

@@ -1,6 +1,6 @@
 #pragma once
 // HostPool: a fork-join worker pool, the execution engine behind the
-// host-side model layers and the fused reference kernels.
+// host-side model layers.
 //
 // Work is split into `grain`-sized chunks that threads claim dynamically
 // through an atomic cursor. The chunking depends only on (begin, end, grain)

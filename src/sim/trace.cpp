@@ -1,11 +1,13 @@
 #include "sim/trace.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <ostream>
 
 #include "util/json.hpp"
 #include "util/log.hpp"
 #include "util/string_util.hpp"
+#include "util/table.hpp"
 
 namespace tl::sim {
 
@@ -20,6 +22,63 @@ void RecordingSink::on_event(const TraceEvent& event) {
 void RecordingSink::clear() {
   events_.clear();
   dropped_ = 0;
+}
+
+void ProfileSink::on_event(const TraceEvent& event) {
+  auto it = by_kernel_.find(event.name);
+  if (it == by_kernel_.end()) {
+    KernelProfile p;
+    p.name = std::string(event.name);
+    p.min_ns = event.duration_ns;
+    p.max_ns = event.duration_ns;
+    p.factor_min = event.launch_factor;
+    p.factor_max = event.launch_factor;
+    it = by_kernel_.emplace(p.name, std::move(p)).first;
+  }
+  KernelProfile& p = it->second;
+  ++p.count;
+  p.total_ns += event.duration_ns;
+  p.min_ns = std::min(p.min_ns, event.duration_ns);
+  p.max_ns = std::max(p.max_ns, event.duration_ns);
+  p.bytes += event.bytes;
+  p.factor_min = std::min(p.factor_min, event.launch_factor);
+  p.factor_max = std::max(p.factor_max, event.launch_factor);
+  p.factor_sum += event.launch_factor;
+
+  ++total_events_;
+  total_ns_ += event.duration_ns;
+  total_bytes_ += event.bytes;
+}
+
+std::vector<KernelProfile> ProfileSink::profiles() const {
+  std::vector<KernelProfile> out;
+  out.reserve(by_kernel_.size());
+  for (const auto& [name, profile] : by_kernel_) out.push_back(profile);
+  for (KernelProfile& p : out) {
+    p.percent = total_ns_ > 0.0 ? 100.0 * p.total_ns / total_ns_ : 0.0;
+  }
+  std::sort(out.begin(), out.end(),
+            [](const KernelProfile& a, const KernelProfile& b) {
+              if (a.total_ns != b.total_ns) return a.total_ns > b.total_ns;
+              return a.name < b.name;
+            });
+  return out;
+}
+
+std::string format_profile_table(const std::vector<KernelProfile>& profiles) {
+  util::Table table({"kernel", "launches", "total s", "% of run", "mean us",
+                     "GB/s", "sched min/mean/max"});
+  for (const KernelProfile& p : profiles) {
+    table.row({p.name,
+               util::strf("%llu", static_cast<unsigned long long>(p.count)),
+               util::strf("%.3f", p.total_ns * 1e-9),
+               util::strf("%.1f", p.percent),
+               util::strf("%.2f", p.mean_ns() * 1e-3),
+               util::strf("%.1f", p.bandwidth_gbs()),
+               util::strf("%.2f/%.2f/%.2f", p.factor_min, p.factor_mean(),
+                          p.factor_max)});
+  }
+  return table.render();
 }
 
 namespace {

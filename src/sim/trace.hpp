@@ -12,11 +12,16 @@
 // Two consumers ship with the repo:
 //   - RecordingSink keeps the ordered event stream (Chrome trace export,
 //     launch-factor histograms, tests);
-//   - AggregatingSink folds events straight into a util::Aggregator
+//   - ProfileSink folds events straight into per-kernel profiles
 //     (O(#kernels) memory, for full paper-scale solves).
+// telemetry::ReportBuilder is a sink too: it folds the stream into its own
+// ProfileSink and its metrics registry.
 
 #include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <iosfwd>
+#include <map>
 #include <span>
 #include <string>
 #include <string_view>
@@ -24,7 +29,6 @@
 
 #include "sim/device.hpp"
 #include "sim/model_id.hpp"
-#include "util/metrics.hpp"
 
 namespace tl::sim {
 
@@ -76,37 +80,65 @@ class RecordingSink final : public TraceSink {
   std::size_t dropped_ = 0;
 };
 
-/// Folds events straight into a util::Aggregator without storing them.
-class AggregatingSink final : public TraceSink {
- public:
-  explicit AggregatingSink(util::Aggregator& aggregator)
-      : aggregator_(&aggregator) {}
+/// Folded profile of one kernel (or transfer) across a run.
+struct KernelProfile {
+  std::string name;
+  std::uint64_t count = 0;
+  double total_ns = 0.0;
+  double min_ns = 0.0;
+  double max_ns = 0.0;
+  std::size_t bytes = 0;
+  /// Share of the profile's total time, in percent (filled by profiles()).
+  double percent = 0.0;
+  /// Scheduler launch-factor spread across this kernel's launches.
+  double factor_min = 1.0;
+  double factor_max = 1.0;
+  double factor_sum = 0.0;
 
-  void on_event(const TraceEvent& event) override {
-    aggregator_->add(util::LaunchSample{.name = event.name,
-                                        .duration_ns = event.duration_ns,
-                                        .bytes = event.bytes,
-                                        .launch_factor = event.launch_factor});
+  double mean_ns() const {
+    return count ? total_ns / static_cast<double>(count) : 0.0;
   }
-
- private:
-  util::Aggregator* aggregator_;
+  double factor_mean() const {
+    return count ? factor_sum / static_cast<double>(count) : 0.0;
+  }
+  /// Achieved bandwidth over this kernel's launches, GB/s (B/ns == GB/s).
+  double bandwidth_gbs() const {
+    return total_ns > 0.0 ? static_cast<double>(bytes) / total_ns : 0.0;
+  }
 };
 
-/// Fans one event stream out to several sinks (e.g. record + aggregate).
-class TeeSink final : public TraceSink {
+/// Folds events into per-kernel profiles — count, total/min/max duration,
+/// bytes moved, achieved bandwidth, scheduler launch-factor spread — the
+/// granularity the paper argues at (its section 4.1 attributes model gaps to
+/// individual kernels). Stores no events, so a full 4096^2 solve can be
+/// profiled in O(#kernels) memory.
+class ProfileSink final : public TraceSink {
  public:
-  explicit TeeSink(std::vector<TraceSink*> sinks) : sinks_(std::move(sinks)) {}
+  void on_event(const TraceEvent& event) override;
 
-  void on_event(const TraceEvent& event) override {
-    for (TraceSink* sink : sinks_) {
-      if (sink) sink->on_event(event);
-    }
+  std::uint64_t total_events() const noexcept { return total_events_; }
+  double total_ns() const noexcept { return total_ns_; }
+  std::size_t total_bytes() const noexcept { return total_bytes_; }
+  /// Achieved bandwidth over every folded event, GB/s (0 with no time).
+  double bandwidth_gbs() const noexcept {
+    return total_ns_ > 0.0 ? static_cast<double>(total_bytes_) / total_ns_
+                           : 0.0;
   }
 
+  /// Profiles sorted by total time descending, percentages filled against
+  /// this sink's total (they sum to 100 when total_ns() > 0).
+  std::vector<KernelProfile> profiles() const;
+
  private:
-  std::vector<TraceSink*> sinks_;
+  std::map<std::string, KernelProfile, std::less<>> by_kernel_;
+  std::uint64_t total_events_ = 0;
+  double total_ns_ = 0.0;
+  std::size_t total_bytes_ = 0;
 };
+
+/// Renders profiles as the paper-style per-kernel breakdown table
+/// (kernel, launches, total s, % of run, GB/s, scheduler factor spread).
+std::string format_profile_table(const std::vector<KernelProfile>& profiles);
 
 /// One named timeline row of a Chrome trace (rendered as its own process).
 /// `dropped` carries RecordingSink::dropped() through to the export: a

@@ -4,33 +4,6 @@
 
 namespace tl::telemetry {
 
-void RegistrySink::on_event(const sim::TraceEvent& event) {
-  MetricsRegistry& reg = *registry_;
-  if (event.phase == "overlap") {
-    // Trace-only hidden-comm window: the covering compute is already
-    // metered, so this must not count as a launch (mirrors SimClock).
-    reg.add_counter("tl_overlap_events", 1.0);
-    reg.add_counter("tl_overlap_hidden_ns", event.duration_ns);
-    return;
-  }
-  if (event.kind == sim::TraceEvent::Kind::kTransfer) {
-    reg.add_counter("tl_transfers", 1.0);
-    reg.add_counter("tl_transfer_ns", event.duration_ns);
-    reg.add_counter("tl_transfer_bytes", static_cast<double>(event.bytes));
-    return;
-  }
-  reg.add_counter("tl_launches", 1.0);
-  reg.add_counter("tl_kernel_ns", event.duration_ns);
-  reg.add_counter("tl_kernel_bytes", static_cast<double>(event.bytes));
-  if (event.phase == "comm") {
-    reg.add_counter("tl_comm_events", 1.0);
-    reg.add_counter("tl_comm_ns", event.duration_ns);
-    reg.add_counter("tl_comm_bytes", static_cast<double>(event.bytes));
-    return;
-  }
-  reg.observe("tl_launch_factor", event.launch_factor, kLaunchFactorBounds);
-}
-
 void collect_comm(MetricsRegistry& registry, int rank,
                   const dist::CommStats& stats) {
   const MetricsRegistry::Labels labels = {

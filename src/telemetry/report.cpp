@@ -69,13 +69,32 @@ void ReportBuilder::add_tenant(TenantRow row) {
   tenants_.push_back(std::move(row));
 }
 
-void ReportBuilder::add_profiles(
-    const std::vector<util::KernelProfile>& profiles) {
-  kernels_.insert(kernels_.end(), profiles.begin(), profiles.end());
-}
-
-void ReportBuilder::add_profiles(const util::Aggregator& aggregator) {
-  add_profiles(aggregator.profiles());
+void ReportBuilder::on_event(const sim::TraceEvent& event) {
+  profile_.on_event(event);
+  MetricsRegistry& reg = registry_;
+  if (event.phase == "overlap") {
+    // Trace-only hidden-comm window: the covering compute is already
+    // metered, so this must not count as a launch (mirrors SimClock).
+    reg.add_counter("tl_overlap_events", 1.0);
+    reg.add_counter("tl_overlap_hidden_ns", event.duration_ns);
+    return;
+  }
+  if (event.kind == sim::TraceEvent::Kind::kTransfer) {
+    reg.add_counter("tl_transfers", 1.0);
+    reg.add_counter("tl_transfer_ns", event.duration_ns);
+    reg.add_counter("tl_transfer_bytes", static_cast<double>(event.bytes));
+    return;
+  }
+  reg.add_counter("tl_launches", 1.0);
+  reg.add_counter("tl_kernel_ns", event.duration_ns);
+  reg.add_counter("tl_kernel_bytes", static_cast<double>(event.bytes));
+  if (event.phase == "comm") {
+    reg.add_counter("tl_comm_events", 1.0);
+    reg.add_counter("tl_comm_ns", event.duration_ns);
+    reg.add_counter("tl_comm_bytes", static_cast<double>(event.bytes));
+    return;
+  }
+  reg.observe("tl_launch_factor", event.launch_factor, kLaunchFactorBounds);
 }
 
 std::string ReportBuilder::to_json() const {
@@ -128,9 +147,10 @@ std::string ReportBuilder::to_json() const {
   }
   os << (solves_.empty() ? "],\n" : "\n  ],\n");
 
+  const std::vector<sim::KernelProfile> kernels = profile_.profiles();
   os << "  \"kernels\": [";
-  for (std::size_t i = 0; i < kernels_.size(); ++i) {
-    const util::KernelProfile& p = kernels_[i];
+  for (std::size_t i = 0; i < kernels.size(); ++i) {
+    const sim::KernelProfile& p = kernels[i];
     const double gbs = p.bandwidth_gbs();
     os << (i ? ",\n    " : "\n    ");
     os << "{\"name\": " << jstr(p.name) << ", \"count\": " << p.count
@@ -145,7 +165,7 @@ std::string ReportBuilder::to_json() const {
        << ", \"factor_mean\": " << jnum(p.factor_mean())
        << ", \"factor_max\": " << jnum(p.factor_max) << "}";
   }
-  os << (kernels_.empty() ? "],\n" : "\n  ],\n");
+  os << (kernels.empty() ? "],\n" : "\n  ],\n");
 
   os << "  \"ranks\": [";
   for (std::size_t i = 0; i < ranks_.size(); ++i) {

@@ -2,9 +2,11 @@
 // The versioned machine-readable run report (`schema: tl-report-1`).
 //
 // One JSON document per run, assembled from the registry (counters/gauges/
-// histograms), the Aggregator (per-kernel profile table, with each kernel's
-// achieved bandwidth priced against the device's STREAM roofline), the
-// per-rank CommStats breakdown, and the solve outcomes. Emission is strictly
+// histograms), the per-kernel profile (each kernel's achieved bandwidth
+// priced against the device's STREAM roofline), the per-rank CommStats
+// breakdown, and the solve outcomes. The builder is itself the run's
+// TraceSink: every metered event it receives lands in both the profile and
+// the registry. Emission is strictly
 // deterministic — sorted maps, fixed float formatting, no timestamps — so a
 // repeated run produces a byte-identical file and CI can diff or
 // regression-check it. An OpenMetrics text rendering of the registry is
@@ -16,8 +18,8 @@
 
 #include "core/driver.hpp"
 #include "dist/driver.hpp"
+#include "sim/trace.hpp"
 #include "telemetry/metrics_registry.hpp"
-#include "util/metrics.hpp"
 
 namespace tl::telemetry {
 
@@ -65,12 +67,26 @@ struct TenantRow {
   std::uint64_t max_wait_pops = 0;
 };
 
-class ReportBuilder {
+class ReportBuilder final : public sim::TraceSink {
  public:
   explicit ReportBuilder(ReportContext context);
 
-  /// The registry backing the report's "metrics" section. Attach a
-  /// RegistrySink to it, or fold collectors into it directly.
+  /// Folds one metered event into the kernel profile and, classified
+  /// exactly as SimClock accounts it, into the registry:
+  ///   tl_launches / tl_kernel_ns / tl_kernel_bytes   every metered launch
+  ///   tl_comm_events / tl_comm_ns / tl_comm_bytes    the "comm"-phase subset
+  ///   tl_transfers / tl_transfer_ns / tl_transfer_bytes   host<->device
+  ///   tl_overlap_events / tl_overlap_hidden_ns       trace-only hidden comm
+  ///   tl_launch_factor (histogram)                   compute launches only
+  /// Single-writer like the registry: a multi-rank run replays its per-rank
+  /// recordings in rank order.
+  void on_event(const sim::TraceEvent& event) override;
+
+  /// The per-kernel profile of every event received so far.
+  const sim::ProfileSink& profile() const noexcept { return profile_; }
+
+  /// The registry backing the report's "metrics" section; collectors fold
+  /// into it directly.
   MetricsRegistry& registry() noexcept { return registry_; }
   const MetricsRegistry& registry() const noexcept { return registry_; }
 
@@ -90,12 +106,9 @@ class ReportBuilder {
   /// emitted when at least one row was added.
   void add_tenant(TenantRow row);
 
-  /// Kernel profile table; each kernel priced against the context device's
-  /// STREAM bandwidth (peak_ratio = achieved / priced peak).
-  void add_profiles(const std::vector<util::KernelProfile>& profiles);
-  void add_profiles(const util::Aggregator& aggregator);
-
-  /// The full document. Deterministic: byte-identical for identical inputs.
+  /// The full document; each profiled kernel is priced against the context
+  /// device's STREAM bandwidth (peak_ratio = achieved / priced peak).
+  /// Deterministic: byte-identical for identical inputs.
   std::string to_json() const;
 
   /// Writes the JSON to `path` and the OpenMetrics rendering to the sibling
@@ -110,8 +123,8 @@ class ReportBuilder {
   ReportContext context_;
   double peak_gbs_ = 0.0;  // STREAM bandwidth of context_.device (0 unknown)
   MetricsRegistry registry_;
+  sim::ProfileSink profile_;
   std::vector<SolveRow> solves_;
-  std::vector<util::KernelProfile> kernels_;
   std::vector<dist::RankReport> ranks_;
   std::vector<TenantRow> tenants_;
   double total_sim_seconds_ = 0.0;

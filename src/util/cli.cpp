@@ -1,5 +1,8 @@
 #include "util/cli.hpp"
 
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 
 #include "util/string_util.hpp"
@@ -22,6 +25,16 @@ Cli::Cli(int argc, const char* const* argv) {
       flags_[to_lower(body)] = argv[++i];
     } else {
       flags_[to_lower(body)] = "true";
+    }
+  }
+}
+
+void Cli::reject_unknown(const std::vector<std::string_view>& known) const {
+  for (const auto& [flag, value] : flags_) {
+    if (std::find(known.begin(), known.end(), flag) == known.end()) {
+      std::fprintf(stderr, "%s: unknown flag --%s\n", program_.c_str(),
+                   flag.c_str());
+      std::exit(2);
     }
   }
 }

@@ -5,6 +5,7 @@
 #include <map>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace tl::util {
@@ -15,6 +16,11 @@ class Cli {
 
   /// Binary name (argv[0]).
   const std::string& program() const noexcept { return program_; }
+
+  /// Exits with status 2, naming the flag on stderr, if argv carried a flag
+  /// outside `known`. Each binary calls it once with every flag it reads,
+  /// so a misspelt option fails instead of silently running the defaults.
+  void reject_unknown(const std::vector<std::string_view>& known) const;
 
   bool has(const std::string& flag) const;
   std::optional<std::string> get(const std::string& flag) const;

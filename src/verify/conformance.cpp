@@ -136,23 +136,8 @@ void append_replay_checks(std::vector<MetricResult>& out,
                           const core::RunReport& live,
                           const ToleranceSpec& spec) {
   const core::SolveStats& stats = live.steps.back().solve;
-  core::PhantomScript script;
-  script.eps = s.eps;
-  if (s.solver == SolverKind::kCheby && stats.iterations > s.cg_prep_iters) {
-    script.converge_after_ur = s.cg_prep_iters;
-    script.converge_after_cheby = stats.iterations - s.cg_prep_iters - 1;
-    script.converge_on_ur = false;
-  } else if (s.solver == SolverKind::kJacobi) {
-    // Jacobi never calls cg_calc_ur; it converges on the norm check after
-    // the observed number of jacobi_iterate calls (always a check-interval
-    // boundary, since that is where the live solve broke out too).
-    script.converge_after_ur = 0;
-    script.converge_after_jacobi = stats.iterations;
-    script.converge_on_ur = false;
-  } else {
-    script.converge_after_ur = stats.iterations;
-    script.converge_on_ur = stats.converged_on_ur;
-  }
+  const core::PhantomScript script =
+      core::replay_script(s, stats.iterations, stats.converged_on_ur);
   core::Driver phantom(
       s,
       std::make_unique<core::PhantomKernels>(model, device, s.mesh(), script,

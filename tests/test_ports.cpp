@@ -180,23 +180,8 @@ TEST_P(PortPair, SimulatedClockMatchesAnalyticReplay) {
       const auto& stats = report.steps[0].solve;
       ASSERT_TRUE(stats.converged) << label;
 
-      core::PhantomScript script;
-      script.eps = s.eps;
-      if (solver == SolverKind::kJacobi) {
-        script.converge_after_ur = 0;
-        script.converge_after_jacobi = stats.iterations;
-        script.converge_on_ur = false;
-      } else if (solver == SolverKind::kCheby &&
-                 stats.iterations > s.cg_prep_iters) {
-        script.converge_after_ur = s.cg_prep_iters;
-        script.converge_after_cheby = stats.iterations - s.cg_prep_iters - 1;
-        script.converge_on_ur = false;
-      } else {
-        // CG, PPCG, or a bootstrap that converged outright.
-        script.converge_after_ur = stats.iterations;
-        script.converge_after_cheby = 0;
-        script.converge_on_ur = stats.converged_on_ur;
-      }
+      const core::PhantomScript script =
+          core::replay_script(s, stats.iterations, stats.converged_on_ur);
       core::Driver phantom_driver(
           s, std::make_unique<core::PhantomKernels>(
                  GetParam().model, GetParam().device, mesh, script, seed));

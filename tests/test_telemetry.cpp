@@ -22,7 +22,6 @@
 #include "telemetry/metrics_registry.hpp"
 #include "telemetry/report.hpp"
 #include "util/json.hpp"
-#include "util/metrics.hpp"
 
 namespace {
 
@@ -146,7 +145,7 @@ TEST(MetricsRegistry, LabelKeysRoundTripFamilies) {
   EXPECT_EQ(MetricsRegistry::family("plain"), "plain");
 }
 
-// -- RegistrySink classification --------------------------------------------
+// -- ReportBuilder event classification --------------------------------------
 
 sim::TraceEvent event(sim::TraceEvent::Kind kind, std::string_view name,
                       std::string_view phase, double ns, std::size_t bytes,
@@ -161,14 +160,14 @@ sim::TraceEvent event(sim::TraceEvent::Kind kind, std::string_view name,
   return ev;
 }
 
-TEST(RegistrySink, ClassifiesLaunchTransferCommOverlap) {
-  MetricsRegistry reg;
-  telemetry::RegistrySink sink(reg);
+TEST(ReportBuilder, ClassifiesLaunchTransferCommOverlap) {
+  telemetry::ReportBuilder builder(telemetry::ReportContext{});
   using Kind = sim::TraceEvent::Kind;
-  sink.on_event(event(Kind::kLaunch, "cg_calc_w", "cg", 100.0, 64, 1.25));
-  sink.on_event(event(Kind::kLaunch, "halo_exchange", "comm", 50.0, 32));
-  sink.on_event(event(Kind::kLaunch, "halo_overlap", "overlap", 40.0, 16));
-  sink.on_event(event(Kind::kTransfer, "upload_state", "transfer", 10.0, 8));
+  builder.on_event(event(Kind::kLaunch, "cg_calc_w", "cg", 100.0, 64, 1.25));
+  builder.on_event(event(Kind::kLaunch, "halo_exchange", "comm", 50.0, 32));
+  builder.on_event(event(Kind::kLaunch, "halo_overlap", "overlap", 40.0, 16));
+  builder.on_event(event(Kind::kTransfer, "upload_state", "transfer", 10.0, 8));
+  const MetricsRegistry& reg = builder.registry();
 
   // Compute + comm launches count as launches (mirroring SimClock);
   // overlap windows and transfers do not.
@@ -183,6 +182,9 @@ TEST(RegistrySink, ClassifiesLaunchTransferCommOverlap) {
   EXPECT_DOUBLE_EQ(reg.counter_or("tl_transfer_bytes"), 8.0);
   // Only the compute launch lands in the launch-factor histogram.
   EXPECT_EQ(reg.histograms().at("tl_launch_factor").count, 1u);
+  // Every event, whatever its class, lands in the kernel profile.
+  EXPECT_EQ(builder.profile().total_events(), 4u);
+  EXPECT_DOUBLE_EQ(builder.profile().total_ns(), 200.0);
 }
 
 TEST(Collectors, CommCountersAreRankLabelled) {
@@ -219,12 +221,11 @@ telemetry::ReportBuilder small_report(double kernel_ns) {
                                         .classic_iterations = 0,
                                         .final_rr = 1e-16,
                                         .sim_seconds = kernel_ns * 1e-9});
-  util::Aggregator agg;
-  agg.add(util::LaunchSample{"cg_calc_w", kernel_ns, 4096, 1.0});
-  agg.add(util::LaunchSample{"cg_calc_ur", kernel_ns / 2, 2048, 1.0});
+  using Kind = sim::TraceEvent::Kind;
+  builder.on_event(event(Kind::kLaunch, "cg_calc_w", "cg", kernel_ns, 4096));
+  builder.on_event(
+      event(Kind::kLaunch, "cg_calc_ur", "cg", kernel_ns / 2, 2048));
   builder.set_totals(kernel_ns * 1e-9, 2.0, 2);
-  builder.add_profiles(agg);
-  builder.registry().add_counter("tl_launches", 2.0);
   return builder;
 }
 
@@ -261,10 +262,10 @@ TEST(Report, JsonIsSchemaValidAndDeterministic) {
 }
 
 TEST(Report, OpenMetricsRenderingLints) {
-  telemetry::ReportBuilder builder = small_report(1000.0);
-  builder.registry().observe("tl_launch_factor", 1.01,
-                             telemetry::kLaunchFactorBounds);
-  const std::string om = telemetry::to_openmetrics(builder.registry());
+  MetricsRegistry reg;
+  reg.add_counter("tl_launches", 2.0);
+  reg.observe("tl_launch_factor", 1.01, telemetry::kLaunchFactorBounds);
+  const std::string om = telemetry::to_openmetrics(reg);
   EXPECT_NE(om.find("# TYPE tl_launches counter\n"), std::string::npos);
   EXPECT_NE(om.find("tl_launches_total 2\n"), std::string::npos);
   EXPECT_NE(om.find("# TYPE tl_launch_factor histogram\n"), std::string::npos);

@@ -18,7 +18,6 @@
 #include "ports/registry.hpp"
 #include "sim/device.hpp"
 #include "sim/trace.hpp"
-#include "util/metrics.hpp"
 #include "util/stats.hpp"
 
 using namespace tl;
@@ -235,29 +234,32 @@ TEST(TraceSink, AttachingASinkDoesNotPerturbMetering) {
   EXPECT_EQ(plain.kernel_launches, traced.kernel_launches);
 }
 
-TEST(TraceSink, TeeFansOutToAllSinks) {
-  sim::RecordingSink a, b;
-  sim::TeeSink tee({&a, &b, nullptr});
-  phantom_cg_solve(sim::Model::kOmp3Cpp, sim::DeviceId::kCpuSandyBridge, &tee);
-  ASSERT_FALSE(a.events().empty());
-  EXPECT_EQ(a.events().size(), b.events().size());
-}
-
 // ---------------------------------------------------------------------------
 // Aggregation math
 // ---------------------------------------------------------------------------
 
-TEST(Aggregator, FoldsCountsSumsAndExtrema) {
-  util::Aggregator agg;
-  agg.add({.name = "a", .duration_ns = 10.0, .bytes = 100, .launch_factor = 0.8});
-  agg.add({.name = "a", .duration_ns = 30.0, .bytes = 300, .launch_factor = 1.2});
-  agg.add({.name = "b", .duration_ns = 60.0, .bytes = 0, .launch_factor = 1.0});
+sim::TraceEvent launch(std::string_view name, double ns,
+                       std::size_t bytes = 0, double factor = 1.0) {
+  sim::TraceEvent ev;
+  ev.name = name;
+  ev.duration_ns = ns;
+  ev.bytes = bytes;
+  ev.launch_factor = factor;
+  return ev;
+}
 
-  EXPECT_EQ(agg.total_events(), 3u);
-  EXPECT_DOUBLE_EQ(agg.total_ns(), 100.0);
-  EXPECT_EQ(agg.total_bytes(), 400u);
+TEST(ProfileSink, FoldsCountsSumsAndExtrema) {
+  sim::ProfileSink prof;
+  prof.on_event(launch("a", 10.0, 100, 0.8));
+  prof.on_event(launch("a", 30.0, 300, 1.2));
+  prof.on_event(launch("b", 60.0, 0, 1.0));
 
-  const auto profiles = agg.profiles();
+  EXPECT_EQ(prof.total_events(), 3u);
+  EXPECT_DOUBLE_EQ(prof.total_ns(), 100.0);
+  EXPECT_EQ(prof.total_bytes(), 400u);
+  EXPECT_DOUBLE_EQ(prof.bandwidth_gbs(), 4.0);  // 400 B / 100 ns
+
+  const auto profiles = prof.profiles();
   ASSERT_EQ(profiles.size(), 2u);
   // Sorted by total time descending: b (60) before a (40).
   EXPECT_EQ(profiles[0].name, "b");
@@ -277,43 +279,29 @@ TEST(Aggregator, FoldsCountsSumsAndExtrema) {
   EXPECT_DOUBLE_EQ(a.factor_mean(), 1.0);
 }
 
-TEST(Aggregator, PercentagesSumToHundred) {
-  util::Aggregator agg;
-  agg.add({.name = "x", .duration_ns = 1.5});
-  agg.add({.name = "y", .duration_ns = 2.25});
-  agg.add({.name = "z", .duration_ns = 0.75});
+TEST(ProfileSink, PercentagesSumToHundred) {
+  sim::ProfileSink prof;
+  prof.on_event(launch("x", 1.5));
+  prof.on_event(launch("y", 2.25));
+  prof.on_event(launch("z", 0.75));
   double pct = 0.0;
-  for (const auto& p : agg.profiles()) pct += p.percent;
+  for (const auto& p : prof.profiles()) pct += p.percent;
   EXPECT_NEAR(pct, 100.0, 1e-12);
 }
 
-TEST(Aggregator, EmptyAndClear) {
-  util::Aggregator agg;
-  EXPECT_TRUE(agg.profiles().empty());
-  EXPECT_DOUBLE_EQ(agg.total_ns(), 0.0);
-  agg.add({.name = "x", .duration_ns = 1.0});
-  agg.clear();
-  EXPECT_TRUE(agg.profiles().empty());
-  EXPECT_EQ(agg.total_events(), 0u);
+TEST(ProfileSink, EmptyProfile) {
+  const sim::ProfileSink prof;
+  EXPECT_TRUE(prof.profiles().empty());
+  EXPECT_EQ(prof.total_events(), 0u);
+  EXPECT_DOUBLE_EQ(prof.total_ns(), 0.0);
+  EXPECT_DOUBLE_EQ(prof.bandwidth_gbs(), 0.0);
 }
 
-TEST(Aggregator, SinkMatchesManualFold) {
-  util::Aggregator agg;
-  sim::AggregatingSink agg_sink(agg);
-  sim::RecordingSink rec;
-  sim::TeeSink tee({&agg_sink, &rec});
-  phantom_cg_solve(sim::Model::kRaja, sim::DeviceId::kCpuSandyBridge, &tee);
-
-  EXPECT_EQ(agg.total_events(), rec.events().size());
-  EXPECT_NEAR(util::rel_diff(agg.total_ns(), sum_durations(rec.events())),
-              0.0, 1e-12);
-}
-
-TEST(Aggregator, FormatTableListsEveryKernel) {
-  util::Aggregator agg;
-  agg.add({.name = "cheby_iterate", .duration_ns = 5.0, .bytes = 10});
-  agg.add({.name = "halo_update", .duration_ns = 1.0, .bytes = 2});
-  const std::string table = util::format_profile_table(agg.profiles());
+TEST(ProfileSink, FormatTableListsEveryKernel) {
+  sim::ProfileSink prof;
+  prof.on_event(launch("cheby_iterate", 5.0, 10));
+  prof.on_event(launch("halo_update", 1.0, 2));
+  const std::string table = sim::format_profile_table(prof.profiles());
   EXPECT_NE(table.find("cheby_iterate"), std::string::npos);
   EXPECT_NE(table.find("halo_update"), std::string::npos);
   EXPECT_NE(table.find("% of run"), std::string::npos);
@@ -409,20 +397,17 @@ TEST(TraceConservation, PhantomEventsSumToMeteredTimeForAllPairs) {
 
       // ...and the per-kernel profile durations sum to the solve's total
       // metered time within 1e-9 relative error.
-      util::Aggregator agg;
-      for (const auto& ev : clock_events) {
-        agg.add({.name = ev.name, .duration_ns = ev.duration_ns,
-                 .bytes = ev.bytes, .launch_factor = ev.launch_factor});
-      }
+      sim::ProfileSink prof;
+      for (const auto& ev : clock_events) prof.on_event(ev);
       double profile_total = 0.0;
-      for (const auto& p : agg.profiles()) profile_total += p.total_ns;
+      for (const auto& p : prof.profiles()) profile_total += p.total_ns;
       EXPECT_LE(util::rel_diff(profile_total, report.sim_total_seconds * 1e9),
                 1e-9)
           << sim::model_name(model) << " on " << sim::device_spec(device).name;
 
       // Every catalogued kernel a CG solve launches shows up in the profile.
       std::set<std::string> names;
-      for (const auto& p : agg.profiles()) names.insert(p.name);
+      for (const auto& p : prof.profiles()) names.insert(p.name);
       for (const char* expected :
            {"init_u", "init_coef", "halo_update", "cg_init", "cg_calc_w_fused",
             "cg_fused_ur_p", "finalise", "field_summary", "upload_state",

@@ -351,6 +351,18 @@ TEST(Cli, TypeErrorThrows) {
   EXPECT_THROW(cli.get_long_or("nx", 0), std::runtime_error);
 }
 
+TEST(Cli, UndeclaredFlagExitsTwoNamingIt) {
+  const char* argv[] = {"prog", "deck.in", "--nx", "32", "--SOLVR=ppcg"};
+  const u::Cli cli(5, argv);
+  EXPECT_EXIT(cli.reject_unknown({"nx", "solver"}),
+              testing::ExitedWithCode(2), "prog: unknown flag --solvr");
+  // Declared flags and positionals pass, and so does a flag left unset.
+  cli.reject_unknown({"nx", "solver", "solvr", "steps"});
+  const char* bare[] = {"prog", "--help"};
+  EXPECT_EXIT(u::Cli(2, bare).reject_unknown({}), testing::ExitedWithCode(2),
+              "unknown flag --help");
+}
+
 // ---------------------------------------------------------------------------
 // log
 // ---------------------------------------------------------------------------

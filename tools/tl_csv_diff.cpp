@@ -150,6 +150,7 @@ int diff_numeric_tokens(const std::string& pa, const std::string& pb,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"rel", "abs", "max-report", "numeric-tokens"});
   if (cli.positional().size() != 2) {
     std::fprintf(stderr,
                  "usage: tl_csv_diff A.csv B.csv [--rel 1e-9] [--abs 0] "

@@ -237,6 +237,9 @@ int run_plan(const util::Cli& cli) {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"out", "min-points", "check", "rel-tol", "models",
+                      "model", "device", "solver", "nx", "ny", "ranks", "fused",
+                      "overlap", "top"});
   std::vector<std::string> positional = cli.positional();
   if (positional.empty()) return usage(cli.program().c_str());
   const std::string command = positional.front();

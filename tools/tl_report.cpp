@@ -58,6 +58,7 @@ bool load_json(const std::string& path, util::JsonValue& out) {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"check", "baseline", "rel-tol", "top"});
 
   // Operands: positionals, plus a value the parser attached to the bare
   // --check flag (`--check FILE` binds FILE to the flag).

@@ -48,15 +48,6 @@ int usage(const char* prog) {
   return 2;
 }
 
-bool parse_solver(const std::string& id, core::SolverKind& out) {
-  if (id == "cg") out = core::SolverKind::kCg;
-  else if (id == "cheby") out = core::SolverKind::kCheby;
-  else if (id == "ppcg") out = core::SolverKind::kPpcg;
-  else if (id == "jacobi") out = core::SolverKind::kJacobi;
-  else return false;
-  return true;
-}
-
 /// Parses one CSV job line; returns false (with a message) on bad input.
 bool parse_job_line(const std::string& line, int lineno, service::Job& job) {
   std::vector<std::string> fields;
@@ -81,11 +72,13 @@ bool parse_job_line(const std::string& line, int lineno, service::Job& job) {
 
   service::Scenario& s = job.scenario;
   s.settings = core::Settings::default_problem();
-  if (!parse_solver(fields[2], s.settings.solver)) {
+  const auto solver = core::parse_solver(fields[2]);
+  if (!solver) {
     std::fprintf(stderr, "tl_service: line %d: bad solver '%s'\n", lineno,
                  fields[2].c_str());
     return false;
   }
+  s.settings.solver = *solver;
   const auto model = sim::parse_model(fields[3]);
   const auto device = sim::parse_device(fields[4]);
   if (!model || !device) {
@@ -161,6 +154,8 @@ std::vector<service::Job> demo_jobs(long n) {
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"demo", "workers", "large-workers", "capacity", "batch",
+                      "aging", "threads", "report"});
 
   std::vector<service::Job> jobs;
   if (cli.has("demo")) {

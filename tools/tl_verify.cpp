@@ -41,14 +41,8 @@ bool parse_solvers(const std::string& id,
   if (id == "all") {
     out.assign(core::kAllSolvers.begin(), core::kAllSolvers.end());
     out.push_back(core::SolverKind::kJacobi);
-  } else if (id == "cg") {
-    out = {core::SolverKind::kCg};
-  } else if (id == "cheby") {
-    out = {core::SolverKind::kCheby};
-  } else if (id == "ppcg") {
-    out = {core::SolverKind::kPpcg};
-  } else if (id == "jacobi") {
-    out = {core::SolverKind::kJacobi};
+  } else if (const auto solver = core::parse_solver(id)) {
+    out = {*solver};
   } else if (!id.empty()) {
     return false;
   }
@@ -59,6 +53,9 @@ bool parse_solvers(const std::string& id,
 
 int main(int argc, char** argv) {
   const util::Cli cli(argc, argv);
+  cli.reject_unknown({"nx", "steps", "seed", "ranks", "overlap", "no-replay",
+                      "golden", "perturb", "solver", "model", "device",
+                      "regen-golden", "json"});
 
   verify::VerifyOptions opt;
   opt.nx = static_cast<int>(cli.get_long_or("nx", opt.nx));
